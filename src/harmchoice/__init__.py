@@ -7,7 +7,6 @@ explain every pick, identifies the preferences achieving that minimum, and
 surveys how the hardest-to-explain behavior dominates choice space.
 """
 
-from ._backend import HAVE_NUMBA, active_backend, set_backend
 from .axioms import (
     CnsWitness,
     Reversal,
@@ -64,6 +63,12 @@ from .rationalize import (
 
 __version__ = "0.1.0"
 
+
+def active_backend() -> str:
+    """The array backend the kernels run on; numpy is the only one."""
+    return "numpy"
+
+
 __all__ = [
     "CensusReport",
     "ChoiceFunction",
@@ -73,7 +78,6 @@ __all__ = [
     "ExplicitIndexPolicy",
     "FixedIndexPolicy",
     "GroundSet",
-    "HAVE_NUMBA",
     "LinearExtensions",
     "LinearOrder",
     "MAX_BRUTE_N",
@@ -110,7 +114,6 @@ __all__ = [
     "rational_choice",
     "sample_census",
     "satisfies_warp",
-    "set_backend",
     "sp",
     "sp_axiomatic",
     "sp_bruteforce",

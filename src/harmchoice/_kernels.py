@@ -1,13 +1,12 @@
-"""Hot numeric kernels, each with a numba and a pure-numpy implementation.
+"""Hot numeric kernels in numpy.
 
 Everything here works on flat encodings: a choice is a picks array indexed
-by menu bitmask (entry 0 unused), an order is one ranking row, and pair
-coverage is a bitmask over the C(n,2) alternative pairs in lexicographic
-order. Dispatch between the jitted and the numpy path happens per call via
-:func:`harmchoice._backend.active_backend`.
+by menu bitmask (entry 0 unused) or its n×n revealed relation, an order is
+one ranking row, and pair coverage is a bitmask over the C(n,2) alternative
+pairs in lexicographic order.
 
 The central quantity is the minimal distortion index of a (menu, pick, order)
-triple: demoting the top block down to just past the best-ranked menu member
+triple: demoting the top block down to just past the lowest-ranked menu member
 sitting above the pick is both necessary and sufficient, so the minimal index
 is 1 + max(position of members above the pick), or 0 when none are above.
 """
@@ -18,21 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._backend import active_backend, njit
-
 #: Pair bitmasks use a single int64, which caps packed-pair kernels.
 MAX_PAIR_MASK_N = 11
-
-
-def pair_index(p: int, q: int, n: int) -> int:
-    """Position of the unordered pair {p, q} in lexicographic pair order."""
-    if p > q:
-        p, q = q, p
-    return p * (2 * n - p - 1) // 2 + (q - p - 1)
-
-
-def full_pair_mask(n: int) -> int:
-    return (1 << (n * (n - 1) // 2)) - 1
 
 
 @lru_cache(maxsize=4096)
@@ -44,161 +30,28 @@ def _members_of(mask: int) -> tuple[int, ...]:
 # per-order scores for a single choice
 
 
-def order_scores(picks: np.ndarray, orders: np.ndarray) -> np.ndarray:
+def order_scores(sel: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """For each order: the largest over menus of the minimal distortion index
-    reproducing the observed pick."""
-    picks = np.ascontiguousarray(picks, dtype=np.int16)
-    orders = np.ascontiguousarray(orders, dtype=np.int64)
-    if active_backend() == "numba":
-        return _order_scores_nb(picks, orders)
-    return _order_scores_np(picks, orders)
+    reproducing the observed pick.
 
-
-@njit(cache=True, nogil=True)
-def _order_scores_nb(picks, orders):  # pragma: no cover - exercised via dispatch
+    ``sel[p, e]`` says that p was picked from some menu containing e, so the
+    worst menu of an order is read off the relation alone: the score is
+    ``max{pos[e] + 1 : sel[p, e], pos[e] < pos[p]}``, or 0 without such a pair.
+    """
+    orders = np.asarray(orders, dtype=np.int64)
     K, n = orders.shape
-    size = picks.shape[0]
-    out = np.empty(K, np.int64)
-    pos = np.empty(n, np.int64)
-    for k in range(K):
-        for j in range(n):
-            pos[orders[k, j]] = j
-        worst = 0
-        for m in range(1, size):
-            kp = pos[picks[m]]
-            best = 0
-            for e in range(n):
-                if (m >> e) & 1 and pos[e] < kp and pos[e] >= best:
-                    best = pos[e] + 1
-            if best > worst:
-                worst = best
-        out[k] = worst
-    return out
-
-
-def _order_scores_np(picks, orders):
-    K, n = orders.shape
-    size = picks.shape[0]
     pos = np.empty((K, n), np.int64)
     pos[np.arange(K)[:, None], orders] = np.arange(n)[None, :]
-    scores = np.zeros(K, np.int64)
-    for m in range(1, size):
-        members = list(_members_of(m))
-        kp = pos[:, picks[m]]
-        mpos = pos[:, members]
-        cand = np.where(mpos < kp[:, None], mpos + 1, 0).max(axis=1)
-        np.maximum(scores, cand, out=scores)
-    return scores
-
-
-# ---------------------------------------------------------------------------
-# batched brute-force sp over many choices
-
-
-def brute_sp_batch(picks_mat: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """Per choice: min over the given orders of the per-order worst index."""
-    picks_mat = np.ascontiguousarray(picks_mat, dtype=np.int16)
-    orders = np.ascontiguousarray(orders, dtype=np.int64)
-    if active_backend() == "numba":
-        return _brute_sp_batch_nb(picks_mat, orders)
-    return _brute_sp_batch_np(picks_mat, orders)
-
-
-@njit(cache=True, nogil=True)
-def _brute_sp_batch_nb(picks_mat, orders):  # pragma: no cover
-    C, size = picks_mat.shape
-    K, n = orders.shape
-    out = np.full(C, n, np.int64)
-    pos = np.empty(n, np.int64)
-    tab = np.zeros((size, n), np.int64)
-    for k in range(K):
-        for j in range(n):
-            pos[orders[k, j]] = j
-        for m in range(1, size):
-            for p in range(n):
-                if (m >> p) & 1:
-                    kp = pos[p]
-                    best = 0
-                    for e in range(n):
-                        if (m >> e) & 1 and pos[e] < kp and pos[e] >= best:
-                            best = pos[e] + 1
-                    tab[m, p] = best
-        for c in range(C):
-            worst = 0
-            for m in range(1, size):
-                v = tab[m, picks_mat[c, m]]
-                if v > worst:
-                    worst = v
-            if worst < out[c]:
-                out[c] = worst
-    return out
-
-
-def _brute_sp_batch_np(picks_mat, orders):
-    C, size = picks_mat.shape
-    K, n = orders.shape
-    best = np.full(C, n, np.int64)
-    cols = picks_mat[:, 1:].astype(np.int64)
-    mask_idx = np.arange(1, size)
-    for k in range(K):
-        pos = np.empty(n, np.int64)
-        pos[orders[k]] = np.arange(n)
-        tab = np.zeros((size, n), np.int64)
-        for m in range(1, size):
-            members = _members_of(m)
-            mpos = pos[list(members)]
-            for p in members:
-                above = mpos[mpos < pos[p]]
-                tab[m, p] = int(above.max()) + 1 if above.size else 0
-        vals = tab[mask_idx[None, :], cols]
-        np.minimum(best, vals.max(axis=1), out=best)
-    return best
+    picked, other = np.nonzero(sel)
+    pos_p, pos_e = pos[:, picked], pos[:, other]
+    return np.where(pos_e < pos_p, pos_e + 1, 0).max(axis=1, initial=0)
 
 
 # ---------------------------------------------------------------------------
 # pair coverage
 
 
-def pair_masks(picks_mat: np.ndarray, n: int) -> np.ndarray:
-    """Per choice: bitmask of the co-selected alternative pairs.
-
-    Pair {p, q} is co-selected when some menu containing both picks p and
-    some menu containing both picks q.
-    """
-    if n > MAX_PAIR_MASK_N:
-        raise ValueError(f"packed pair masks support n <= {MAX_PAIR_MASK_N}")
-    picks_mat = np.ascontiguousarray(picks_mat, dtype=np.int16)
-    if active_backend() == "numba":
-        return _pair_masks_nb(picks_mat, n)
-    return _pair_masks_np(picks_mat, n)
-
-
-@njit(cache=True, nogil=True)
-def _pair_masks_nb(picks_mat, n):  # pragma: no cover
-    C, size = picks_mat.shape
-    out = np.zeros(C, np.int64)
-    sel = np.zeros((n, n), np.bool_)
-    for c in range(C):
-        for p in range(n):
-            for q in range(n):
-                sel[p, q] = False
-        for m in range(1, size):
-            p = picks_mat[c, m]
-            for e in range(n):
-                if e != p and (m >> e) & 1:
-                    sel[p, e] = True
-        acc = np.int64(0)
-        t = 0
-        for p in range(n):
-            for q in range(p + 1, n):
-                if sel[p, q] and sel[q, p]:
-                    acc |= np.int64(1) << np.int64(t)
-                t += 1
-        out[c] = acc
-    return out
-
-
-def _sel_tensor_np(picks_mat, n):
+def _sel_tensor(picks_mat, n):
     C, size = picks_mat.shape
     sel = np.zeros((C, n, n), np.bool_)
     rows = np.arange(C)
@@ -211,10 +64,16 @@ def _sel_tensor_np(picks_mat, n):
     return sel
 
 
-def _pair_masks_np(picks_mat, n):
-    sel = _sel_tensor_np(picks_mat, n)
-    C = picks_mat.shape[0]
-    acc = np.zeros(C, np.int64)
+def pair_masks(picks_mat: np.ndarray, n: int) -> np.ndarray:
+    """Per choice: bitmask of the co-selected alternative pairs.
+
+    Pair {p, q} is co-selected when some menu containing both picks p and
+    some menu containing both picks q.
+    """
+    if n > MAX_PAIR_MASK_N:
+        raise ValueError(f"packed pair masks support n <= {MAX_PAIR_MASK_N}")
+    sel = _sel_tensor(picks_mat, n)
+    acc = np.zeros(picks_mat.shape[0], np.int64)
     t = 0
     for p in range(n):
         for q in range(p + 1, n):
@@ -225,41 +84,7 @@ def _pair_masks_np(picks_mat, n):
 
 def count_inconsistent(picks_mat: np.ndarray, n: int) -> int:
     """How many of the given choices co-select every alternative pair."""
-    picks_mat = np.ascontiguousarray(picks_mat, dtype=np.int16)
-    if active_backend() == "numba":
-        return int(_count_inconsistent_nb(picks_mat, n))
-    return _count_inconsistent_np(picks_mat, n)
-
-
-@njit(cache=True, nogil=True)
-def _count_inconsistent_nb(picks_mat, n):  # pragma: no cover
-    C, size = picks_mat.shape
-    sel = np.zeros((n, n), np.bool_)
-    total = 0
-    for c in range(C):
-        for p in range(n):
-            for q in range(n):
-                sel[p, q] = False
-        for m in range(1, size):
-            p = picks_mat[c, m]
-            for e in range(n):
-                if e != p and (m >> e) & 1:
-                    sel[p, e] = True
-        ok = True
-        for p in range(n):
-            if not ok:
-                break
-            for q in range(p + 1, n):
-                if not (sel[p, q] and sel[q, p]):
-                    ok = False
-                    break
-        if ok:
-            total += 1
-    return total
-
-
-def _count_inconsistent_np(picks_mat, n):
-    sel = _sel_tensor_np(picks_mat, n)
+    sel = _sel_tensor(picks_mat, n)
     mutual = sel & sel.transpose(0, 2, 1)
     iu, ju = np.triu_indices(n, 1)
     return int(np.all(mutual[:, iu, ju], axis=1).sum())
@@ -282,29 +107,8 @@ def decode_choices(
     Index 0 maps every menu to its first member; the first menu in
     ``menu_masks`` is the least significant digit.
     """
-    radices = np.ascontiguousarray(radices, dtype=np.int64)
-    members_tab = np.ascontiguousarray(members_tab, dtype=np.int16)
-    menu_masks = np.ascontiguousarray(menu_masks, dtype=np.int64)
-    if active_backend() == "numba":
-        return _decode_choices_nb(start, stop, radices, members_tab, menu_masks, n)
-    return _decode_choices_np(start, stop, radices, members_tab, menu_masks, n)
-
-
-@njit(cache=True, nogil=True)
-def _decode_choices_nb(start, stop, radices, members_tab, menu_masks, n):  # pragma: no cover
-    C = stop - start
-    M = radices.shape[0]
-    out = np.zeros((C, 1 << n), np.int16)
-    for r in range(C):
-        idx = start + r
-        for j in range(M):
-            d = idx % radices[j]
-            idx //= radices[j]
-            out[r, menu_masks[j]] = members_tab[j, d]
-    return out
-
-
-def _decode_choices_np(start, stop, radices, members_tab, menu_masks, n):
+    radices = np.asarray(radices, dtype=np.int64)
+    members_tab = np.asarray(members_tab, dtype=np.int16)
     idx = np.arange(start, stop, dtype=np.int64)
     out = np.zeros((idx.size, 1 << n), np.int16)
     place = np.int64(1)

@@ -2,8 +2,7 @@
 
 Work is split into chunks whose boundaries never depend on the worker count,
 and results are combined in chunk order, so any worker count produces the
-same output bytes. Workers are threads: the jitted kernels release the GIL
-and the numpy fallbacks mostly do too.
+same output bytes. Workers are threads.
 """
 
 from __future__ import annotations
@@ -43,8 +42,13 @@ def index_chunks(total: int, chunk_size: int) -> list[tuple[int, int]]:
 
 
 def map_chunks(func: Callable[[T], R], chunks: Sequence[T], workers: int) -> list[R]:
-    """Apply func to every chunk, returning results in chunk order."""
-    if workers <= 1 or len(chunks) <= 1:
+    """Apply func to every chunk, returning results in chunk order.
+
+    At most one thread per chunk and per CPU is started, whatever the
+    requested worker count.
+    """
+    workers = min(workers, len(chunks), os.cpu_count() or 1)
+    if workers <= 1:
         return [func(ch) for ch in chunks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, chunks))

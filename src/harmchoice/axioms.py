@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import Iterable
 
@@ -86,8 +85,13 @@ class CnsWitness:
         }
 
 
+@lru_cache(maxsize=2048)
 def _selected_with(c: ChoiceFunction) -> np.ndarray:
-    """sel[p, q] is True when some menu containing q has pick p (p != q)."""
+    """sel[p, q] is True when some menu containing q has pick p (p != q).
+
+    This revealed relation is all that the degree depends on; it is cached
+    per choice and returned read-only.
+    """
     n = c.n
     sel = np.zeros((n, n), dtype=bool)
     picks = c.picks_array[1:]
@@ -96,6 +100,7 @@ def _selected_with(c: ChoiceFunction) -> np.ndarray:
         has_q = ((masks >> q) & 1) == 1
         sel[np.unique(picks[has_q]), q] = True
     np.fill_diagonal(sel, False)
+    sel.setflags(write=False)
     return sel
 
 
@@ -160,22 +165,31 @@ def is_inconsistent(c: ChoiceFunction) -> bool:
     return len(coselected_pairs(c)) == comb(c.n, 2)
 
 
-def _no_small_cover(pairs: Iterable[tuple[int, int]], n: int, j: int) -> bool:
-    """No set of fewer than j alternatives touches every co-selected pair.
+def min_cover(pairs: Iterable[tuple[int, int]], n: int) -> tuple[int, ...]:
+    """Lexicographically first minimum vertex cover of the graph on 0..n-1
+    whose edges are ``pairs``; empty when there are no edges.
 
-    The empty set is included, so this is False when there are no pairs.
+    One pass over all 2**n subsets: a set is a cover exactly when every
+    vertex outside it has all of its neighbours inside. Vertex v is bit
+    n-1-v of a subset's code, so among covers of one size the largest code
+    is the lexicographically first.
     """
-    pairs = tuple(pairs)
-    for size in range(j):
-        for d in combinations(range(n), size):
-            dset = set(d)
-            if all(p in dset or q in dset for p, q in pairs):
-                return False
-    return True
-
-
-def _covers_all(pairs: Iterable[tuple[int, int]], sset: frozenset[int]) -> bool:
-    return all(p in sset or q in sset for p, q in pairs)
+    bit = [1 << (n - 1 - v) for v in range(n)]
+    nbrs = [0] * n
+    for p, q in pairs:
+        nbrs[p] |= bit[q]
+        nbrs[q] |= bit[p]
+    codes = np.arange(1 << n, dtype=np.int64)
+    size = np.zeros(1 << n, dtype=np.int8)
+    cover = np.ones(1 << n, dtype=bool)
+    for v in range(n):
+        inside = (codes & bit[v]) != 0
+        size += inside
+        if nbrs[v]:
+            cover &= inside | ((codes & nbrs[v]) == nbrs[v])
+    size[~cover] = n + 1
+    code = int(np.flatnonzero(size == size.min())[-1])
+    return tuple(v for v in range(n) if code & bit[v])
 
 
 def _outside_partner(
@@ -195,6 +209,8 @@ def is_cns_witness_set(c: ChoiceFunction, items: Iterable[int]) -> bool:
 
     Requires: no smaller set touches every reversal, the set touches all of
     them, and each member is co-selected with an alternative outside the set.
+    The last condition follows from the first two, so a witness set is
+    exactly a minimum vertex cover of the co-selected pairs.
     """
     items = tuple(items)
     n = c.n
@@ -204,14 +220,8 @@ def is_cns_witness_set(c: ChoiceFunction, items: Iterable[int]) -> bool:
     if any(not 0 <= x < n for x in items):
         return False
     pairs = coselected_pairs(c)
-    if not pairs:
-        return False
     sset = frozenset(items)
-    return (
-        _no_small_cover(pairs, n, j)
-        and _covers_all(pairs, sset)
-        and all(_outside_partner(pairs, x, sset) is not None for x in items)
-    )
+    return j == len(min_cover(pairs, n)) and all(p in sset or q in sset for p, q in pairs)
 
 
 def check_cns(c: ChoiceFunction, j: int) -> CnsWitness | None:
@@ -219,66 +229,29 @@ def check_cns(c: ChoiceFunction, j: int) -> CnsWitness | None:
 
     Two conditions: no set of fewer than j alternatives touches every
     reversal, and some j-set touches all of them with each member co-selected
-    alongside an alternative outside the set. Candidate sets are scanned in
-    lexicographic order and partners in pair order, so the returned witness
-    is deterministic. Returns None when the property does not hold at j.
+    alongside an alternative outside the set. They hold exactly when j is the
+    size of a minimum cover of the co-selected pairs, and every minimum cover
+    has the outside partners. The witness is the lexicographically first such
+    cover, with partners taken in pair order, so it is deterministic. Returns
+    None when the property does not hold at j.
     """
     n = c.n
     if not 1 <= j <= n - 1:
         raise InvalidJ(f"witness size {j} outside 1..{n - 1}")
     pairs = coselected_pairs(c)
-    if not pairs:
+    items = min_cover(pairs, n)
+    if len(items) != j:
         return None
-    if not _no_small_cover(pairs, n, j):
-        return None
-    for s in combinations(range(n), j):
-        sset = frozenset(s)
-        if not _covers_all(pairs, sset):
-            continue
-        partners = []
-        for x in s:
-            y = _outside_partner(pairs, x, sset)
-            if y is None:
-                break
-            partners.append((x, y))
-        if len(partners) < j:
-            continue
-        paired = tuple(_first_reversal_for_pair(c, x, y) for x, y in partners)
-        return CnsWitness(items=s, paired_reversals=paired)
-    return None
+    sset = frozenset(items)
+    masks = np.array(all_menu_masks(n), dtype=np.int64)
+    picks = c.picks_array[masks]
 
+    def first_menu(p: int, q: int) -> Menu:
+        # earliest menu in canonical order picking p with q on it
+        return Menu.from_mask(int(masks[np.argmax((picks == p) & (((masks >> q) & 1) == 1))]))
 
-def _first_reversal_for_pair(c: ChoiceFunction, p: int, q: int) -> Reversal:
-    """Canonical reversal co-selecting {p, q}: earliest menus in menu order."""
-    menu_p = menu_q = None
-    for mask in all_menu_masks(c.n):
-        pick = c.pick_mask(mask)
-        if menu_p is None and pick == p and (mask >> q) & 1:
-            menu_p = Menu.from_mask(mask)
-        if menu_q is None and pick == q and (mask >> p) & 1:
-            menu_q = Menu.from_mask(mask)
-        if menu_p is not None and menu_q is not None:
-            return _orient(menu_p, menu_q, p, q)
-    raise ValueError(f"pair ({p}, {q}) is not co-selected by this choice")
-
-
-def sp_from_pairs(pairs: Iterable[tuple[int, int]], n: int) -> int:
-    """Self-punishment degree read off the co-selected pairs alone.
-
-    0 without reversals, otherwise the unique witness size whose two
-    conditions hold; -1 when none does (not expected for pairs arising from
-    an actual choice).
-    """
-    pairs = tuple(pairs)
-    if not pairs:
-        return 0
-    for j in range(1, n):
-        if not _no_small_cover(pairs, n, j):
-            continue
-        for s in combinations(range(n), j):
-            sset = frozenset(s)
-            if _covers_all(pairs, sset) and all(
-                _outside_partner(pairs, x, sset) is not None for x in s
-            ):
-                return j
-    return -1
+    paired = []
+    for x in items:
+        y = _outside_partner(pairs, x, sset)
+        paired.append(_orient(first_menu(x, y), first_menu(y, x), x, y))
+    return CnsWitness(items=items, paired_reversals=tuple(paired))

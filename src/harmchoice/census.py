@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from ._parallel import index_chunks, map_chunks, resolve_workers
-from .axioms import sp_from_pairs
+from .axioms import min_cover
 from .core import (
     ChoiceFunction,
     GroundSet,
@@ -29,7 +29,7 @@ from .core import (
     all_menu_masks,
     require_enumerable,
 )
-from .errors import GroundSetTooLarge, IndexOutOfRange, NoCharacterizingJ
+from .errors import GroundSetTooLarge, IndexOutOfRange
 from .rationalize import distortion_max_tables
 
 #: Exact enumeration of all choice functions is gated at this size.
@@ -100,7 +100,7 @@ def _sp_table(n: int) -> np.ndarray:
     tab = np.empty(1 << len(pair_list), dtype=np.int8)
     for pm in range(tab.shape[0]):
         pairs = tuple(pair for t, pair in enumerate(pair_list) if (pm >> t) & 1)
-        tab[pm] = sp_from_pairs(pairs, n)
+        tab[pm] = len(min_cover(pairs, n))
     return tab
 
 
@@ -120,10 +120,7 @@ def enumerate_census(n: int, workers: int | None = None) -> CensusReport:
         start, stop = chunk
         picks_mat = _kernels.decode_choices(start, stop, sizes, members, masks, n)
         pm = _kernels.pair_masks(picks_mat, n)
-        values = table[pm]
-        if (values < 0).any():
-            raise NoCharacterizingJ("unclassifiable reversal structure; this cannot happen")
-        return np.bincount(values, minlength=n)
+        return np.bincount(table[pm], minlength=n)
 
     chunks = index_chunks(total, _CENSUS_CHUNK)
     counts = sum(map_chunks(work, chunks, resolve_workers(workers)))

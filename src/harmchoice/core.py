@@ -221,10 +221,15 @@ class ChoiceFunction:
 def all_menu_masks(n: int) -> tuple[int, ...]:
     """Bitmasks of all nonempty menus, sorted by size then by member ids."""
     require_enumerable(n)
-    def key(mask: int) -> tuple[int, tuple[int, ...]]:
-        members = tuple(e for e in range(n) if (mask >> e) & 1)
-        return (len(members), members)
-    return tuple(sorted(range(1, 1 << n), key=key))
+    masks = np.arange(1, 1 << n, dtype=np.int64)
+    size = np.zeros_like(masks)
+    reversed_bits = np.zeros_like(masks)
+    for e in range(n):
+        bit = (masks >> e) & 1
+        size += bit
+        reversed_bits |= bit << (n - 1 - e)
+    # among menus of one size, the smaller member tuple has the larger reversed mask
+    return tuple(masks[np.lexsort((-reversed_bits, size))].tolist())
 
 
 def max_of(menu: Menu, order: LinearOrder) -> int:

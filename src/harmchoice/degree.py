@@ -1,10 +1,11 @@
 """The self-punishment degree: how deep the distortions must reach.
 
-Two routes compute it. The exhaustive route scans every base order and takes
-the best per-order worst index. The axiomatic route classifies the choice
-from its reversal structure alone: 0 under WARP, n-1 for inconsistent data,
-otherwise the unique witness size. The dispatcher runs both where feasible
-and insists they agree.
+Two routes compute it, both from the revealed relation. The exhaustive
+route scans every base order and takes the best per-order worst index. The
+axiomatic route classifies the choice from its reversal structure alone: the
+size of a minimum cover of the co-selected pairs, which is 0 under WARP and
+n-1 for inconsistent data. The dispatcher runs both where feasible and
+insists they agree.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import numpy as np
 
 from . import _kernels
 from ._parallel import index_chunks, map_chunks, resolve_workers
-from .axioms import CnsWitness, check_cns, is_inconsistent, satisfies_warp
+from .axioms import CnsWitness, _selected_with, check_cns, coselected_pairs, min_cover
 from .core import MAX_BRUTE_N, ChoiceFunction, GroundSet, LinearOrder
-from .errors import CrossCheckMismatch, GroundSetTooLarge, NoCharacterizingJ
+from .errors import CrossCheckMismatch, GroundSetTooLarge
 
 #: Reports keep at most this many minimizing orders (the count stays exact).
 MINIMIZING_ORDER_CAP = 100
@@ -74,11 +75,11 @@ def sp_bruteforce(c: ChoiceFunction, workers: int | None = None) -> SpReport:
             f"exhaustive order search is capped at n <= {MAX_BRUTE_N}, got n = {n}"
         )
     orders = _all_orders(n)
-    picks = c.picks_array
+    sel = _selected_with(c)
 
     def work(chunk: tuple[int, int]):
         start, stop = chunk
-        scores = _kernels.order_scores(picks, orders[start:stop])
+        scores = _kernels.order_scores(sel, orders[start:stop])
         local_min = int(scores.min())
         hits = np.nonzero(scores == local_min)[0]
         return local_min, int(hits.size), [start + int(h) for h in hits[:MINIMIZING_ORDER_CAP]]
@@ -99,25 +100,14 @@ def sp_bruteforce(c: ChoiceFunction, workers: int | None = None) -> SpReport:
 def sp_axiomatic(c: ChoiceFunction) -> SpReport:
     """Classify the degree from the reversal structure alone.
 
-    0 under WARP; n-1 when every alternative pair is co-selected (that fast
-    path is exact, not an approximation); otherwise the unique witness size
-    found searching upward from 1.
+    The degree is the size of a minimum cover of the co-selected pairs: 0
+    under WARP, otherwise the one witness size at which :func:`check_cns`
+    holds.
     """
-    n = c.n
-    if satisfies_warp(c):
+    sp_value = len(min_cover(coselected_pairs(c), c.n))
+    if sp_value == 0:
         return SpReport(sp=0, method="axiomatic")
-    if is_inconsistent(c):
-        witness = check_cns(c, n - 1)
-        if witness is None:
-            raise NoCharacterizingJ(
-                "inconsistent choice without a full-size witness; this cannot happen"
-            )
-        return SpReport(sp=n - 1, method="axiomatic", cns_witness=witness)
-    for j in range(1, n - 1):
-        witness = check_cns(c, j)
-        if witness is not None:
-            return SpReport(sp=j, method="axiomatic", cns_witness=witness)
-    raise NoCharacterizingJ("no witness size classifies this choice; this cannot happen")
+    return SpReport(sp=sp_value, method="axiomatic", cns_witness=check_cns(c, sp_value))
 
 
 def sp(c: ChoiceFunction, workers: int | None = None) -> SpReport:

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .axioms import constant_selection_witnesses, is_cns_witness_set
+from .axioms import _selected_with, constant_selection_witnesses, is_cns_witness_set
 from .core import ChoiceFunction, GroundSet, LinearOrder, all_menu_masks
 from .errors import CycleDetected, InvalidWitness, NotWeaklyHarmful
 
@@ -129,13 +129,8 @@ def elicit_partial(c: ChoiceFunction, witness: Sequence[int]) -> StrictPartialOr
         for h in range(g + 1, len(items)):
             rel.add((items[g], items[h]))
     others = [e for e in range(n) if e not in sset]
-    for mask in all_menu_masks(n):
-        y = c.pick_mask(mask)
-        if y in sset:
-            continue
-        for z in others:
-            if z != y and (mask >> z) & 1:
-                rel.add((y, z))
+    sel = _selected_with(c)
+    rel.update((y, z) for y in others for z in others if sel[y, z])
     for x in items:
         for y in others:
             rel.add((x, y))

@@ -57,13 +57,6 @@ class CycleDetected(HarmchoiceError):
     """A relation that should be a strict partial order contains a cycle."""
 
 
-class NoCharacterizingJ(HarmchoiceError):
-    """No witness size classifies a non-rationalizable choice.
-
-    This never happens for valid inputs; it signals an internal defect.
-    """
-
-
 class CrossCheckMismatch(HarmchoiceError):
     """The exhaustive and the axiomatic computation disagree.
 

@@ -9,14 +9,17 @@ import pytest
 from harmchoice import (
     LinearOrder,
     Menu,
+    UniformIndexPolicy,
     check_cns,
     constant_selection_witnesses,
     find_reversals,
+    generate_harmful,
     is_cns_witness_set,
     is_inconsistent,
     rational_choice,
     satisfies_warp,
 )
+from harmchoice.axioms import coselected_pairs, min_cover
 from harmchoice.errors import InvalidJ
 from conftest import iter_all_choices, random_choice
 
@@ -216,6 +219,52 @@ class TestCheckCns:
             witnesses = constant_selection_witnesses(c)
             if witnesses is not None:
                 assert 1 <= len(witnesses) <= 2
+
+
+def reference_cover(pairs, n):
+    """Oracle: search subsets by increasing size, in lexicographic order, for
+    the first that touches every pair and gives each member a partner
+    outside it."""
+    for j in range(n):
+        for s in itertools.combinations(range(n), j):
+            inside = set(s)
+            touches = all(p in inside or q in inside for p, q in pairs)
+            partnered = all(
+                any((p == x and q not in inside) or (q == x and p not in inside) for p, q in pairs)
+                for x in s
+            )
+            if touches and partnered:
+                return s
+    raise AssertionError("no cover found")
+
+
+class TestMinCover:
+    def test_matches_reference_on_every_graph_up_to_n5(self):
+        for n in range(1, 6):
+            all_pairs = list(itertools.combinations(range(n), 2))
+            for edges in range(1 << len(all_pairs)):
+                pairs = [pr for t, pr in enumerate(all_pairs) if (edges >> t) & 1]
+                assert min_cover(pairs, n) == reference_cover(pairs, n), (n, pairs)
+
+    def test_check_cns_only_at_cover_size_random_n6_to_n8(self):
+        rng = np.random.default_rng(25)
+        for trial in range(24):
+            n = 6 + trial % 3
+            if trial % 2:
+                c = random_choice(rng, n)
+            else:
+                order = LinearOrder(tuple(int(x) for x in rng.permutation(n)))
+                policy = UniformIndexPolicy(int(rng.integers(1, n)))
+                c = generate_harmful(order, policy, seed=int(rng.integers(0, 2**31)))
+            pairs = coselected_pairs(c)
+            cover = min_cover(pairs, n)
+            assert cover == reference_cover(pairs, n)
+            for j in range(1, n):
+                w = check_cns(c, j)
+                if j == len(cover):
+                    assert w is not None and w.items == cover
+                else:
+                    assert w is None
 
 
 class TestInconsistent:

@@ -51,6 +51,14 @@ class TestGroundSet:
             (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2),
         ]
 
+    def test_menu_masks_match_literal_sort(self):
+        for n in range(1, 11):
+            def key(mask):
+                members = tuple(e for e in range(n) if (mask >> e) & 1)
+                return (len(members), members)
+
+            assert all_menu_masks(n) == tuple(sorted(range(1, 1 << n), key=key))
+
 
 class TestMenu:
     def test_canonicalized_sorted(self):

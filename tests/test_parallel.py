@@ -2,6 +2,7 @@
 
 import pytest
 
+from harmchoice import _parallel
 from harmchoice._parallel import ENV_WORKERS, index_chunks, map_chunks, resolve_workers
 
 
@@ -20,6 +21,35 @@ def test_map_chunks_preserves_order():
     chunks = list(range(20))
     for workers in (1, 2, 8):
         assert map_chunks(lambda x: x * x, chunks, workers) == [x * x for x in chunks]
+
+
+def test_map_chunks_caps_threads_at_chunks_and_cpus(monkeypatch):
+    """The pool never gets more threads than chunks or CPUs; none are started here."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, chunks):
+            return map(func, chunks)
+
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 4)
+    chunks = list(range(10))
+    assert map_chunks(lambda x: -x, chunks, 100_000) == [-x for x in chunks]
+    assert map_chunks(lambda x: -x, chunks[:3], 100_000) == [0, -1, -2]
+    assert map_chunks(lambda x: -x, chunks, 2) == [-x for x in chunks]
+    assert sizes == [4, 3, 2]
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: None)
+    assert map_chunks(lambda x: -x, chunks, 100_000) == [-x for x in chunks]
+    assert sizes == [4, 3, 2]
 
 
 def test_resolve_workers_env_overrides_argument(monkeypatch):
