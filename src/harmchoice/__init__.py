@@ -44,7 +44,7 @@ from .core import (
     validate_choice,
 )
 from .degree import MINIMIZING_ORDER_CAP, SpReport, sp, sp_axiomatic, sp_bruteforce
-from .distortion import DistortionFamily, harm_family, harmful_distortion
+from .distortion import harmful_distortion
 from .elicit import (
     LinearExtensions,
     StrictPartialOrder,
@@ -74,7 +74,6 @@ __all__ = [
     "ChoiceFunction",
     "CnsWitness",
     "DEFAULT_SEED",
-    "DistortionFamily",
     "ExplicitIndexPolicy",
     "FixedIndexPolicy",
     "GroundSet",
@@ -104,7 +103,6 @@ __all__ = [
     "extend_linear",
     "find_reversals",
     "generate_harmful",
-    "harm_family",
     "harmful_distortion",
     "inconsistent_ground_set",
     "is_cns_witness_set",

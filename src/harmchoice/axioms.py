@@ -53,6 +53,13 @@ class Reversal:
             "pick_b": self.pick_b,
         }
 
+    def to_text(self, ground: GroundSet) -> str:
+        """One line: ``{a, b} -> b  |  {a, b, c} -> a``."""
+        return (
+            f"{{{', '.join(self.menu_a.label_list(ground))}}} -> {ground.label(self.pick_a)}"
+            f"  |  {{{', '.join(self.menu_b.label_list(ground))}}} -> {ground.label(self.pick_b)}"
+        )
+
 
 @dataclass(frozen=True)
 class CnsWitness:

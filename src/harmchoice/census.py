@@ -75,6 +75,16 @@ class CensusReport:
             out["samples"] = self.samples
         return out
 
+    def to_text(self) -> list[str]:
+        lines = [f"n: {self.n}", f"mode: {self.mode}", f"total: {self.total}"]
+        lines.extend(f"sp {k}: {v}" for k, v in sorted(self.counts_by_sp.items()))
+        lines.append(f"strongly harmful fraction: {self.strongly_harmful_fraction}")
+        if self.mode == "sampled":
+            lines.append(f"95% half-width: {self.half_width}")
+            lines.append(f"seed: {self.seed}")
+            lines.append(f"samples: {self.samples}")
+        return lines
+
 
 def total_choice_functions(n: int) -> int:
     """Exact number of choice functions: the product over menus of |A|."""

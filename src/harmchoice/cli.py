@@ -7,6 +7,12 @@ menu, optionally preceded by `alternatives: a,b,c` to pin the label order
 (otherwise the sorted union of mentioned labels is used). Singleton menus
 may be omitted; their forced picks are filled in with a warning.
 
+JSON holds any label. The text writer refuses a label that its reader would
+read back differently: one containing `,`, `->` or a line break, starting
+with `#`, or with leading or trailing whitespace.
+
+Each report renders only the format that `--format` asks for.
+
 Exit codes: 0 on success, 1 on dataset or analysis errors, 2 on usage
 errors.
 """
@@ -19,13 +25,13 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from ._parallel import ENV_WORKERS
 from .axioms import Reversal, find_reversals, is_inconsistent, satisfies_warp
 from .census import (
     DEFAULT_SEED,
     MAX_EXACT_CENSUS_N,
-    CensusReport,
     ExplicitIndexPolicy,
     FixedIndexPolicy,
     UniformIndexPolicy,
@@ -39,14 +45,7 @@ from .core import ChoiceFunction, GroundSet, LinearOrder, Menu, validate_choice
 from .degree import SpReport, sp, sp_axiomatic, sp_bruteforce
 from .distortion import harmful_distortion
 from .elicit import all_extensions, elicit_partial, elicit_weakly_harmful
-from .errors import (
-    DatasetError,
-    DuplicateMenu,
-    HarmchoiceError,
-    MissingMenu,
-    ParseError,
-    PickNotInMenu,
-)
+from .errors import HarmchoiceError, ParseError, RowError
 
 #: Reports keep at most this many elicited orders (the count stays exact).
 ELICITED_ORDER_CAP = 100
@@ -56,9 +55,83 @@ DATASET_VERSION = 1
 
 @dataclass(frozen=True)
 class LoadedDataset:
+    """A dataset: ground set, validated choice, and the loader's warnings.
+
+    ``to_dict`` and ``to_text`` write the two formats that
+    :func:`load_dataset` reads; the warnings are not part of either.
+    """
+
     ground: GroundSet
     choice: ChoiceFunction
-    warnings: tuple[str, ...]
+    warnings: tuple[str, ...] = ()
+
+    def to_dict(self) -> dict:
+        g = self.ground
+        return {
+            "version": DATASET_VERSION,
+            "alternatives": list(g.labels),
+            "choices": [
+                {"menu": menu.label_list(g), "choice": g.label(pick)}
+                for menu, pick in self.choice.items()
+            ],
+        }
+
+    def to_text(self) -> list[str]:
+        g = self.ground
+        for label in g.labels:
+            if (
+                "," in label
+                or "->" in label
+                or label.splitlines() != [label]
+                or label.startswith("#")
+                or label.strip() != label
+            ):
+                raise ValueError(
+                    f"label {label!r} cannot be written as text: a text label may not contain"
+                    " ',', '->' or a line break, start with '#', or have outer whitespace"
+                    " (use --format json)"
+                )
+        lines = [f"alternatives: {', '.join(g.labels)}"]
+        lines.extend(
+            f"{','.join(menu.label_list(g))} -> {g.label(pick)}"
+            for menu, pick in self.choice.items()
+        )
+        return lines
+
+
+@dataclass(frozen=True)
+class Elicitation:
+    """Base orders that explain a choice within its degree.
+
+    ``orders`` is truncated to :data:`ELICITED_ORDER_CAP` with the exact
+    total in ``count``. For degree >= 1, ``partial_pairs`` holds the strict
+    partial order (better, worse) that every elicited order extends.
+    """
+
+    orders: tuple[LinearOrder, ...] = ()
+    count: int = 0
+    partial_pairs: tuple[tuple[int, int], ...] | None = None
+
+    def to_dict(self, ground: GroundSet) -> dict:
+        return {
+            "elicited_orders": [o.label_list(ground) for o in self.orders],
+            "elicited_order_count": self.count,
+            "partial_order": (
+                None
+                if self.partial_pairs is None
+                else [[ground.label(a), ground.label(b)] for a, b in self.partial_pairs]
+            ),
+        }
+
+    def to_text(self, ground: GroundSet) -> list[str]:
+        lines = []
+        if self.orders:
+            lines.append(f"elicited orders (total {self.count}):")
+            lines.extend(f"  {o.to_text(ground)}" for o in self.orders)
+        if self.partial_pairs is not None:
+            pairs = ", ".join(f"{ground.label(a)} > {ground.label(b)}" for a, b in self.partial_pairs)
+            lines.append(f"partial order: {pairs}")
+        return lines
 
 
 @dataclass(frozen=True)
@@ -71,13 +144,11 @@ class AnalysisReport:
     inconsistent: bool
     reversals: tuple[Reversal, ...]
     sp_report: SpReport
-    elicited_orders: tuple[LinearOrder, ...]
-    elicited_order_count: int
-    partial_order_pairs: tuple[tuple[int, int], ...] | None
+    elicitation: Elicitation
 
     def to_dict(self) -> dict:
         g = self.ground
-        out: dict = {
+        return {
             "dataset": {
                 "n": g.n,
                 "alternatives": list(g.labels),
@@ -88,15 +159,36 @@ class AnalysisReport:
             "inconsistent": self.inconsistent,
             "reversals": [r.to_dict(g) for r in self.reversals],
             "sp": self.sp_report.to_dict(g),
-            "elicited_orders": [o.label_list(g) for o in self.elicited_orders],
-            "elicited_order_count": self.elicited_order_count,
-            "partial_order": (
-                None
-                if self.partial_order_pairs is None
-                else [[g.label(a), g.label(b)] for a, b in self.partial_order_pairs]
-            ),
+            **self.elicitation.to_dict(g),
         }
-        return out
+
+    def to_text(self) -> list[str]:
+        g = self.ground
+        lines = [
+            f"n: {g.n}",
+            f"alternatives: {', '.join(g.labels)}",
+            f"menus: {(1 << g.n) - 1}",
+            *_warning_lines(self.warnings),
+            _warp_text(self.warp),
+        ]
+        if self.inconsistent:
+            lines.append("inconsistent: every alternative pair is co-selected by a reversal")
+        lines.extend(_reversals_text(self.reversals, g))
+        lines.extend(self.sp_report.to_text(g))
+        lines.extend(self.elicitation.to_text(g))
+        return lines
+
+
+def _warning_lines(messages: tuple[str, ...]) -> list[str]:
+    return [f"warning: {m}" for m in messages]
+
+
+def _warp_text(ok: bool) -> str:
+    return f"warp: {'satisfied' if ok else 'violated'}"
+
+
+def _reversals_text(reversals, ground: GroundSet) -> list[str]:
+    return [f"reversals: {len(reversals)}", *(f"  {r.to_text(ground)}" for r in reversals)]
 
 
 # ---------------------------------------------------------------------------
@@ -110,42 +202,19 @@ def load_dataset(path: str) -> LoadedDataset:
     else:
         text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
-        ground, rows = _parse_json_dataset(text)
+        ground, rows, refs = _parse_json_dataset(text)
     else:
-        ground, rows = _parse_text_dataset(text)
-    _check_rows(ground, rows)
+        ground, rows, refs = _parse_text_dataset(text)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            choice = validate_choice([(menu, pick) for _, menu, pick in rows], ground)
-        except MissingMenu as exc:
-            shown = ", ".join(
-                "{" + ", ".join(m.label_list(ground)) + "}" for m in exc.menus
-            )
-            suffix = "" if exc.total == len(exc.menus) else f" (and {exc.total - len(exc.menus)} more)"
-            raise DatasetError(f"dataset is missing {exc.total} menu(s): {shown}{suffix}") from None
-    return LoadedDataset(
-        ground=ground,
-        choice=choice,
-        warnings=tuple(str(w.message) for w in caught),
-    )
+            choice = validate_choice(rows, ground)
+        except RowError as exc:
+            raise exc.at(refs) from None
+    return LoadedDataset(ground, choice, tuple(str(w.message) for w in caught))
 
 
-def _check_rows(ground: GroundSet, rows: list[tuple[str, Menu, int]]) -> None:
-    seen: dict[int, str] = {}
-    for ref, menu, pick in rows:
-        if pick not in menu:
-            raise PickNotInMenu(
-                f"{ref}: pick {ground.label(pick)!r} is not a member of its menu"
-            )
-        prev = seen.get(menu.mask)
-        if prev is not None:
-            labels = ", ".join(menu.label_list(ground))
-            raise DuplicateMenu(f"menu {{{labels}}} appears at both {prev} and {ref}")
-        seen[menu.mask] = ref
-
-
-def _parse_json_dataset(text: str) -> tuple[GroundSet, list[tuple[str, Menu, int]]]:
+def _parse_json_dataset(text: str) -> tuple[GroundSet, list[tuple[Menu, int]], list[str]]:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -165,7 +234,7 @@ def _parse_json_dataset(text: str) -> tuple[GroundSet, list[tuple[str, Menu, int
     choices = obj.get("choices")
     if not isinstance(choices, list):
         raise ParseError('dataset needs a "choices" list')
-    rows = []
+    rows, refs = [], []
     for i, entry in enumerate(choices):
         ref = f"choices[{i}]"
         if not isinstance(entry, dict) or "menu" not in entry or "choice" not in entry:
@@ -173,11 +242,12 @@ def _parse_json_dataset(text: str) -> tuple[GroundSet, list[tuple[str, Menu, int
         menu_labels = entry["menu"]
         if not isinstance(menu_labels, list) or not menu_labels:
             raise ParseError(f"{ref}: menu must be a nonempty label list")
-        rows.append((ref, _menu_from_labels(ground, menu_labels, ref), _alt(ground, entry["choice"], ref)))
-    return ground, rows
+        rows.append((_menu_from_labels(ground, menu_labels, ref), _alt(ground, entry["choice"], ref)))
+        refs.append(ref)
+    return ground, rows, refs
 
 
-def _parse_text_dataset(text: str) -> tuple[GroundSet, list[tuple[str, Menu, int]]]:
+def _parse_text_dataset(text: str) -> tuple[GroundSet, list[tuple[Menu, int]], list[str]]:
     header: list[str] | None = None
     body: list[tuple[str, list[str], str]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -206,10 +276,11 @@ def _parse_text_dataset(text: str) -> tuple[GroundSet, list[tuple[str, Menu, int
         ground = GroundSet(labels)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    rows = []
-    for ref, menu_labels, pick_label in body:
-        rows.append((ref, _menu_from_labels(ground, menu_labels, ref), _alt(ground, pick_label, ref)))
-    return ground, rows
+    rows = [
+        (_menu_from_labels(ground, menu_labels, ref), _alt(ground, pick_label, ref))
+        for ref, menu_labels, pick_label in body
+    ]
+    return ground, rows, [ref for ref, _, _ in body]
 
 
 def _alt(ground: GroundSet, label: object, ref: str) -> int:
@@ -227,132 +298,60 @@ def _menu_from_labels(ground: GroundSet, labels: list, ref: str) -> Menu:
 
 
 # ---------------------------------------------------------------------------
-# report assembly and rendering
+# report assembly and output
+
+
+def build_elicitation(choice: ChoiceFunction, report: SpReport) -> Elicitation:
+    """The base orders behind ``choice``, given its degree report."""
+    if report.sp == 0 or report.cns_witness is None:
+        return Elicitation()
+    partial = elicit_partial(choice, report.cns_witness.items)
+    if report.sp == 1:
+        orders = tuple(elicit_weakly_harmful(choice))
+        count = len(orders)
+    else:
+        ext = all_extensions(partial, ELICITED_ORDER_CAP)
+        orders, count = ext.orders, ext.total
+    return Elicitation(orders, count, tuple(partial.sorted_pairs()))
 
 
 def build_analysis(ds: LoadedDataset, workers: int | None = None) -> AnalysisReport:
     choice = ds.choice
     report = sp(choice, workers=workers)
-    reversals = tuple(find_reversals(choice))
-    elicited: tuple[LinearOrder, ...] = ()
-    elicited_count = 0
-    partial_pairs = None
-    if report.sp >= 1 and report.cns_witness is not None:
-        partial = elicit_partial(choice, report.cns_witness.items)
-        partial_pairs = tuple(partial.sorted_pairs())
-        if report.sp == 1:
-            orders = elicit_weakly_harmful(choice)
-            elicited = tuple(orders)
-            elicited_count = len(orders)
-        else:
-            ext = all_extensions(partial, ELICITED_ORDER_CAP)
-            elicited = ext.orders
-            elicited_count = ext.total
     return AnalysisReport(
         ground=ds.ground,
         warnings=ds.warnings,
         warp=satisfies_warp(choice),
         inconsistent=is_inconsistent(choice),
-        reversals=reversals,
+        reversals=tuple(find_reversals(choice)),
         sp_report=report,
-        elicited_orders=elicited,
-        elicited_order_count=elicited_count,
-        partial_order_pairs=partial_pairs,
+        elicitation=build_elicitation(choice, report),
     )
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> int:
+def _emit(
+    args: argparse.Namespace, to_dict: Callable[[], dict], to_text: Callable[[], list[str]]
+) -> int:
+    """Build and print only the rendering that --format asks for."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(to_dict(), indent=2))
     else:
-        print("\n".join(text_lines))
+        print("\n".join(to_text()))
     return 0
 
 
-def _order_text(labels: list[str]) -> str:
-    return " > ".join(labels)
-
-
-def _reversal_text(r: Reversal, ground: GroundSet) -> str:
-    d = r.to_dict(ground)
-    return (
-        f"{{{', '.join(d['menu_a'])}}} -> {d['pick_a']}"
-        f"  |  {{{', '.join(d['menu_b'])}}} -> {d['pick_b']}"
+def _emit_for(
+    args: argparse.Namespace,
+    ds: LoadedDataset,
+    to_dict: Callable[[], dict],
+    to_text: Callable[[], list[str]],
+) -> int:
+    """:func:`_emit` under the dataset's shared n/warnings header."""
+    return _emit(
+        args,
+        lambda: {"n": ds.ground.n, "warnings": list(ds.warnings), **to_dict()},
+        lambda: _warning_lines(ds.warnings) + to_text(),
     )
-
-
-def _analysis_text(rep: AnalysisReport) -> list[str]:
-    g = rep.ground
-    lines = [
-        f"n: {g.n}",
-        f"alternatives: {', '.join(g.labels)}",
-        f"menus: {(1 << g.n) - 1}",
-    ]
-    for w in rep.warnings:
-        lines.append(f"warning: {w}")
-    lines.append(f"warp: {'satisfied' if rep.warp else 'violated'}")
-    if rep.inconsistent:
-        lines.append("inconsistent: every alternative pair is co-selected by a reversal")
-    lines.append(f"reversals: {len(rep.reversals)}")
-    lines.extend(f"  {_reversal_text(r, g)}" for r in rep.reversals)
-    lines.extend(_sp_text(rep.sp_report, g))
-    if rep.elicited_orders:
-        lines.append(f"elicited orders (total {rep.elicited_order_count}):")
-        lines.extend(f"  {_order_text(o.label_list(g))}" for o in rep.elicited_orders)
-    if rep.partial_order_pairs is not None:
-        pairs = ", ".join(
-            f"{g.label(a)} > {g.label(b)}" for a, b in rep.partial_order_pairs
-        )
-        lines.append(f"partial order: {pairs}")
-    return lines
-
-
-def _sp_text(report: SpReport, ground: GroundSet) -> list[str]:
-    lines = [f"sp: {report.sp}", f"method: {report.method}"]
-    if report.minimizing_orders is not None:
-        lines.append(f"minimizing orders (total {report.minimizing_order_count}):")
-        lines.extend(
-            f"  {_order_text(o.label_list(ground))}" for o in report.minimizing_orders
-        )
-    if report.cns_witness is not None:
-        items = ", ".join(ground.label(e) for e in report.cns_witness.items)
-        lines.append(f"witness items: {items}")
-        lines.extend(
-            f"  {_reversal_text(r, ground)}" for r in report.cns_witness.paired_reversals
-        )
-    return lines
-
-
-def _census_text(report: CensusReport) -> list[str]:
-    lines = [f"n: {report.n}", f"mode: {report.mode}", f"total: {report.total}"]
-    for k, v in sorted(report.counts_by_sp.items()):
-        lines.append(f"sp {k}: {v}")
-    lines.append(f"strongly harmful fraction: {report.strongly_harmful_fraction}")
-    if report.mode == "sampled":
-        lines.append(f"95% half-width: {report.half_width}")
-        lines.append(f"seed: {report.seed}")
-        lines.append(f"samples: {report.samples}")
-    return lines
-
-
-def _dataset_payload(ground: GroundSet, choice: ChoiceFunction) -> dict:
-    return {
-        "version": DATASET_VERSION,
-        "alternatives": list(ground.labels),
-        "choices": [
-            {"menu": menu.label_list(ground), "choice": ground.label(pick)}
-            for menu, pick in choice.items()
-        ],
-    }
-
-
-def _dataset_text(ground: GroundSet, choice: ChoiceFunction) -> list[str]:
-    lines = [f"alternatives: {', '.join(ground.labels)}"]
-    lines.extend(
-        f"{','.join(menu.label_list(ground))} -> {ground.label(pick)}"
-        for menu, pick in choice.items()
-    )
-    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -360,37 +359,25 @@ def _dataset_text(ground: GroundSet, choice: ChoiceFunction) -> list[str]:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    ds = load_dataset(args.dataset)
-    rep = build_analysis(ds, workers=args.workers)
-    return _emit(args, rep.to_dict(), _analysis_text(rep))
+    rep = build_analysis(load_dataset(args.dataset), workers=args.workers)
+    return _emit(args, rep.to_dict, rep.to_text)
 
 
 def _cmd_warp(args: argparse.Namespace) -> int:
     ds = load_dataset(args.dataset)
     ok = satisfies_warp(ds.choice)
-    payload = {
-        "n": ds.ground.n,
-        "warnings": list(ds.warnings),
-        "warp": ok,
-    }
-    lines = [f"warning: {w}" for w in ds.warnings]
-    lines.append(f"warp: {'satisfied' if ok else 'violated'}")
-    return _emit(args, payload, lines)
+    return _emit_for(args, ds, lambda: {"warp": ok}, lambda: [_warp_text(ok)])
 
 
 def _cmd_reversals(args: argparse.Namespace) -> int:
     ds = load_dataset(args.dataset)
     revs = find_reversals(ds.choice)
-    payload = {
-        "n": ds.ground.n,
-        "warnings": list(ds.warnings),
-        "count": len(revs),
-        "reversals": [r.to_dict(ds.ground) for r in revs],
-    }
-    lines = [f"warning: {w}" for w in ds.warnings]
-    lines.append(f"reversals: {len(revs)}")
-    lines.extend(f"  {_reversal_text(r, ds.ground)}" for r in revs)
-    return _emit(args, payload, lines)
+    return _emit_for(
+        args,
+        ds,
+        lambda: {"count": len(revs), "reversals": [r.to_dict(ds.ground) for r in revs]},
+        lambda: _reversals_text(revs, ds.ground),
+    )
 
 
 def _cmd_sp(args: argparse.Namespace) -> int:
@@ -401,44 +388,22 @@ def _cmd_sp(args: argparse.Namespace) -> int:
         report = sp_axiomatic(ds.choice)
     else:
         report = sp(ds.choice, workers=args.workers)
-    payload = {
-        "n": ds.ground.n,
-        "warnings": list(ds.warnings),
-        "sp": report.to_dict(ds.ground),
-    }
-    lines = [f"warning: {w}" for w in ds.warnings]
-    lines.extend(_sp_text(report, ds.ground))
-    return _emit(args, payload, lines)
+    return _emit_for(
+        args, ds, lambda: {"sp": report.to_dict(ds.ground)}, lambda: report.to_text(ds.ground)
+    )
 
 
 def _cmd_elicit(args: argparse.Namespace) -> int:
     ds = load_dataset(args.dataset)
-    rep = build_analysis(ds, workers=args.workers)
-    payload = {
-        "n": ds.ground.n,
-        "warnings": list(ds.warnings),
-        "sp": rep.sp_report.sp,
-        "elicited_orders": [o.label_list(ds.ground) for o in rep.elicited_orders],
-        "elicited_order_count": rep.elicited_order_count,
-        "partial_order": (
-            None
-            if rep.partial_order_pairs is None
-            else [[ds.ground.label(a), ds.ground.label(b)] for a, b in rep.partial_order_pairs]
-        ),
-    }
-    lines = [f"warning: {w}" for w in ds.warnings]
-    lines.append(f"sp: {rep.sp_report.sp}")
-    if rep.elicited_orders:
-        lines.append(f"elicited orders (total {rep.elicited_order_count}):")
-        lines.extend(f"  {_order_text(o.label_list(ds.ground))}" for o in rep.elicited_orders)
-    else:
-        lines.append("elicited orders: none (choice is rationalizable)")
-    if rep.partial_order_pairs is not None:
-        pairs = ", ".join(
-            f"{ds.ground.label(a)} > {ds.ground.label(b)}" for a, b in rep.partial_order_pairs
-        )
-        lines.append(f"partial order: {pairs}")
-    return _emit(args, payload, lines)
+    report = sp(ds.choice, workers=args.workers)
+    found = build_elicitation(ds.choice, report)
+    return _emit_for(
+        args,
+        ds,
+        lambda: {"sp": report.sp, **found.to_dict(ds.ground)},
+        lambda: [f"sp: {report.sp}"]
+        + (found.to_text(ds.ground) or ["elicited orders: none (choice is rationalizable)"]),
+    )
 
 
 def _cmd_distort(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -446,19 +411,22 @@ def _cmd_distort(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     if not 0 <= args.index <= ground.n - 1:
         parser.error(f"--index must lie in 0..{ground.n - 1}")
     result = harmful_distortion(order, args.index)
-    payload = {
-        "order": order.label_list(ground),
-        "index": args.index,
-        "distorted": result.label_list(ground),
-    }
-    return _emit(args, payload, [",".join(result.label_list(ground))])
+    return _emit(
+        args,
+        lambda: {
+            "order": order.label_list(ground),
+            "index": args.index,
+            "distorted": result.label_list(ground),
+        },
+        lambda: [",".join(result.label_list(ground))],
+    )
 
 
 def _cmd_census(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if not 2 <= args.n <= MAX_EXACT_CENSUS_N:
         parser.error(f"--n must lie in 2..{MAX_EXACT_CENSUS_N} for the exact census")
     report = enumerate_census(args.n, workers=args.workers)
-    return _emit(args, report.to_dict(), _census_text(report))
+    return _emit(args, report.to_dict, report.to_text)
 
 
 def _cmd_sample_census(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -467,22 +435,21 @@ def _cmd_sample_census(args: argparse.Namespace, parser: argparse.ArgumentParser
     if args.samples < 1:
         parser.error("--samples must be at least 1")
     report = sample_census(args.n, args.samples, seed=args.seed, workers=args.workers)
-    return _emit(args, report.to_dict(), _census_text(report))
+    return _emit(args, report.to_dict, report.to_text)
 
 
 def _cmd_generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     ground, order = _parse_order_spec(args.order, parser)
     policy = _parse_policy_spec(args.policy, ground, parser)
-    choice = generate_harmful(order, policy, seed=args.seed)
-    return _emit(args, _dataset_payload(ground, choice), _dataset_text(ground, choice))
+    ds = LoadedDataset(ground, generate_harmful(order, policy, seed=args.seed))
+    return _emit(args, ds.to_dict, ds.to_text)
 
 
 def _cmd_construct_inconsistent(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.k < 2:
         parser.error("--k must be at least 2")
-    ground = inconsistent_ground_set(args.k)
-    choice = construct_inconsistent(args.k)
-    return _emit(args, _dataset_payload(ground, choice), _dataset_text(ground, choice))
+    ds = LoadedDataset(inconsistent_ground_set(args.k), construct_inconsistent(args.k))
+    return _emit(args, ds.to_dict, ds.to_text)
 
 
 def _parse_order_spec(
@@ -611,7 +578,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "needs_parser", False):
             return args.func(args, parser)
         return args.func(args)
-    except (DatasetError, HarmchoiceError, OSError, ValueError) as exc:
+    except (HarmchoiceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -157,6 +157,10 @@ class LinearOrder:
     def label_list(self, ground: GroundSet) -> list[str]:
         return [ground.label(e) for e in self.ranking]
 
+    def to_text(self, ground: GroundSet) -> str:
+        """Best first: ``a > b > c``."""
+        return " > ".join(self.label_list(ground))
+
 
 class ChoiceFunction:
     """Total map assigning to every nonempty menu one of its members.
@@ -266,25 +270,31 @@ def validate_choice(
         DuplicateMenu: a menu occurs twice.
         PickNotInMenu: a pick is not a member of its menu.
         MissingMenu: a non-singleton menu is absent.
+
+    Row errors carry the 0-based positions of the offending rows.
     """
     n = ground.n
     require_enumerable(n)
     size = 1 << n
     picks = np.full(size, -1, dtype=np.int16)
-    for menu, pick in rows:
+    row_of: dict[int, int] = {}
+    for row, (menu, pick) in enumerate(rows):
         if not isinstance(menu, Menu):
             menu = Menu(tuple(menu))
         if menu.members[-1] >= n:
             raise ValueError(f"menu {menu.members} lies outside the ground set (n = {n})")
         pick = int(pick)
         if pick not in menu:
+            shown = ground.label(pick) if 0 <= pick < n else pick
             raise PickNotInMenu(
-                f"pick {pick} is not a member of menu {{{', '.join(map(str, menu.members))}}}"
+                (row,), lambda at: f"{at}: pick {shown!r} is not a member of its menu"
             )
         mask = menu.mask
-        if picks[mask] != -1:
+        first = row_of.setdefault(mask, row)
+        if first != row:
+            labels = ", ".join(menu.label_list(ground))
             raise DuplicateMenu(
-                f"menu {{{', '.join(map(str, menu.members))}}} appears more than once"
+                (first, row), lambda at, again: f"menu {{{labels}}} appears at both {at} and {again}"
             )
         picks[mask] = pick
     for e in range(n):
@@ -299,5 +309,5 @@ def validate_choice(
     missing = np.nonzero(picks[1:] == -1)[0] + 1
     if missing.size:
         menus = sorted((Menu.from_mask(int(m)) for m in missing), key=lambda m: m.sort_key)
-        raise MissingMenu(menus[:8], total=int(missing.size))
+        raise MissingMenu(menus[:8], int(missing.size), ground)
     return ChoiceFunction(n, picks)

@@ -62,6 +62,17 @@ class SpReport:
             out["cns_witness"] = self.cns_witness.to_dict(ground)
         return out
 
+    def to_text(self, ground: GroundSet) -> list[str]:
+        lines = [f"sp: {self.sp}", f"method: {self.method}"]
+        if self.minimizing_orders is not None:
+            lines.append(f"minimizing orders (total {self.minimizing_order_count}):")
+            lines.extend(f"  {order.to_text(ground)}" for order in self.minimizing_orders)
+        if self.cns_witness is not None:
+            items = ", ".join(ground.label(e) for e in self.cns_witness.items)
+            lines.append(f"witness items: {items}")
+            lines.extend(f"  {r.to_text(ground)}" for r in self.cns_witness.paired_reversals)
+        return lines
+
 
 def sp_bruteforce(c: ChoiceFunction, workers: int | None = None) -> SpReport:
     """Scan every base order and keep the best per-order worst index.

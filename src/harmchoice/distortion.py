@@ -8,30 +8,8 @@ coincides with demoting the top n-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import LinearOrder
 from .errors import IndexOutOfRange
-
-
-@dataclass(frozen=True)
-class DistortionFamily:
-    """All n distortions of a base order, indexed by demoted-block size."""
-
-    base: LinearOrder
-    members: tuple[LinearOrder, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.members) != self.base.n:
-            raise ValueError("family must hold exactly n distortions")
-        if self.members[0] != self.base:
-            raise ValueError("member 0 must be the base order")
-
-    def __getitem__(self, i: int) -> LinearOrder:
-        return self.members[i]
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def harmful_distortion(order: LinearOrder, i: int) -> LinearOrder:
@@ -48,10 +26,3 @@ def harmful_distortion(order: LinearOrder, i: int) -> LinearOrder:
     r = order.ranking
     return LinearOrder(r[i:] + r[:i][::-1])
 
-
-def harm_family(order: LinearOrder) -> DistortionFamily:
-    """Materialize all n distortions of ``order``."""
-    return DistortionFamily(
-        base=order,
-        members=tuple(harmful_distortion(order, i) for i in range(order.n)),
-    )

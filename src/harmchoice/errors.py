@@ -14,21 +14,41 @@ class ParseError(DatasetError):
 
 
 class MissingMenu(DatasetError):
-    """One or more nonempty menus have no recorded pick."""
+    """One or more nonempty menus have no recorded pick.
 
-    def __init__(self, menus, total=None):
+    ``menus`` holds the first few missing menus, ``total`` counts them all.
+    """
+
+    def __init__(self, menus, total, ground):
         self.menus = list(menus)
-        self.total = total if total is not None else len(self.menus)
-        shown = ", ".join("{" + ", ".join(str(e) for e in m.members) + "}" for m in self.menus)
-        suffix = "" if self.total == len(self.menus) else f" (and {self.total - len(self.menus)} more)"
-        super().__init__(f"dataset is missing {self.total} menu(s): {shown}{suffix}")
+        self.total = total
+        shown = ", ".join("{" + ", ".join(m.label_list(ground)) + "}" for m in self.menus)
+        suffix = "" if total == len(self.menus) else f" (and {total - len(self.menus)} more)"
+        super().__init__(f"dataset is missing {total} menu(s): {shown}{suffix}")
 
 
-class DuplicateMenu(DatasetError):
+class RowError(DatasetError):
+    """A dataset row is invalid.
+
+    ``rows`` holds the 0-based positions of the offending rows. The message
+    calls row ``i`` "row i" until :meth:`at` gives the rows their names.
+    """
+
+    def __init__(self, rows, describe, names=None):
+        self.rows = tuple(rows)
+        self._describe = describe
+        super().__init__(describe(*(names or [f"row {r}" for r in self.rows])))
+
+    def at(self, names):
+        """The same error with row ``i`` called ``names[i]``."""
+        return type(self)(self.rows, self._describe, [names[r] for r in self.rows])
+
+
+class DuplicateMenu(RowError):
     """The same menu appears more than once in the dataset."""
 
 
-class PickNotInMenu(DatasetError):
+class PickNotInMenu(RowError):
     """A recorded pick is not a member of its menu."""
 
 

@@ -3,8 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from harmchoice.cli import main
+from harmchoice import GroundSet, LinearOrder, UniformIndexPolicy, generate_harmful, rational_choice
+from harmchoice.cli import LoadedDataset, load_dataset, main
 
 CYCLE3 = {
     "alternatives": ["x", "y", "z"],
@@ -242,3 +244,64 @@ class TestDatasetHandling:
         monkeypatch.setenv("HARMCHOICE_WORKERS", "many")
         assert main(["sp", cycle3_file]) == 1
         assert "HARMCHOICE_WORKERS" in capsys.readouterr().err
+
+
+def text_writable(label):
+    """Labels that the text reader reads back unchanged."""
+    return (
+        "," not in label
+        and "->" not in label
+        and label.splitlines() == [label]
+        and not label.startswith("#")
+        and label.strip() == label
+    )
+
+
+LABEL_CHARS = st.one_of(
+    st.sampled_from(list("ab-># :{}\"'\\\t\u00a0")),
+    st.characters(blacklist_categories=("Cs",)),
+)
+
+
+class TestTextLabels:
+    @pytest.mark.parametrize("label", ["a->b", "#a", "a\nb", "a\rb", "a\u2028b"])
+    def test_text_writer_refuses_label(self, capsys, label):
+        argv = ["generate", "--order", f"{label},c,d", "--policy", "fixed:1"]
+        assert main(argv + ["--format", "text"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"label {label!r} cannot be written as text" in captured.err
+        assert main(argv + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["alternatives"] == [label, "c", "d"]
+
+    @pytest.mark.parametrize("label", ["a,b", " a", "a\t", "\u00a0a"])
+    def test_text_writer_refuses_label_outside_order_syntax(self, label):
+        ds = LoadedDataset(GroundSet((label, "c")), rational_choice(LinearOrder((0, 1))))
+        with pytest.raises(ValueError, match="cannot be written as text"):
+            ds.to_text()
+        assert ds.to_dict()["alternatives"] == [label, "c"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.text(LABEL_CHARS, min_size=1, max_size=5).filter(text_writable),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_json_text_json_round_trip(self, tmp_path_factory, labels, seed):
+        n = len(labels)
+        choice = generate_harmful(LinearOrder(tuple(range(n))), UniformIndexPolicy(n - 1), seed=seed)
+        written = json.dumps(LoadedDataset(GroundSet(tuple(labels)), choice).to_dict(), indent=2)
+        tmp = tmp_path_factory.mktemp("labels")
+        path = tmp / "out.json"
+        path.write_text(written, encoding="utf-8")
+        first = load_dataset(str(path))
+        assert first.ground.labels == tuple(labels) and first.choice == choice
+        path = tmp / "out.txt"
+        path.write_text("\n".join(first.to_text()) + "\n", encoding="utf-8")
+        second = load_dataset(str(path))
+        assert second.ground == first.ground and second.choice == choice
+        assert json.dumps(second.to_dict(), indent=2) == written

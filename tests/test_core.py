@@ -151,6 +151,27 @@ class TestValidateChoice:
         with pytest.raises(DuplicateMenu):
             validate_choice(rows, g)
 
+    def test_row_errors_carry_positions_and_labels(self):
+        g = GroundSet(("x", "y", "z"))
+        with pytest.raises(DuplicateMenu) as exc:
+            validate_choice([(Menu((0, 1)), 0), (Menu((1, 2)), 1), (Menu((1, 0)), 1)], g)
+        assert exc.value.rows == (0, 2)
+        assert str(exc.value) == "menu {x, y} appears at both row 0 and row 2"
+        assert str(exc.value.at(["a", "b", "c"])) == "menu {x, y} appears at both a and c"
+        with pytest.raises(PickNotInMenu) as exc:
+            validate_choice([(Menu((0, 1, 2)), 0), (Menu((0, 1)), 2)], g)
+        assert exc.value.rows == (1,)
+        assert str(exc.value) == "row 1: pick 'z' is not a member of its menu"
+
+    def test_missing_menu_message_uses_labels(self):
+        g = GroundSet(("x", "y", "z"))
+        rows = [(Menu((0, 1, 2)), 0), (Menu((0, 1)), 1), (Menu((1, 2)), 2)]
+        with pytest.raises(MissingMenu) as exc:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                validate_choice(rows, g)
+        assert str(exc.value) == "dataset is missing 1 menu(s): {x, z}"
+
     def test_singletons_filled_with_warnings(self):
         g = GroundSet(("x", "y", "z"))
         rows = [

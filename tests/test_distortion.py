@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from harmchoice import DistortionFamily, LinearOrder, harm_family, harmful_distortion
+from harmchoice import LinearOrder, harmful_distortion
 from harmchoice.errors import IndexOutOfRange
 
 
@@ -67,28 +67,21 @@ class TestHarmfulDistortion:
 
 
 class TestHarmFamily:
-    def test_donation_family(self):
-        fam = harm_family(LinearOrder((0, 1, 2)))
-        assert [m.ranking for m in fam.members] == [(0, 1, 2), (1, 2, 0), (2, 1, 0)]
+    """The n distortions of one base order."""
 
-    def test_singleton_ground_set(self):
-        fam = harm_family(LinearOrder((0,)))
-        assert len(fam) == 1
+    def test_donation_family(self):
+        base = LinearOrder((0, 1, 2))
+        members = [harmful_distortion(base, i).ranking for i in range(3)]
+        assert members == [(0, 1, 2), (1, 2, 0), (2, 1, 0)]
 
     def test_hand_checked_member(self):
         # base x > z > y: demoting the top two puts y first, then z, then x
-        fam = harm_family(LinearOrder((0, 2, 1)))
-        assert fam[2].ranking == (1, 2, 0)
+        assert harmful_distortion(LinearOrder((0, 2, 1)), 2).ranking == (1, 2, 0)
 
     def test_members_pairwise_distinct(self):
         for ranking in itertools.permutations(range(4)):
-            fam = harm_family(LinearOrder(ranking))
-            assert len(set(fam.members)) == 4
-
-    def test_family_validates_member_zero(self):
-        base = LinearOrder((0, 1))
-        with pytest.raises(ValueError):
-            DistortionFamily(base, (LinearOrder((1, 0)), base))
+            base = LinearOrder(ranking)
+            assert len({harmful_distortion(base, i) for i in range(4)}) == 4
 
 
 def test_block_structure_exhaustive_small():
