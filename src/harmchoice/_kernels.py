@@ -5,6 +5,12 @@ by menu bitmask (entry 0 unused) or its n×n revealed relation, an order is
 one ranking row, and pair coverage is a bitmask over the C(n,2) alternative
 pairs in lexicographic order.
 
+:func:`relation` is the one place the revealed relation is computed, for a
+batch of choices at once: row p of a choice is the OR of the masks of the
+menus that pick p, one masked OR-reduce per block of choices over a
+broadcast view of the masks. The degree routes, census, elicitation and
+reversal listing all read it.
+
 The central quantity is the minimal distortion index of a (menu, pick, order)
 triple: demoting the top block down to just past the lowest-ranked menu member
 sitting above the pick is both necessary and sufficient, so the minimal index
@@ -13,17 +19,38 @@ is 1 + max(position of members above the pick), or 0 when none are above.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 #: Pair bitmasks use a single int64, which caps packed-pair kernels.
 MAX_PAIR_MASK_N = 11
 
 
-@lru_cache(maxsize=4096)
-def _members_of(mask: int) -> tuple[int, ...]:
-    return tuple(e for e in range(mask.bit_length()) if (mask >> e) & 1)
+# ---------------------------------------------------------------------------
+# the revealed relation
+
+
+def relation(picks_mat: np.ndarray, n: int) -> np.ndarray:
+    """Revealed relation of each choice in a batch: ``sel[c, p, q]`` is True
+    when choice c picks p from some menu containing q (p != q).
+
+    ``picks_mat[c, mask]`` is the pick from the menu with that bitmask. A
+    pick outside 0..n-1 (such as -1) joins no row, and entry 0, the empty
+    menu, adds no member.
+    """
+    C, size = picks_mat.shape
+    masks = np.arange(size, dtype=np.min_scalar_type((1 << n) - 1))
+    rows = np.zeros((C, n), dtype=masks.dtype)
+    step = max(1, (1 << 18) // size)  # choices per block: a bool temporary near 256 KiB
+    for start in range(0, C, step):
+        block, out = picks_mat[start : start + step], rows[start : start + step]
+        view = np.broadcast_to(masks, block.shape)
+        for p in range(n):
+            out[:, p] = np.bitwise_or.reduce(view, axis=1, where=block == p, initial=0)
+    sel = np.zeros((C, n, n), dtype=bool)
+    for q in range(n):
+        sel[:, :, q] = (rows >> q) & 1
+    sel[:, range(n), range(n)] = False
+    return sel
 
 
 # ---------------------------------------------------------------------------
@@ -51,19 +78,6 @@ def order_scores(sel: np.ndarray, orders: np.ndarray) -> np.ndarray:
 # pair coverage
 
 
-def _sel_tensor(picks_mat, n):
-    C, size = picks_mat.shape
-    sel = np.zeros((C, n, n), np.bool_)
-    rows = np.arange(C)
-    for m in range(1, size):
-        p = picks_mat[:, m]
-        for e in _members_of(m):
-            sel[rows, p, e] = True
-    diag = np.arange(n)
-    sel[:, diag, diag] = False
-    return sel
-
-
 def pair_masks(picks_mat: np.ndarray, n: int) -> np.ndarray:
     """Per choice: bitmask of the co-selected alternative pairs.
 
@@ -72,22 +86,17 @@ def pair_masks(picks_mat: np.ndarray, n: int) -> np.ndarray:
     """
     if n > MAX_PAIR_MASK_N:
         raise ValueError(f"packed pair masks support n <= {MAX_PAIR_MASK_N}")
-    sel = _sel_tensor(picks_mat, n)
-    acc = np.zeros(picks_mat.shape[0], np.int64)
-    t = 0
-    for p in range(n):
-        for q in range(p + 1, n):
-            acc |= (sel[:, p, q] & sel[:, q, p]).astype(np.int64) << t
-            t += 1
-    return acc
+    sel = relation(picks_mat, n)
+    iu, ju = np.triu_indices(n, 1)
+    mutual = sel[:, iu, ju] & sel[:, ju, iu]
+    return (mutual.astype(np.int64) << np.arange(iu.size)).sum(axis=1)
 
 
 def count_inconsistent(picks_mat: np.ndarray, n: int) -> int:
     """How many of the given choices co-select every alternative pair."""
-    sel = _sel_tensor(picks_mat, n)
-    mutual = sel & sel.transpose(0, 2, 1)
+    sel = relation(picks_mat, n)
     iu, ju = np.triu_indices(n, 1)
-    return int(np.all(mutual[:, iu, ju], axis=1).sum())
+    return int(np.all(sel[:, iu, ju] & sel[:, ju, iu], axis=1).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import ChoiceFunction, GroundSet, Menu, all_menu_masks
+from . import _kernels
+from .core import ChoiceFunction, GroundSet, Menu, menu_order
 from .errors import InvalidJ
 
 
@@ -99,14 +100,7 @@ def _selected_with(c: ChoiceFunction) -> np.ndarray:
     This revealed relation is all that the degree depends on; it is cached
     per choice and returned read-only.
     """
-    n = c.n
-    sel = np.zeros((n, n), dtype=bool)
-    picks = c.picks_array[1:]
-    masks = np.arange(1, 1 << n, dtype=np.int64)
-    for q in range(n):
-        has_q = ((masks >> q) & 1) == 1
-        sel[np.unique(picks[has_q]), q] = True
-    np.fill_diagonal(sel, False)
+    sel = _kernels.relation(c.picks_array[None, :], c.n)[0]
     sel.setflags(write=False)
     return sel
 
@@ -115,34 +109,36 @@ def _selected_with(c: ChoiceFunction) -> np.ndarray:
 def coselected_pairs(c: ChoiceFunction) -> tuple[tuple[int, int], ...]:
     """Sorted pairs (p < q) co-selected by some reversal of the choice."""
     sel = _selected_with(c)
-    mutual = sel & sel.T
-    return tuple(
-        (p, q) for p in range(c.n) for q in range(p + 1, c.n) if mutual[p, q]
-    )
+    p, q = np.nonzero(np.triu(sel & sel.T))
+    return tuple(zip(p.tolist(), q.tolist()))
+
+
+def menu_positions(c: ChoiceFunction, p: int, q: int) -> np.ndarray:
+    """Canonical positions (indices into :func:`menu_order`) of the menus
+    that contain q and pick p, ascending."""
+    order = menu_order(c.n)
+    return np.flatnonzero((c.picks_array[order] == p) & (((order >> q) & 1) == 1))
+
+
+def _reversals(n: int, rows: list[tuple[int, int, int, int]]) -> list[Reversal]:
+    """One reversal per row (a, b, p, q): the menus at canonical positions a
+    and b pick p and q. The earlier menu comes first; menus are shared."""
+    order = menu_order(n)
+    menus = {i: Menu.from_mask(int(order[i])) for i in {i for row in rows for i in row[:2]}}
+    return [
+        Reversal(menus[a], menus[b], p, q) if a < b else Reversal(menus[b], menus[a], q, p)
+        for a, b, p, q in rows
+    ]
 
 
 def find_reversals(c: ChoiceFunction) -> list[Reversal]:
     """Every reversal, each unordered menu pair once, in canonical menu order."""
-    n = c.n
-    by_pick_with: dict[tuple[int, int], list[int]] = {}
-    for mask in range(1, 1 << n):
-        p = c.pick_mask(mask)
-        for q in range(n):
-            if q != p and (mask >> q) & 1:
-                by_pick_with.setdefault((p, q), []).append(mask)
-    out = []
+    rows = []
     for p, q in coselected_pairs(c):
-        for a in by_pick_with[(p, q)]:
-            for b in by_pick_with[(q, p)]:
-                out.append(_orient(Menu.from_mask(a), Menu.from_mask(b), p, q))
-    out.sort(key=lambda r: (r.menu_a.sort_key, r.menu_b.sort_key))
-    return out
-
-
-def _orient(menu_p: Menu, menu_q: Menu, p: int, q: int) -> Reversal:
-    if menu_p.sort_key <= menu_q.sort_key:
-        return Reversal(menu_p, menu_q, p, q)
-    return Reversal(menu_q, menu_p, q, p)
+        at_q = menu_positions(c, q, p).tolist()
+        rows.extend((a, b, p, q) for a in menu_positions(c, p, q).tolist() for b in at_q)
+    rows.sort(key=lambda row: (min(row[0], row[1]), max(row[0], row[1])))
+    return _reversals(c.n, rows)
 
 
 def satisfies_warp(c: ChoiceFunction) -> bool:
@@ -250,15 +246,9 @@ def check_cns(c: ChoiceFunction, j: int) -> CnsWitness | None:
     if len(items) != j:
         return None
     sset = frozenset(items)
-    masks = np.array(all_menu_masks(n), dtype=np.int64)
-    picks = c.picks_array[masks]
-
-    def first_menu(p: int, q: int) -> Menu:
-        # earliest menu in canonical order picking p with q on it
-        return Menu.from_mask(int(masks[np.argmax((picks == p) & (((masks >> q) & 1) == 1))]))
-
-    paired = []
+    rows = []
     for x in items:
         y = _outside_partner(pairs, x, sset)
-        paired.append(_orient(first_menu(x, y), first_menu(y, x), x, y))
-    return CnsWitness(items=items, paired_reversals=tuple(paired))
+        # the earliest menu of each side in canonical order
+        rows.append((int(menu_positions(c, x, y)[0]), int(menu_positions(c, y, x)[0]), x, y))
+    return CnsWitness(items=items, paired_reversals=tuple(_reversals(n, rows)))

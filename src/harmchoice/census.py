@@ -26,7 +26,8 @@ from .core import (
     GroundSet,
     LinearOrder,
     Menu,
-    all_menu_masks,
+    fill_best,
+    menu_order,
     require_enumerable,
 )
 from .errors import GroundSetTooLarge, IndexOutOfRange
@@ -94,7 +95,7 @@ def total_choice_functions(n: int) -> int:
 
 def _menu_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical menu masks, their sizes, and a padded member table."""
-    masks = np.array(all_menu_masks(n), dtype=np.int64)
+    masks = menu_order(n)
     sizes = np.array([int(m).bit_count() for m in masks], dtype=np.int64)
     members = np.zeros((len(masks), n), dtype=np.int16)
     for j, m in enumerate(masks):
@@ -245,7 +246,7 @@ def generate_harmful(
     """
     n = order.n
     require_enumerable(n)
-    masks = all_menu_masks(n)
+    masks = menu_order(n).tolist()
 
     def check(i: int) -> int:
         if not 0 <= i <= n - 1:
@@ -308,10 +309,4 @@ def construct_inconsistent(k: int) -> ChoiceFunction:
     tail = full ^ 1
     for e in range(1, n):
         picks[tail ^ (1 << e)] = wrap(e + 1)
-    remaining = picks == -1
-    masks = np.arange(size, dtype=np.int64)
-    for e in range(n):
-        sel = remaining & (((masks >> e) & 1) == 1)
-        picks[sel] = e
-        remaining &= ~sel
-    return ChoiceFunction(n, picks)
+    return ChoiceFunction(n, fill_best(picks, range(n)))

@@ -455,6 +455,8 @@ def _cmd_construct_inconsistent(args: argparse.Namespace, parser: argparse.Argum
 def _parse_order_spec(
     spec: str, parser: argparse.ArgumentParser
 ) -> tuple[GroundSet, LinearOrder]:
+    if not isinstance(spec, str):  # argparse hands over [] for the value "--"
+        spec = ""
     labels = [s.strip() for s in spec.split(",")]
     if not all(labels) or len(set(labels)) != len(labels):
         parser.error("--order must be a comma-separated list of distinct labels (best first)")

@@ -222,8 +222,10 @@ class ChoiceFunction:
 
 
 @lru_cache(maxsize=None)
-def all_menu_masks(n: int) -> tuple[int, ...]:
-    """Bitmasks of all nonempty menus, sorted by size then by member ids."""
+def menu_order(n: int) -> np.ndarray:
+    """Bitmasks of all nonempty menus in canonical order: by size, then by
+    member ids. A menu's index here is its canonical position; the array is
+    cached and read-only."""
     require_enumerable(n)
     masks = np.arange(1, 1 << n, dtype=np.int64)
     size = np.zeros_like(masks)
@@ -233,7 +235,23 @@ def all_menu_masks(n: int) -> tuple[int, ...]:
         size += bit
         reversed_bits |= bit << (n - 1 - e)
     # among menus of one size, the smaller member tuple has the larger reversed mask
-    return tuple(masks[np.lexsort((-reversed_bits, size))].tolist())
+    order = masks[np.lexsort((-reversed_bits, size))]
+    order.setflags(write=False)
+    return order
+
+
+def all_menu_masks(n: int) -> tuple[int, ...]:
+    """Bitmasks of all nonempty menus, sorted by size then by member ids."""
+    return tuple(menu_order(n).tolist())
+
+
+def fill_best(picks: np.ndarray, ranking: Iterable[int]) -> np.ndarray:
+    """Give every menu whose pick is still -1 its best member under
+    ``ranking`` (best first), in place; the empty menu at entry 0 stays -1."""
+    masks = np.arange(picks.shape[0], dtype=np.int64)
+    for e in ranking:
+        picks[(picks == -1) & (((masks >> e) & 1) == 1)] = e
+    return picks
 
 
 def max_of(menu: Menu, order: LinearOrder) -> int:
@@ -249,12 +267,7 @@ def rational_choice(order: LinearOrder) -> ChoiceFunction:
     """The choice a maximizer of ``order`` makes from every menu."""
     n = order.n
     require_enumerable(n)
-    size = 1 << n
-    picks = np.full(size, -1, dtype=np.int16)
-    masks = np.arange(size, dtype=np.int64)
-    for e in order.ranking:
-        picks[(picks == -1) & (((masks >> e) & 1) == 1)] = e
-    return ChoiceFunction(n, picks)
+    return ChoiceFunction(n, fill_best(np.full(1 << n, -1, dtype=np.int16), order.ranking))
 
 
 def validate_choice(
@@ -306,8 +319,8 @@ def validate_choice(
                 ),
                 stacklevel=2,
             )
-    missing = np.nonzero(picks[1:] == -1)[0] + 1
-    if missing.size:
-        menus = sorted((Menu.from_mask(int(m)) for m in missing), key=lambda m: m.sort_key)
-        raise MissingMenu(menus[:8], int(missing.size), ground)
+    if (picks[1:] == -1).any():
+        order = menu_order(n)
+        missing = order[picks[order] == -1]
+        raise MissingMenu([Menu.from_mask(int(m)) for m in missing[:8]], int(missing.size), ground)
     return ChoiceFunction(n, picks)

@@ -14,8 +14,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .axioms import _selected_with, constant_selection_witnesses, is_cns_witness_set
-from .core import ChoiceFunction, GroundSet, LinearOrder, all_menu_masks
+from .core import ChoiceFunction, GroundSet, LinearOrder
 from .errors import CycleDetected, InvalidWitness, NotWeaklyHarmful
 
 
@@ -90,20 +91,14 @@ def elicit_weakly_harmful(c: ChoiceFunction) -> list[LinearOrder]:
             "no alternative is selected in every reversal (or WARP holds)"
         )
     n = c.n
+    masks = np.arange(1 << n, dtype=np.int64)
     orders = []
     for star in sorted(witnesses):
-        others = [e for e in range(n) if e != star]
-        beats = {(y, z): False for y in others for z in others if y != z}
-        for mask in all_menu_masks(n):
-            if (mask >> star) & 1:
-                continue
-            y = c.pick_mask(mask)
-            for z in others:
-                if z != y and (mask >> z) & 1:
-                    beats[(y, z)] = True
-        wins = {e: sum(beats[(e, z)] for z in others if z != e) for e in others}
-        tail = sorted(others, key=lambda e: (-wins[e], e))
-        if sorted(wins.values(), reverse=True) != list(range(len(others) - 1, -1, -1)):
+        # menus containing the witness join no row of the tail relation
+        picks = np.where((masks >> star) & 1 == 1, -1, c.picks_array)
+        wins = _kernels.relation(picks[None, :], n)[0].sum(axis=1)
+        tail = sorted((e for e in range(n) if e != star), key=lambda e: (-wins[e], e))
+        if [int(wins[e]) for e in tail] != list(range(n - 2, -1, -1)):
             raise RuntimeError("tail relation is not a linear order; this cannot happen")
         orders.append(LinearOrder((star, *tail)))
     return orders

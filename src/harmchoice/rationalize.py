@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ChoiceFunction, LinearOrder, Menu
+from .core import ChoiceFunction, LinearOrder, Menu, fill_best
 from .distortion import harmful_distortion
 
 
@@ -24,14 +24,9 @@ def distortion_max_tables(order: LinearOrder) -> np.ndarray:
     Column 0 (the empty menu) stays -1. The result is cached and read-only.
     """
     n = order.n
-    size = 1 << n
-    tabs = np.full((n, size), -1, dtype=np.int16)
-    masks = np.arange(size, dtype=np.int64)
+    tabs = np.full((n, 1 << n), -1, dtype=np.int16)
     for i in range(n):
-        ranking = harmful_distortion(order, i).ranking
-        t = tabs[i]
-        for e in ranking:
-            t[(t == -1) & (((masks >> e) & 1) == 1)] = e
+        fill_best(tabs[i], harmful_distortion(order, i).ranking)
     tabs.setflags(write=False)
     return tabs
 

@@ -70,12 +70,14 @@ class TestFindReversals:
         assert covered == {frozenset(p) for p in itertools.combinations(range(4), 2)}
 
     def test_emitted_in_canonical_order(self, erratic4_choice):
-        _, c = erratic4_choice
-        revs = find_reversals(c)
-        keys = [(r.menu_a.sort_key, r.menu_b.sort_key) for r in revs]
-        assert keys == sorted(keys)
-        for r in revs:
-            assert r.menu_a.sort_key < r.menu_b.sort_key
+        rng = np.random.default_rng(23)
+        choices = [erratic4_choice[1]] + [random_choice(rng, n) for n in (6, 7, 8)]
+        for c in choices:
+            revs = find_reversals(c)
+            keys = [(r.menu_a.sort_key, r.menu_b.sort_key) for r in revs]
+            assert keys == sorted(keys)
+            for r in revs:
+                assert r.menu_a.sort_key < r.menu_b.sort_key
 
 
 class TestWarp:

@@ -235,6 +235,20 @@ class TestDatasetHandling:
             main(["nonsense"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--order=--", "--policy", "fixed:0"],
+            ["distort", "--order=--", "--index", "0"],
+            ["generate", "--order=a,,b", "--policy", "fixed:0"],
+        ],
+    )
+    def test_malformed_order_is_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--order must be a comma-separated list" in capsys.readouterr().err
+
     def test_workers_env_overrides_flag(self, capsys, monkeypatch, cycle3_file):
         monkeypatch.setenv("HARMCHOICE_WORKERS", "2")
         code, payload = run_json(capsys, ["sp", cycle3_file, "--workers", "1"])

@@ -1,12 +1,16 @@
-"""README and the package's public names stay in step with the code."""
+"""README, the benchmark's traced layers and the package's public names stay
+in step with the code."""
 
+import ast
+import importlib
 import re
 from pathlib import Path
 
 import harmchoice
 from test_cli_golden import subcommands
 
-README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def first_code_block(section: str) -> str:
@@ -30,3 +34,22 @@ def test_readme_api_names_are_exported():
     used = set(re.findall(r"\bhc\.(\w+)", first_code_block("Python API")))
     assert used
     assert used <= set(harmchoice.__all__)
+
+
+def test_traced_layers_resolve():
+    """Every (module, function) that perfbench/traced_cli.py wraps exists, so
+    renaming a traced layer fails here and not only in a traced benchmark
+    run. TARGETS is read with ast; nothing from perfbench is imported."""
+    tree = ast.parse((ROOT / "perfbench" / "traced_cli.py").read_text(encoding="utf-8"))
+    (targets,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    ]
+    pairs = [(row.elts[0].value, row.elts[1].value) for row in targets.elts]
+    assert pairs
+    missing = [
+        f"{mod}.{name}" for mod, name in pairs if not hasattr(importlib.import_module(mod), name)
+    ]
+    assert missing == []
