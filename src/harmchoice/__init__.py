@@ -20,6 +20,7 @@ from .axioms import (
 from .census import (
     DEFAULT_SEED,
     MAX_EXACT_CENSUS_N,
+    MAX_SAMPLE_N,
     CensusReport,
     ExplicitIndexPolicy,
     FixedIndexPolicy,
@@ -82,6 +83,7 @@ __all__ = [
     "MAX_BRUTE_N",
     "MAX_ENUM_N",
     "MAX_EXACT_CENSUS_N",
+    "MAX_SAMPLE_N",
     "MINIMIZING_ORDER_CAP",
     "Menu",
     "Reversal",

@@ -35,8 +35,8 @@ class Reversal:
             raise ValueError("a reversal needs two distinct menus")
         if self.pick_a == self.pick_b:
             raise ValueError("a reversal needs two distinct picks")
-        inter = self.menu_a.mask & self.menu_b.mask
-        if not ((inter >> self.pick_a) & 1 and (inter >> self.pick_b) & 1):
+        a, b = self.menu_a.members, self.menu_b.members
+        if not (self.pick_a in a and self.pick_a in b and self.pick_b in a and self.pick_b in b):
             raise ValueError("both picks must lie in the menus' intersection")
 
     def to_dict(self, ground: GroundSet | None = None) -> dict:

@@ -36,6 +36,11 @@ from .rationalize import distortion_max_tables
 #: Exact enumeration of all choice functions is gated at this size.
 MAX_EXACT_CENSUS_N = 4
 
+#: The sampled census is gated at this size. One sampling chunk holds
+#: ``_sample_chunk(n)`` draws of 2**n int16 picks: 128 MiB per worker at
+#: n = 16, and twice as much for each further alternative.
+MAX_SAMPLE_N = 16
+
 #: Seed used by randomized operations when none is given.
 DEFAULT_SEED = 1729
 
@@ -162,6 +167,8 @@ def sample_census(
     (seed, chunk index), so identical (n, samples, seed) reproduce identical
     estimates at any worker count.
     """
+    if n > MAX_SAMPLE_N:
+        raise GroundSetTooLarge(f"sampled census is capped at n <= {MAX_SAMPLE_N}, got n = {n}")
     require_enumerable(n)
     if n < 2:
         raise ValueError("sampling needs at least two alternatives")

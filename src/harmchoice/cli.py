@@ -7,6 +7,10 @@ menu, optionally preceded by `alternatives: a,b,c` to pin the label order
 (otherwise the sorted union of mentioned labels is used). Singleton menus
 may be omitted; their forced picks are filled in with a warning.
 
+Both readers work in bulk: they turn the rows into one menu bitmask and one
+pick id each, and a faulty dataset reports the error that a row-by-row
+reader would meet first, naming the row as `choices[i]` or `line N`.
+
 JSON holds any label. The text writer refuses a label that its reader would
 read back differently: one containing `,`, `->` or a line break, starting
 with `#`, or with leading or trailing whitespace.
@@ -24,8 +28,11 @@ import json
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from ._parallel import ENV_WORKERS
 from .axioms import Reversal, find_reversals, is_inconsistent, satisfies_warp
@@ -41,7 +48,15 @@ from .census import (
     inconsistent_ground_set,
     sample_census,
 )
-from .core import ChoiceFunction, GroundSet, LinearOrder, Menu, validate_choice
+from .core import (
+    ChoiceFunction,
+    GroundSet,
+    LinearOrder,
+    Menu,
+    menu_order,
+    require_enumerable,
+    validate_choice,
+)
 from .degree import SpReport, sp, sp_axiomatic, sp_bruteforce
 from .distortion import harmful_distortion
 from .elicit import all_extensions, elicit_partial, elicit_weakly_harmful
@@ -66,19 +81,21 @@ class LoadedDataset:
     warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        g = self.ground
+        labels = self.ground.labels
+        members = _member_labels(labels)
+        picks = self.choice.picks_array.tolist()
         return {
             "version": DATASET_VERSION,
-            "alternatives": list(g.labels),
+            "alternatives": list(labels),
             "choices": [
-                {"menu": menu.label_list(g), "choice": g.label(pick)}
-                for menu, pick in self.choice.items()
+                {"menu": members[m], "choice": labels[picks[m]]}
+                for m in menu_order(len(labels)).tolist()
             ],
         }
 
     def to_text(self) -> list[str]:
-        g = self.ground
-        for label in g.labels:
+        labels = self.ground.labels
+        for label in labels:
             if (
                 "," in label
                 or "->" in label
@@ -91,12 +108,23 @@ class LoadedDataset:
                     " ',', '->' or a line break, start with '#', or have outer whitespace"
                     " (use --format json)"
                 )
-        lines = [f"alternatives: {', '.join(g.labels)}"]
+        members = _member_labels(labels)
+        picks = self.choice.picks_array.tolist()
+        lines = [f"alternatives: {', '.join(labels)}"]
         lines.extend(
-            f"{','.join(menu.label_list(g))} -> {g.label(pick)}"
-            for menu, pick in self.choice.items()
+            f"{','.join(members[m])} -> {labels[picks[m]]}" for m in menu_order(len(labels)).tolist()
         )
         return lines
+
+
+def _member_labels(labels: tuple[str, ...]) -> list[list[str]]:
+    """The member labels of every menu, indexed by bitmask (entry 0 is the
+    empty menu): the menus with highest bit e are those below 2**e plus
+    label e."""
+    table: list[list[str]] = [[]]
+    for label in labels:
+        table += [members + [label] for members in table]
+    return table
 
 
 @dataclass(frozen=True)
@@ -202,19 +230,24 @@ def load_dataset(path: str) -> LoadedDataset:
     else:
         text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
-        ground, rows, refs = _parse_json_dataset(text)
+        ground, masks, picks, name = _parse_json_dataset(text)
     else:
-        ground, rows, refs = _parse_text_dataset(text)
+        ground, masks, picks, name = _parse_text_dataset(text)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            choice = validate_choice(rows, ground)
+            choice = validate_choice(zip(masks.tolist(), picks.tolist()), ground)
         except RowError as exc:
-            raise exc.at(refs) from None
+            raise exc.at({row: name(row) for row in exc.rows}) from None
     return LoadedDataset(ground, choice, tuple(str(w.message) for w in caught))
 
 
-def _parse_json_dataset(text: str) -> tuple[GroundSet, list[tuple[Menu, int]], list[str]]:
+#: A parsed dataset: ground set, one menu bitmask and one pick id per row,
+#: and the name of row i in messages.
+_Parsed = tuple[GroundSet, np.ndarray, np.ndarray, Callable[[int], str]]
+
+
+def _parse_json_dataset(text: str) -> _Parsed:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -234,53 +267,119 @@ def _parse_json_dataset(text: str) -> tuple[GroundSet, list[tuple[Menu, int]], l
     choices = obj.get("choices")
     if not isinstance(choices, list):
         raise ParseError('dataset needs a "choices" list')
-    rows, refs = [], []
-    for i, entry in enumerate(choices):
-        ref = f"choices[{i}]"
-        if not isinstance(entry, dict) or "menu" not in entry or "choice" not in entry:
-            raise ParseError(f'{ref}: expected an object with "menu" and "choice"')
-        menu_labels = entry["menu"]
-        if not isinstance(menu_labels, list) or not menu_labels:
-            raise ParseError(f"{ref}: menu must be a nonempty label list")
-        rows.append((_menu_from_labels(ground, menu_labels, ref), _alt(ground, entry["choice"], ref)))
-        refs.append(ref)
-    return ground, rows, refs
+    require_enumerable(ground.n)
+    name = "choices[{}]".format
+    # a malformed entry counts as an empty menu, which flags its row
+    shaped = [
+        isinstance(e, dict) and "menu" in e and "choice" in e and isinstance(e["menu"], list)
+        for e in choices
+    ]
+    menus = [e["menu"] if ok else [] for e, ok in zip(choices, shaped)]
+    pick_labels = [e["choice"] if ok else None for e, ok in zip(choices, shaped)]
+    lengths = np.fromiter(map(len, menus), np.int64, len(menus))
+    flat = list(chain.from_iterable(menus))
+    masks, picks, flagged = _label_rows(ground, flat, lengths, pick_labels)
+    if flagged.any():
+        i = int(flagged.argmax())
+        _check_json_row(ground, choices[i], name(i))
+    return ground, masks, picks, name
 
 
-def _parse_text_dataset(text: str) -> tuple[GroundSet, list[tuple[Menu, int]], list[str]]:
+def _check_json_row(ground: GroundSet, entry: object, ref: str) -> None:
+    """Raise the parse error of one JSON ``choices`` entry, if it has one."""
+    if not isinstance(entry, dict) or "menu" not in entry or "choice" not in entry:
+        raise ParseError(f'{ref}: expected an object with "menu" and "choice"')
+    menu_labels = entry["menu"]
+    if not isinstance(menu_labels, list) or not menu_labels:
+        raise ParseError(f"{ref}: menu must be a nonempty label list")
+    _menu_from_labels(ground, menu_labels, ref)
+    _alt(ground, entry["choice"], ref)
+
+
+def _parse_text_dataset(text: str) -> _Parsed:
+    lines = [
+        (lineno, line)
+        for lineno, line in enumerate(map(str.strip, text.splitlines()), 1)
+        if line and not line.startswith("#")
+    ]
     header: list[str] | None = None
-    body: list[tuple[str, list[str], str]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None and not body and line.lower().startswith("alternatives:"):
-            header = [s.strip() for s in line.split(":", 1)[1].split(",")]
-            continue
-        ref = f"line {lineno}"
-        left, sep, right = line.partition("->")
-        if not sep:
-            raise ParseError(f"{ref}: expected 'a,b,c -> a'")
-        menu_labels = [s.strip() for s in left.split(",")]
-        pick_label = right.strip()
-        if not all(menu_labels) or not pick_label:
-            raise ParseError(f"{ref}: empty label")
-        body.append((ref, menu_labels, pick_label))
-    if not body:
+    if lines and lines[0][1].lower().startswith("alternatives:"):
+        header = [s.strip() for s in lines.pop(0)[1].split(":", 1)[1].split(",")]
+    if not lines:
         raise ParseError("dataset contains no choice rows")
+    linenos = [lineno for lineno, _ in lines]
+
+    def name(i: int) -> str:
+        return f"line {linenos[i]}"
+
+    split = [line.partition("->") for _, line in lines]
+    arrows = [bool(sep) for _, sep, _ in split]
+    lefts = [left for left, _, _ in split]
+    pick_labels = [right.strip() for _, _, right in split]
+    del lines, split  # free the row text before the labels are split out
+    lengths = np.fromiter((left.count(",") + 1 for left in lefts), np.int64, len(lefts))
+    ends = np.cumsum(lengths)
+    flat = list(map(str.strip, ",".join(lefts).split(",")))
+    del lefts
+    # the first row without "->", with an empty pick, or with an empty menu label
+    malformed = [not arrow or not pick for arrow, pick in zip(arrows, pick_labels)]
+    first = malformed.index(True) if True in malformed else len(linenos)
+    if "" in flat:
+        first = min(first, int(np.searchsorted(ends, flat.index(""), side="right")))
+    if first < len(linenos):
+        if not arrows[first]:
+            raise ParseError(f"{name(first)}: expected 'a,b,c -> a'")
+        raise ParseError(f"{name(first)}: empty label")
     if header is not None:
         labels = tuple(header)
     else:
-        labels = tuple(sorted({lab for _, menu, pick in body for lab in menu + [pick]}))
+        labels = tuple(sorted(set(flat).union(pick_labels)))
     try:
         ground = GroundSet(labels)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    rows = [
-        (_menu_from_labels(ground, menu_labels, ref), _alt(ground, pick_label, ref))
-        for ref, menu_labels, pick_label in body
-    ]
-    return ground, rows, [ref for ref, _, _ in body]
+    require_enumerable(ground.n)
+    masks, picks, flagged = _label_rows(ground, flat, lengths, pick_labels)
+    if flagged.any():
+        i = int(flagged.argmax())
+        _menu_from_labels(ground, flat[ends[i] - lengths[i] : ends[i]], name(i))
+        _alt(ground, pick_labels[i], name(i))
+    return ground, masks, picks, name
+
+
+def _label_rows(
+    ground: GroundSet, flat: list, lengths: np.ndarray, pick_labels: list
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Menu bitmasks and pick ids of label rows, in bulk, and a flag for each
+    row that :func:`_menu_from_labels` or :func:`_alt` would refuse: an
+    empty menu, an unknown label or pick, or a label that its menu repeats.
+
+    ``flat`` chains the rows' menu labels, ``lengths[i]`` of them for row i.
+    The ground set must satisfy n <= MAX_ENUM_N, so that masks fit in int64.
+    """
+    ids = {label: e for e, label in enumerate(ground.labels)}
+    flat_ids = _label_ids(ids, flat)
+    picks = _label_ids(ids, pick_labels)
+    # an unknown label adds no bit; the trailing 0 keeps every start in range
+    bits = np.zeros(flat_ids.size + 1, dtype=np.int64)
+    np.left_shift(1, flat_ids, out=bits[:-1], where=flat_ids >= 0)
+    masks = np.bitwise_or.reduceat(bits, np.cumsum(lengths) - lengths)
+    flagged = (lengths == 0) | (np.bitwise_count(masks) != lengths) | (picks < 0)
+    return masks, picks, flagged
+
+
+def _label_ids(ids: dict[str, int], labels: list) -> np.ndarray:
+    """The id of each label, matched by ``str(label)`` as in :func:`_alt`;
+    -1 for an unknown one."""
+    count = len(labels)
+    try:
+        found = np.fromiter(map(ids.get, labels, repeat(-1)), np.int64, count)
+    except TypeError:  # an unhashable JSON value, such as a list
+        found = np.full(count, -1, dtype=np.int64)
+    # a JSON value that is not a string can still match as text
+    for i in np.flatnonzero(found < 0).tolist():
+        found[i] = ids.get(str(labels[i]), -1)
+    return found
 
 
 def _alt(ground: GroundSet, label: object, ref: str) -> int:

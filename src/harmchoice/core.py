@@ -271,15 +271,22 @@ def rational_choice(order: LinearOrder) -> ChoiceFunction:
 
 
 def validate_choice(
-    rows: Iterable[tuple[Menu | Iterable[int], int]], ground: GroundSet
+    rows: Iterable[tuple[Menu | int | Iterable[int], int]], ground: GroundSet
 ) -> ChoiceFunction:
     """Assemble and check a total choice function from (menu, pick) rows.
 
-    Every nonempty menu must appear exactly once with a pick among its
-    members. Absent singleton menus are filled in automatically (their pick
-    is forced) and reported with a :class:`DatasetWarning`.
+    A row's menu is a :class:`Menu`, an iterable of alternative ids, or an
+    int bitmask (bit ``e`` set iff id ``e`` is a member). Every nonempty
+    menu must appear exactly once with a pick among its members. Absent
+    singleton menus are filled in automatically (their pick is forced) and
+    reported with a :class:`DatasetWarning`.
+
+    The checks run on whole mask and pick arrays; the first faulty row, in
+    row order, raises the error a row-by-row scan would raise first.
 
     Raises:
+        ValueError: a menu is empty, repeats an id or lies outside the
+            ground set.
         DuplicateMenu: a menu occurs twice.
         PickNotInMenu: a pick is not a member of its menu.
         MissingMenu: a non-singleton menu is absent.
@@ -289,38 +296,81 @@ def validate_choice(
     n = ground.n
     require_enumerable(n)
     size = 1 << n
-    picks = np.full(size, -1, dtype=np.int16)
-    row_of: dict[int, int] = {}
-    for row, (menu, pick) in enumerate(rows):
-        if not isinstance(menu, Menu):
-            menu = Menu(tuple(menu))
-        if menu.members[-1] >= n:
-            raise ValueError(f"menu {menu.members} lies outside the ground set (n = {n})")
-        pick = int(pick)
-        if pick not in menu:
-            shown = ground.label(pick) if 0 <= pick < n else pick
-            raise PickNotInMenu(
-                (row,), lambda at: f"{at}: pick {shown!r} is not a member of its menu"
-            )
-        mask = menu.mask
-        first = row_of.setdefault(mask, row)
-        if first != row:
-            labels = ", ".join(menu.label_list(ground))
-            raise DuplicateMenu(
-                (first, row), lambda at, again: f"menu {{{labels}}} appears at both {at} and {again}"
-            )
-        picks[mask] = pick
+    rows = list(rows)
+    masks = np.fromiter((_menu_mask(menu, size) for menu, _ in rows), np.int64, len(rows))
+    picks = np.fromiter((_pick_id(pick, n) for _, pick in rows), np.int64, len(rows))
+    # a row is faulty if its pick lies outside its menu (an invalid menu has
+    # mask 0, an invalid pick is -1) or an earlier row has the same menu
+    ok = (picks >= 0) & ((masks >> np.maximum(picks, 0)) & 1 == 1)
+    order = np.argsort(masks, kind="stable")
+    sorted_masks = masks[order]
+    ok[order[1:][sorted_masks[1:] == sorted_masks[:-1]]] = False
+    faulty = np.flatnonzero(~ok)
+    if faulty.size:
+        row = int(faulty[0])
+        menu, pick = rows[row]
+        mask = _check_row(row, menu, pick, ground)
+        first = int(order[np.searchsorted(sorted_masks, mask)])
+        labels = ", ".join(Menu.from_mask(mask).label_list(ground))
+        raise DuplicateMenu(
+            (first, row), lambda at, again: f"menu {{{labels}}} appears at both {at} and {again}"
+        )
+    filled = np.full(size, -1, dtype=np.int16)
+    filled[masks] = picks
     for e in range(n):
-        if picks[1 << e] == -1:
-            picks[1 << e] = e
+        if filled[1 << e] == -1:
+            filled[1 << e] = e
             warnings.warn(
                 DatasetWarning(
                     f"singleton menu {{{ground.label(e)}}} was absent; its forced pick was filled in"
                 ),
                 stacklevel=2,
             )
-    if (picks[1:] == -1).any():
+    if (filled[1:] == -1).any():
         order = menu_order(n)
-        missing = order[picks[order] == -1]
+        missing = order[filled[order] == -1]
         raise MissingMenu([Menu.from_mask(int(m)) for m in missing[:8]], int(missing.size), ground)
-    return ChoiceFunction(n, picks)
+    return ChoiceFunction(n, filled)
+
+
+def _menu_mask(menu: Menu | int | Iterable[int], size: int) -> int:
+    """A row menu's bitmask, or 0 if it is no menu of a ground set with
+    ``size`` = 2**n masks."""
+    if type(menu) is not int:
+        try:
+            if isinstance(menu, (int, np.integer)):
+                menu = int(menu)
+            else:
+                menu = (menu if isinstance(menu, Menu) else Menu(tuple(menu))).mask
+        except (TypeError, ValueError):
+            return 0
+    return menu if 0 < menu < size else 0
+
+
+def _pick_id(pick: object, n: int) -> int:
+    """A row pick as an alternative id, or -1 if it is none."""
+    if type(pick) is not int:
+        try:
+            pick = int(pick)
+        except (TypeError, ValueError):
+            return -1
+    return pick if 0 <= pick < n else -1
+
+
+def _check_row(
+    row: int, menu: Menu | int | Iterable[int], pick: object, ground: GroundSet
+) -> int:
+    """The checks that need only one row: return its menu's bitmask, or
+    raise the row's error."""
+    n = ground.n
+    if isinstance(menu, (int, np.integer)):
+        menu = Menu.from_mask(int(menu))
+    elif not isinstance(menu, Menu):
+        menu = Menu(tuple(menu))
+    if menu.members[-1] >= n:
+        raise ValueError(f"menu {menu.members} lies outside the ground set (n = {n})")
+    pick = int(pick)
+    if pick not in menu:
+        shown = ground.label(pick) if 0 <= pick < n else pick
+        raise PickNotInMenu((row,), lambda at: f"{at}: pick {shown!r} is not a member of its menu")
+    return menu.mask

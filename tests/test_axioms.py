@@ -9,6 +9,7 @@ import pytest
 from harmchoice import (
     LinearOrder,
     Menu,
+    Reversal,
     UniformIndexPolicy,
     check_cns,
     constant_selection_witnesses,
@@ -38,6 +39,28 @@ def brute_reversals(c):
 
 def reversal_key(r):
     return frozenset([(r.menu_a.mask, r.pick_a), (r.menu_b.mask, r.pick_b)])
+
+
+class TestReversal:
+    @pytest.mark.parametrize(
+        "menu_a, menu_b, pick_a, pick_b, message",
+        [
+            ((0, 1), (0, 1), 0, 1, "two distinct menus"),
+            ((0, 1), (0, 1, 2), 1, 1, "two distinct picks"),
+            ((0, 1), (0, 1, 2), 0, 2, "intersection"),
+            ((0, 2), (0, 1, 2), 0, 1, "intersection"),
+            ((0, 1, 2), (1, 2), 0, 1, "intersection"),
+            ((1, 2), (0, 1, 2), 1, 0, "intersection"),
+            ((0, 1, 2), (0, 1), 0, 2, "intersection"),
+        ],
+    )
+    def test_invalid_reversals_rejected(self, menu_a, menu_b, pick_a, pick_b, message):
+        with pytest.raises(ValueError, match=message):
+            Reversal(Menu(menu_a), Menu(menu_b), pick_a, pick_b)
+
+    def test_valid_reversal(self):
+        r = Reversal(Menu((0, 1)), Menu((0, 1, 2)), 1, 0)
+        assert (r.pick_a, r.pick_b) == (1, 0)
 
 
 class TestFindReversals:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from harmchoice import (
+    MAX_SAMPLE_N,
     ExplicitIndexPolicy,
     FixedIndexPolicy,
     LinearOrder,
@@ -21,6 +22,8 @@ from harmchoice import (
     sp,
     total_choice_functions,
 )
+from harmchoice.census import _sample_chunk
+from harmchoice.cli import main
 from harmchoice.errors import GroundSetTooLarge, IndexOutOfRange
 from conftest import iter_all_choices
 
@@ -100,6 +103,29 @@ class TestSample:
         assert 0.0 <= rep.strongly_harmful_fraction <= 1.0
         assert rep.half_width >= 0.0
         assert rep.samples == 2000 and rep.seed == 3
+
+    @pytest.mark.parametrize("n", [MAX_SAMPLE_N + 1, 20, 21])
+    def test_cap_refuses_before_allocating(self, monkeypatch, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sampling chunk was allocated")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        with pytest.raises(GroundSetTooLarge, match=f"capped at n <= {MAX_SAMPLE_N}, got n = {n}"):
+            sample_census(n, 1, seed=0)
+
+    def test_cap_allows_n_at_cap(self):
+        rep = sample_census(MAX_SAMPLE_N, 2, seed=0)
+        assert rep.n == MAX_SAMPLE_N and rep.samples == 2
+
+    def test_cap_bounds_one_chunk(self):
+        """At the cap one chunk of int16 picks is 128 MiB; one more
+        alternative would double it."""
+        assert _sample_chunk(MAX_SAMPLE_N) * (1 << MAX_SAMPLE_N) * 2 == 128 << 20
+
+    def test_cli_cap_is_exit_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated"))
+        assert main(["sample-census", "--n", str(MAX_SAMPLE_N + 1), "--samples", "1"]) == 1
+        assert f"sampled census is capped at n <= {MAX_SAMPLE_N}" in capsys.readouterr().err
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

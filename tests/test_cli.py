@@ -1,12 +1,19 @@
 """End-to-end CLI behavior: commands, formats, exit codes."""
 
 import json
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from harmchoice import GroundSet, LinearOrder, UniformIndexPolicy, generate_harmful, rational_choice
-from harmchoice.cli import LoadedDataset, load_dataset, main
+from harmchoice.cli import LoadedDataset, _alt, _menu_from_labels, load_dataset, main
+from harmchoice.core import menu_order
+from harmchoice.errors import GroundSetTooLarge, HarmchoiceError, ParseError, RowError
+from conftest import random_choice
+from test_core import rowwise_validate
 
 CYCLE3 = {
     "alternatives": ["x", "y", "z"],
@@ -319,3 +326,327 @@ class TestTextLabels:
         second = load_dataset(str(path))
         assert second.ground == first.ground and second.choice == choice
         assert json.dumps(second.to_dict(), indent=2) == written
+
+
+# ---------------------------------------------------------------------------
+# the row-by-row loader that load_dataset replaced, kept as its oracle
+
+
+def rowwise_load(path):
+    """Oracle: parse one row at a time into Menu rows, then validate them
+    with the row loop; returns what load_dataset returns."""
+    text = Path(path).read_text(encoding="utf-8")
+    if text.lstrip().startswith("{"):
+        ground, rows, refs = rowwise_parse_json(text)
+    else:
+        ground, rows, refs = rowwise_parse_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            choice = rowwise_validate(rows, ground)
+        except RowError as exc:
+            raise exc.at(refs) from None
+    return LoadedDataset(ground, choice, tuple(str(w.message) for w in caught))
+
+
+def rowwise_parse_json(text):
+    obj = json.loads(text)
+    labels = obj.get("alternatives")
+    try:
+        ground = GroundSet(tuple(str(lab) for lab in labels))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    rows, refs = [], []
+    for i, entry in enumerate(obj.get("choices")):
+        ref = f"choices[{i}]"
+        if not isinstance(entry, dict) or "menu" not in entry or "choice" not in entry:
+            raise ParseError(f'{ref}: expected an object with "menu" and "choice"')
+        menu_labels = entry["menu"]
+        if not isinstance(menu_labels, list) or not menu_labels:
+            raise ParseError(f"{ref}: menu must be a nonempty label list")
+        rows.append((_menu_from_labels(ground, menu_labels, ref), _alt(ground, entry["choice"], ref)))
+        refs.append(ref)
+    return ground, rows, refs
+
+
+def rowwise_parse_text(text):
+    header = None
+    body = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header is None and not body and line.lower().startswith("alternatives:"):
+            header = [s.strip() for s in line.split(":", 1)[1].split(",")]
+            continue
+        ref = f"line {lineno}"
+        left, sep, right = line.partition("->")
+        if not sep:
+            raise ParseError(f"{ref}: expected 'a,b,c -> a'")
+        menu_labels = [s.strip() for s in left.split(",")]
+        pick_label = right.strip()
+        if not all(menu_labels) or not pick_label:
+            raise ParseError(f"{ref}: empty label")
+        body.append((ref, menu_labels, pick_label))
+    if not body:
+        raise ParseError("dataset contains no choice rows")
+    if header is not None:
+        labels = tuple(header)
+    else:
+        labels = tuple(sorted({lab for _, menu, pick in body for lab in menu + [pick]}))
+    try:
+        ground = GroundSet(labels)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    rows = [
+        (_menu_from_labels(ground, menu_labels, ref), _alt(ground, pick_label, ref))
+        for ref, menu_labels, pick_label in body
+    ]
+    return ground, rows, [ref for ref, _, _ in body]
+
+
+def load_outcome(load, path):
+    """("ok", ground, choice, warnings) or ("error", type, message)."""
+    try:
+        ds = load(str(path))
+    except (HarmchoiceError, ValueError) as exc:
+        return ("error", type(exc), str(exc))
+    return ("ok", ds.ground, ds.choice, ds.warnings)
+
+
+def json_rows(rows, alternatives=("x", "y", "z")):
+    """A JSON dataset: a (menu, pick) tuple is a row, anything else is
+    written as the entry itself."""
+    return json.dumps({
+        "alternatives": list(alternatives),
+        "choices": [{"menu": r[0], "choice": r[1]} if isinstance(r, tuple) else r for r in rows],
+    })
+
+
+def text_rows(lines, header="x, y, z"):
+    return "\n".join(([f"alternatives: {header}"] if header else []) + lines) + "\n"
+
+
+#: a complete CYCLE3-like row set, then variations with one or two faults
+GOOD = [(["x", "y", "z"], "x"), (["x", "y"], "y"), (["y", "z"], "z"), (["x", "z"], "x")]
+GOOD_TEXT = ["x,y,z -> x", "x,y -> y", "y,z -> z", "x,z -> x"]
+
+JSON_CASES = {
+    "valid": json_rows(GOOD),
+    "unknown menu label": json_rows([GOOD[0], (["x", "q"], "x"), *GOOD[2:]]),
+    "unknown pick": json_rows([GOOD[0], (["x", "y"], "q"), *GOOD[2:]]),
+    "repeated label": json_rows([GOOD[0], (["x", "x"], "x"), *GOOD[2:]]),
+    "empty menu": json_rows([GOOD[0], ([], "x"), *GOOD[2:]]),
+    "empty menu last": json_rows([*GOOD, ([], "x")]),
+    "empty menu before unknown label": json_rows([GOOD[0], ([], "x"), (["q", "z"], "z"), GOOD[3]]),
+    "string entry": json_rows([GOOD[0], "x,y -> x", *GOOD[2:]]),
+    "list entry": json_rows([GOOD[0], ["x", "y"], *GOOD[2:]]),
+    "string menu": json_rows([GOOD[0], {"menu": "xy", "choice": "x"}, *GOOD[2:]]),
+    "missing menu key": json_rows([GOOD[0], {"choice": "x"}, *GOOD[2:]]),
+    "missing choice key": json_rows([GOOD[0], {"menu": ["x", "y"]}, *GOOD[2:]]),
+    "pick outside menu": json_rows([GOOD[0], (["x", "y"], "z"), *GOOD[2:]]),
+    "duplicate menu": json_rows([*GOOD, (["y", "x"], "x")]),
+    "duplicate first in file": json_rows([(["z", "x"], "z"), *GOOD]),
+    "two faults, parse first": json_rows([GOOD[0], (["x", "q"], "x"), (["y", "z"], "q"), GOOD[3]]),
+    "two faults, shape first": json_rows([GOOD[0], {"menu": []}, (["x", "q"], "x"), GOOD[3]]),
+    "pick fault before parse fault": json_rows([GOOD[0], (["x", "y"], "z"), (["y", "q"], "y"), GOOD[3]]),
+    "duplicate before pick fault": json_rows([*GOOD, (["x", "y"], "x"), (["y", "z"], "x")]),
+    "missing menus": json_rows([GOOD[0]]),
+    "no rows": json_rows([]),
+    "absent singleton": json_rows([*GOOD, (["y"], "y")]),
+    "number labels": json.dumps({
+        "alternatives": ["1", "2"],
+        "choices": [{"menu": [1, "2"], "choice": 1}, {"menu": ["1"], "choice": "1"}],
+    }),
+    "number label unknown": json.dumps({
+        "alternatives": ["1", "2"],
+        "choices": [{"menu": [1.0, "2"], "choice": 1}],
+    }),
+    "unhashable label": json.dumps({
+        "alternatives": ["x", "y"],
+        "choices": [{"menu": ["x", ["y"]], "choice": "x"}],
+    }),
+    "oversized ground set": json.dumps({
+        "alternatives": [f"a{i}" for i in range(21)],
+        "choices": [{"menu": ["a0", "a1"], "choice": "a0"}],
+    }),
+}
+
+TEXT_CASES = {
+    "valid": text_rows(GOOD_TEXT, header=None),
+    "valid with header, comments and blanks": "# c\n\nalternatives: z, y, x\n" + "\n# c\n".join(GOOD_TEXT),
+    "spaced labels": text_rows([" x , y ,z->  x", "x,y -> y", "y,z -> z", "x,z -> x"], header=None),
+    "unknown menu label": text_rows([GOOD_TEXT[0], "x,q -> x", *GOOD_TEXT[2:]]),
+    "unknown pick": text_rows([GOOD_TEXT[0], "x,y -> q", *GOOD_TEXT[2:]]),
+    "repeated label": text_rows([GOOD_TEXT[0], "x,x -> x", *GOOD_TEXT[2:]]),
+    "empty label": text_rows([GOOD_TEXT[0], "x,,y -> x", *GOOD_TEXT[2:]]),
+    "empty menu": text_rows([GOOD_TEXT[0], " -> x", *GOOD_TEXT[2:]]),
+    "empty pick": text_rows([GOOD_TEXT[0], "x,y ->", *GOOD_TEXT[2:]]),
+    "no arrow": text_rows([GOOD_TEXT[0], "x,y", *GOOD_TEXT[2:]]),
+    "pick outside menu": text_rows([GOOD_TEXT[0], "x,y -> z", *GOOD_TEXT[2:]]),
+    "duplicate menu": text_rows([*GOOD_TEXT, "y,x -> x"]),
+    "two faults, label first": text_rows([GOOD_TEXT[0], "x,q -> x", "y,z -> q", GOOD_TEXT[3]]),
+    "syntax fault after label fault": text_rows([GOOD_TEXT[0], "x,q -> x", "y,z", GOOD_TEXT[3]]),
+    "empty label after no arrow": text_rows([GOOD_TEXT[0], "x,y", "y,,z -> z", GOOD_TEXT[3]]),
+    "no arrow after empty label": text_rows([GOOD_TEXT[0], "x,,y -> x", "y,z", GOOD_TEXT[3]]),
+    "pick fault before label fault": text_rows([GOOD_TEXT[0], "x,y -> z", "y,q -> y", GOOD_TEXT[3]]),
+    "missing menus": text_rows(GOOD_TEXT[:1]),
+    "absent singleton": text_rows([*GOOD_TEXT, "y -> y"]),
+    "second header is a row": text_rows([*GOOD_TEXT, "alternatives: x, y"]),
+    "only a header": "alternatives: x, y\n",
+    "duplicate header label": text_rows(GOOD_TEXT, header="x, y, x"),
+}
+
+
+def assert_same_outcome(path):
+    got = load_outcome(load_dataset, path)
+    want = load_outcome(rowwise_load, path)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "ok":
+        assert got[1] == want[1] and got[2] == want[2] and got[3] == want[3]
+    else:
+        assert got == want
+
+
+class TestLoaderMatchesRowLoop:
+    """load_dataset raises the same error, or builds the same choice with the
+    same warnings, as the row-by-row loader it replaced."""
+
+    @pytest.mark.parametrize("case", sorted(JSON_CASES))
+    def test_json(self, tmp_path, case):
+        path = tmp_path / "data.json"
+        path.write_text(JSON_CASES[case], encoding="utf-8")
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("case", sorted(TEXT_CASES))
+    def test_text(self, tmp_path, case):
+        path = tmp_path / "data.txt"
+        path.write_text(TEXT_CASES[case], encoding="utf-8")
+        assert_same_outcome(path)
+
+    def test_cases_cover_each_outcome(self, tmp_path):
+        messages = []
+        for cases, suffix in ((JSON_CASES, "json"), (TEXT_CASES, "txt")):
+            for case, text in cases.items():
+                path = tmp_path / f"{len(messages)}.{suffix}"
+                path.write_text(text, encoding="utf-8")
+                got = load_outcome(load_dataset, path)
+                messages.append(got[2] if got[0] == "error" else " ".join(got[3]) or "ok")
+        for expected in (
+            "choices[1]: unknown alternative 'q'",
+            "choices[1]: menu repeats an alternative",
+            "choices[1]: menu must be a nonempty label list",
+            'choices[1]: expected an object with "menu" and "choice"',
+            "choices[1]: pick 'z' is not a member of its menu",
+            "menu {x, z} appears at both choices[0] and choices[4]",
+            "menu {x, y} appears at both choices[1] and choices[4]",
+            "dataset is missing",
+            "singleton menu {x} was absent",
+            "choices[0]: unknown alternative 1.0",
+            "choices[0]: unknown alternative ['y']",
+            "capped at n <= 20",
+            "line 3: unknown alternative 'q'",
+            "line 3: empty label",
+            "line 3: expected 'a,b,c -> a'",
+            "line 4: expected 'a,b,c -> a'",
+            "menu {x, y} appears at both line 3 and line 6",
+        ):
+            assert any(expected in m for m in messages), expected
+
+    def test_size_cap_comes_before_rows(self, tmp_path):
+        """Deliberate difference: the n <= MAX_ENUM_N cap is checked before
+        any row is read, so an oversized ground set is refused even when a
+        row is also faulty (the row loop reported the row)."""
+        text = json.dumps({
+            "alternatives": [f"a{i}" for i in range(21)],
+            "choices": [{"menu": ["a0", "q"], "choice": "a0"}],
+        })
+        path = tmp_path / "big.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(GroundSetTooLarge, match="capped at n <= 20, got n = 21"):
+            load_dataset(str(path))
+        with pytest.raises(ParseError, match="unknown alternative 'q'"):
+            rowwise_load(str(path))
+
+    def test_seeded_random_faults(self, tmp_path):
+        """Mutated datasets at n = 2..4 in both formats: dropped, repeated,
+        reordered and corrupted rows."""
+        rng = np.random.default_rng(5)
+        labels = ("w", "x", "y", "z")
+        for trial in range(150):
+            n = int(rng.integers(2, 5))
+            choice = random_choice(rng, n)
+            rows = []
+            for mask in menu_order(n).tolist():
+                members = [labels[e] for e in range(n) if (mask >> e) & 1]
+                rows.append([list(rng.permutation(members)), labels[choice.pick_mask(mask)]])
+            for _ in range(int(rng.integers(0, 3))):
+                i = int(rng.integers(len(rows)))
+                kind = int(rng.integers(7))
+                if kind == 0:
+                    rows.pop(i)
+                elif kind == 1:
+                    rows.insert(int(rng.integers(len(rows))), [list(rows[i][0]), rows[i][1]])
+                elif kind == 2:
+                    rows[i][1] = labels[int(rng.integers(n))]
+                elif kind == 3:
+                    rows[i][0] = rows[i][0] + ["q"]
+                elif kind == 4:
+                    rows[i][0] = rows[i][0] + rows[i][0][:1]
+                elif kind == 5:
+                    rows[i][1] = "q"
+                elif kind == 6 and len(rows) > 1:
+                    rows[i], rows[-1] = rows[-1], rows[i]
+                if not rows:
+                    rows.append([["w"], "w"])
+            json_path = tmp_path / f"{trial}.json"
+            json_path.write_text(json_rows([tuple(row) for row in rows], labels[:n]), encoding="utf-8")
+            assert_same_outcome(json_path)
+            text_path = tmp_path / f"{trial}.txt"
+            header = ", ".join(labels[:n]) if trial % 2 else None
+            text_path.write_text(
+                text_rows([f"{','.join(m)} -> {p}" for m, p in rows], header), encoding="utf-8"
+            )
+            assert_same_outcome(text_path)
+
+
+def items_writer(ds):
+    """Oracle: the dataset writers as they were, one Menu per row."""
+    g = ds.ground
+    rows = list(ds.choice.items())
+    as_dict = {
+        "version": 1,
+        "alternatives": list(g.labels),
+        "choices": [{"menu": m.label_list(g), "choice": g.label(p)} for m, p in rows],
+    }
+    lines = [f"alternatives: {', '.join(g.labels)}"]
+    lines.extend(f"{','.join(m.label_list(g))} -> {g.label(p)}" for m, p in rows)
+    return as_dict, lines
+
+
+def test_generate_load_write_round_trip_n12(capsys, tmp_path):
+    """generate -> load -> write at n = 12 gives the same choice and the same
+    bytes in both formats, and the writers match the one-Menu-per-row ones."""
+    order = ",".join(f"a{i}" for i in range(12))
+    written = {}
+    for fmt in ("json", "text"):
+        argv = ["generate", "--order", order, "--policy", "uniform:5", "--seed", "11", "--format", fmt]
+        assert main(argv) == 0
+        written[fmt] = capsys.readouterr().out
+    loaded = {}
+    for fmt, suffix in (("json", "json"), ("text", "txt")):
+        path = tmp_path / f"gen.{suffix}"
+        path.write_text(written[fmt], encoding="utf-8")
+        loaded[fmt] = load_dataset(str(path))
+        assert loaded[fmt].warnings == ()
+    ds = loaded["json"]
+    assert ds.ground == loaded["text"].ground and ds.choice == loaded["text"].choice
+    assert ds.choice == generate_harmful(
+        LinearOrder(tuple(range(12))), UniformIndexPolicy(5), seed=11
+    )
+    for fmt in ("json", "text"):
+        again = loaded[fmt]
+        assert json.dumps(again.to_dict(), indent=2) + "\n" == written["json"]
+        assert "\n".join(again.to_text()) + "\n" == written["text"]
+    as_dict, lines = items_writer(ds)
+    assert ds.to_dict() == as_dict and ds.to_text() == lines

@@ -23,7 +23,66 @@ from harmchoice.errors import (
     MissingMenu,
     PickNotInMenu,
 )
+from harmchoice.core import menu_order, require_enumerable
 from conftest import random_choice
+
+
+def rowwise_validate(rows, ground):
+    """Oracle: the row-by-row loop that validate_choice replaced, which
+    raises each row's error as the loop reaches it. It reads an int bitmask
+    menu as Menu.from_mask would."""
+    n = ground.n
+    require_enumerable(n)
+    size = 1 << n
+    picks = np.full(size, -1, dtype=np.int16)
+    row_of = {}
+    for row, (menu, pick) in enumerate(rows):
+        if isinstance(menu, (int, np.integer)):
+            menu = Menu.from_mask(int(menu))
+        elif not isinstance(menu, Menu):
+            menu = Menu(tuple(menu))
+        if menu.members[-1] >= n:
+            raise ValueError(f"menu {menu.members} lies outside the ground set (n = {n})")
+        pick = int(pick)
+        if pick not in menu:
+            shown = ground.label(pick) if 0 <= pick < n else pick
+            raise PickNotInMenu(
+                (row,), lambda at: f"{at}: pick {shown!r} is not a member of its menu"
+            )
+        mask = menu.mask
+        first = row_of.setdefault(mask, row)
+        if first != row:
+            labels = ", ".join(menu.label_list(ground))
+            raise DuplicateMenu(
+                (first, row), lambda at, again: f"menu {{{labels}}} appears at both {at} and {again}"
+            )
+        picks[mask] = pick
+    for e in range(n):
+        if picks[1 << e] == -1:
+            picks[1 << e] = e
+            warnings.warn(
+                DatasetWarning(
+                    f"singleton menu {{{ground.label(e)}}} was absent; its forced pick was filled in"
+                ),
+                stacklevel=2,
+            )
+    if (picks[1:] == -1).any():
+        order = menu_order(n)
+        missing = order[picks[order] == -1]
+        raise MissingMenu([Menu.from_mask(int(m)) for m in missing[:8]], int(missing.size), ground)
+    return ChoiceFunction(n, picks)
+
+
+def outcome(validate, rows, ground):
+    """What validate does with rows: ("ok", choice, warnings) or
+    ("error", type, message, rows)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            choice = validate(rows, ground)
+        except (ValueError, TypeError, DuplicateMenu, PickNotInMenu, MissingMenu) as exc:
+            return ("error", type(exc), str(exc), getattr(exc, "rows", None))
+    return ("ok", choice, [str(w.message) for w in caught])
 
 
 class TestGroundSet:
@@ -186,6 +245,77 @@ class TestValidateChoice:
         assert len(caught) == 3
         assert all(issubclass(w.category, DatasetWarning) for w in caught)
         assert choice.pick(Menu((1,))) == 1
+
+    def test_int_bitmask_menus(self, cycle3_choice):
+        ground, choice = cycle3_choice
+        rows = [(mask, choice.pick_mask(mask)) for mask in (7, 3, 6, 5, 1, 2, 4)]
+        assert validate_choice(rows, ground) == choice
+        assert validate_choice([(np.int64(m), p) for m, p in rows], ground) == choice
+        with pytest.raises(ValueError, match=r"menu \(0, 3\) lies outside the ground set"):
+            validate_choice([(9, 0)], ground)
+        with pytest.raises(ValueError, match="bitmask must be positive"):
+            validate_choice([(0, 0)], ground)
+        with pytest.raises(DuplicateMenu, match="appears at both row 0 and row 2"):
+            validate_choice([(3, 0), (Menu((0, 2)), 0), ((1, 0), 1)], ground)
+
+    def test_matches_row_loop_on_faulty_rows(self):
+        """validate_choice raises what the row loop raises first, or builds
+        the same choice with the same warnings, on seeded random row lists
+        with dropped, repeated, misplaced and malformed rows in every menu
+        form."""
+        rng = np.random.default_rng(21)
+        kinds = ("drop", "repeat", "bad pick", "pick -1", "pick n", "outside", "empty", "twice",
+                 "str pick", "none pick", "huge pick", "zero mask", "bool menu", "shuffle")
+        seen = set()
+        for _ in range(600):
+            n = int(rng.integers(1, 7))
+            ground = GroundSet(tuple("uvwxyz"[:n]))
+            choice = random_choice(rng, n)
+            rows = [[int(m), choice.pick_mask(int(m))] for m in menu_order(n)]
+            for _ in range(int(rng.integers(0, 4))):
+                kind = kinds[int(rng.integers(len(kinds)))]
+                i = int(rng.integers(len(rows))) if rows else 0
+                if kind == "drop" and rows:
+                    rows.pop(i)
+                elif kind == "repeat" and rows:
+                    rows.insert(int(rng.integers(len(rows) + 1)), list(rows[i]))
+                elif kind == "bad pick" and rows:
+                    rows[i][1] = int(rng.integers(n))
+                elif kind == "pick -1" and rows:
+                    rows[i][1] = -1
+                elif kind == "pick n" and rows:
+                    rows[i][1] = n
+                elif kind == "outside":
+                    rows.insert(i, [(0, n), 0])
+                elif kind == "empty":
+                    rows.insert(i, [(), 0])
+                elif kind == "twice":
+                    rows.insert(i, [(0, 0), 0])
+                elif kind == "str pick" and rows:
+                    rows[i][1] = "x"
+                elif kind == "none pick" and rows:
+                    rows[i][1] = None
+                elif kind == "huge pick" and rows:
+                    rows[i][1] = 1 << 70
+                elif kind == "zero mask":
+                    rows.insert(i, [0, 0])
+                elif kind == "bool menu":
+                    rows.insert(i, [True, 0])
+                elif kind == "shuffle":
+                    rng.shuffle(rows)
+            forms = (lambda m: m, np.int64, Menu.from_mask, lambda m: Menu.from_mask(m).members)
+            typed = [
+                (forms[int(rng.integers(4))](m) if type(m) is int and m > 0 else m, p)
+                for m, p in rows
+            ]
+            got = outcome(validate_choice, typed, ground)
+            want = outcome(rowwise_validate, typed, ground)
+            if got[0] == "ok":
+                assert want[0] == "ok" and got[1] == want[1] and got[2] == want[2]
+            else:
+                assert got == want
+            seen.add(got[1] if got[0] == "error" else "ok")
+        assert seen == {"ok", ValueError, TypeError, DuplicateMenu, PickNotInMenu, MissingMenu}
 
     def test_round_trip_identical_picks(self, projects_choice):
         ground, choice = projects_choice

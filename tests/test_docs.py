@@ -3,10 +3,13 @@ in step with the code."""
 
 import ast
 import importlib
+import json
 import re
 from pathlib import Path
 
 import harmchoice
+import harmchoice.cli
+from test_cli import CYCLE3
 from test_cli_golden import subcommands
 
 ROOT = Path(__file__).parent.parent
@@ -53,3 +56,23 @@ def test_traced_layers_resolve():
         f"{mod}.{name}" for mod, name in pairs if not hasattr(importlib.import_module(mod), name)
     ]
     assert missing == []
+
+
+def test_load_dataset_reaches_traced_validate(tmp_path, monkeypatch):
+    """load_dataset validates through the name harmchoice.cli.validate_choice,
+    which traced_cli.py wraps for the core.validate span, in both formats."""
+    calls = []
+    validate = harmchoice.cli.validate_choice
+
+    def recorder(rows, ground):
+        calls.append(ground.n)
+        return validate(rows, ground)
+
+    monkeypatch.setattr(harmchoice.cli, "validate_choice", recorder)
+    json_path = tmp_path / "cycle3.json"
+    json_path.write_text(json.dumps(CYCLE3), encoding="utf-8")
+    text_path = tmp_path / "cycle3.txt"
+    text_path.write_text("x,y,z -> x\nx,y -> y\ny,z -> z\nx,z -> x\n", encoding="utf-8")
+    for path in (json_path, text_path):
+        harmchoice.cli.load_dataset(str(path))
+    assert calls == [3, 3]
