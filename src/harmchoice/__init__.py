@@ -8,6 +8,7 @@ surveys how the hardest-to-explain behavior dominates choice space.
 """
 
 from .axioms import (
+    REVERSAL_CAP,
     CnsWitness,
     Reversal,
     check_cns,
@@ -15,6 +16,7 @@ from .axioms import (
     find_reversals,
     is_cns_witness_set,
     is_inconsistent,
+    reversal_count,
     satisfies_warp,
 )
 from .census import (
@@ -86,6 +88,7 @@ __all__ = [
     "MAX_SAMPLE_N",
     "MINIMIZING_ORDER_CAP",
     "Menu",
+    "REVERSAL_CAP",
     "Reversal",
     "SelfPunishmentRationalization",
     "SpReport",
@@ -112,6 +115,7 @@ __all__ = [
     "max_of",
     "min_max_index",
     "rational_choice",
+    "reversal_count",
     "sample_census",
     "satisfies_warp",
     "sp",

@@ -20,6 +20,9 @@ from . import _kernels
 from .core import ChoiceFunction, GroundSet, Menu, menu_order
 from .errors import InvalidJ
 
+#: ``analyze`` lists at most this many reversals (the count stays exact).
+REVERSAL_CAP = 100
+
 
 @dataclass(frozen=True)
 class Reversal:
@@ -120,25 +123,56 @@ def menu_positions(c: ChoiceFunction, p: int, q: int) -> np.ndarray:
     return np.flatnonzero((c.picks_array[order] == p) & (((order >> q) & 1) == 1))
 
 
-def _reversals(n: int, rows: list[tuple[int, int, int, int]]) -> list[Reversal]:
-    """One reversal per row (a, b, p, q): the menus at canonical positions a
-    and b pick p and q. The earlier menu comes first; menus are shared."""
-    order = menu_order(n)
-    menus = {i: Menu.from_mask(int(order[i])) for i in {i for row in rows for i in row[:2]}}
-    return [
-        Reversal(menus[a], menus[b], p, q) if a < b else Reversal(menus[b], menus[a], q, p)
-        for a, b, p, q in rows
-    ]
+def _reversals(c: ChoiceFunction, rows: Iterable[tuple[int, int]]) -> list[Reversal]:
+    """One reversal per row (a, b) of canonical menu positions whose menus
+    pick two alternatives from their intersection. The earlier menu comes
+    first; menus are shared."""
+    rows = [(a, b) if a < b else (b, a) for a, b in rows]
+    order = menu_order(c.n)
+    masks = {i: int(order[i]) for i in {i for row in rows for i in row}}
+    menus = {i: Menu.from_mask(mask) for i, mask in masks.items()}
+    picks = {i: int(c.picks_array[mask]) for i, mask in masks.items()}
+    return [Reversal(menus[a], menus[b], picks[a], picks[b]) for a, b in rows]
 
 
-def find_reversals(c: ChoiceFunction) -> list[Reversal]:
-    """Every reversal, each unordered menu pair once, in canonical menu order."""
-    rows = []
+def reversal_count(c: ChoiceFunction) -> int:
+    """How many reversals :func:`find_reversals` would list, without listing
+    them.
+
+    With N[p, q] the number of menus that contain q and pick p, the pair
+    {p, q} has N[p, q] * N[q, p] reversals: each menu that picks p with q in
+    it, matched with each menu that picks q with p in it.
+    """
+    n = c.n
+    picks = c.picks_array[1:]
+    masks = np.arange(1, 1 << n, dtype=np.int64)
+    counts = np.empty((n, n), dtype=np.int64)
+    for q in range(n):
+        counts[:, q] = np.bincount(picks[(masks >> q) & 1 == 1], minlength=n)
+    return int(np.triu(counts * counts.T, 1).sum())
+
+
+def find_reversals(c: ChoiceFunction, limit: int | None = None) -> list[Reversal]:
+    """The reversals, each unordered menu pair once, in canonical order: by
+    the earlier menu's canonical position, then by the later one's. With a
+    ``limit``, only the first ``limit`` of them are built.
+
+    A co-selected pair {p, q} has one reversal per menu A that picks p with q
+    in it and menu B that picks q with p in it. Only the first ``limit`` A
+    menus and the first ``limit`` B menus can take part in the first
+    ``limit`` reversals: a row whose A menu lies beyond them has ``limit``
+    rows of the same pair ahead of it (its own B menu with each earlier A
+    menu), and likewise for B. The candidate rows of every pair are ordered
+    by one sort; without a limit they are all the rows.
+    """
+    size = (1 << c.n) - 1
+    keys = [np.empty(0, dtype=np.int64)]
     for p, q in coselected_pairs(c):
-        at_q = menu_positions(c, q, p).tolist()
-        rows.extend((a, b, p, q) for a in menu_positions(c, p, q).tolist() for b in at_q)
-    rows.sort(key=lambda row: (min(row[0], row[1]), max(row[0], row[1])))
-    return _reversals(c.n, rows)
+        at_p = menu_positions(c, p, q)[:limit]
+        at_q = menu_positions(c, q, p)[:limit]
+        keys.append((np.minimum.outer(at_p, at_q) * size + np.maximum.outer(at_p, at_q)).ravel())
+    keys = np.sort(np.concatenate(keys))[:limit]
+    return _reversals(c, zip((keys // size).tolist(), (keys % size).tolist()))
 
 
 def satisfies_warp(c: ChoiceFunction) -> bool:
@@ -250,5 +284,5 @@ def check_cns(c: ChoiceFunction, j: int) -> CnsWitness | None:
     for x in items:
         y = _outside_partner(pairs, x, sset)
         # the earliest menu of each side in canonical order
-        rows.append((int(menu_positions(c, x, y)[0]), int(menu_positions(c, y, x)[0]), x, y))
-    return CnsWitness(items=items, paired_reversals=tuple(_reversals(n, rows)))
+        rows.append((int(menu_positions(c, x, y)[0]), int(menu_positions(c, y, x)[0])))
+    return CnsWitness(items=items, paired_reversals=tuple(_reversals(c, rows)))

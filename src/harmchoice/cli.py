@@ -15,7 +15,10 @@ JSON holds any label. The text writer refuses a label that its reader would
 read back differently: one containing `,`, `->` or a line break, starting
 with `#`, or with leading or trailing whitespace.
 
-Each report renders only the format that `--format` asks for.
+Each report renders only the format that `--format` asks for. JSON is
+written as `json.dumps(..., indent=2)` would write it, but the two large
+lists, dataset rows and reversals, are rendered row by row from per-label
+fragments and written as they are made.
 
 Exit codes: 0 on success, 1 on dataset or analysis errors, 2 on usage
 errors.
@@ -30,12 +33,19 @@ import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from ._parallel import ENV_WORKERS
-from .axioms import Reversal, find_reversals, is_inconsistent, satisfies_warp
+from .axioms import (
+    REVERSAL_CAP,
+    Reversal,
+    find_reversals,
+    is_inconsistent,
+    reversal_count,
+    satisfies_warp,
+)
 from .census import (
     DEFAULT_SEED,
     MAX_EXACT_CENSUS_N,
@@ -74,6 +84,9 @@ class LoadedDataset:
 
     ``to_dict`` and ``to_text`` write the two formats that
     :func:`load_dataset` reads; the warnings are not part of either.
+    ``json_fields`` are the fields of ``to_dict`` with the rows as
+    :class:`_Rows`, which :func:`_json_chunks` writes as ``json.dumps(...,
+    indent=2)`` would.
     """
 
     ground: GroundSet
@@ -92,6 +105,18 @@ class LoadedDataset:
                 for m in menu_order(len(labels)).tolist()
             ],
         }
+
+    def json_fields(self) -> dict:
+        labels = self.ground.labels
+        quoted = [json.dumps(label) for label in labels]
+        members = _member_labels(quoted)
+        picks = self.choice.picks_array.tolist()
+        rows = (
+            f'{{\n      "menu": {_json_menu(members[m])},'
+            f'\n      "choice": {quoted[picks[m]]}\n    }}'
+            for m in menu_order(len(labels)).tolist()
+        )
+        return {"version": DATASET_VERSION, "alternatives": list(labels), "choices": _Rows(rows)}
 
     def to_text(self) -> list[str]:
         labels = self.ground.labels
@@ -117,7 +142,7 @@ class LoadedDataset:
         return lines
 
 
-def _member_labels(labels: tuple[str, ...]) -> list[list[str]]:
+def _member_labels(labels: Iterable[str]) -> list[list[str]]:
     """The member labels of every menu, indexed by bitmask (entry 0 is the
     empty menu): the menus with highest bit e are those below 2**e plus
     label e."""
@@ -125,6 +150,63 @@ def _member_labels(labels: tuple[str, ...]) -> list[list[str]]:
     for label in labels:
         table += [members + [label] for members in table]
     return table
+
+
+# ---------------------------------------------------------------------------
+# JSON in pieces
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """A JSON list field whose items come already rendered: each is
+    ``json.dumps(item, indent=2)`` with its inner lines indented four more
+    spaces, as it reads inside a list field of the top-level object."""
+
+    items: Iterable[str]
+
+
+def _json_chunks(fields: dict) -> Iterator[str]:
+    """``json.dumps(fields, indent=2)`` in pieces, one per field and one per
+    item of a :class:`_Rows` field; every other value goes through
+    ``json.dumps``, whose output holds no raw line break inside a string."""
+    head = "{"
+    for key, value in fields.items():
+        yield f"{head}\n  {json.dumps(key)}: "
+        head = ","
+        if isinstance(value, _Rows):
+            sep = "["
+            for item in value.items:
+                yield f"{sep}\n    {item}"
+                sep = ","
+            yield "[]" if sep == "[" else "\n  ]"
+        else:
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+    yield "{}" if head == "{" else "\n}"
+
+
+def _json_menu(quoted: list[str]) -> str:
+    """The indented JSON list of a menu inside a :class:`_Rows` item, from
+    its members' ``json.dumps`` texts."""
+    return "[\n        " + ",\n        ".join(quoted) + "\n      ]"
+
+
+def _reversal_rows(reversals: Iterable[Reversal], ground: GroundSet) -> _Rows:
+    """Reversals as :class:`_Rows` of their ``to_dict(ground)``; each menu is
+    rendered once."""
+    quoted = [json.dumps(label) for label in ground.labels]
+    menus: dict[tuple[int, ...], str] = {}
+
+    def menu(m: Menu) -> str:
+        text = menus.get(m.members)
+        if text is None:
+            text = menus[m.members] = _json_menu([quoted[e] for e in m.members])
+        return text
+
+    return _Rows(
+        f'{{\n      "menu_a": {menu(r.menu_a)},\n      "pick_a": {quoted[r.pick_a]},\n'
+        f'      "menu_b": {menu(r.menu_b)},\n      "pick_b": {quoted[r.pick_b]}\n    }}'
+        for r in reversals
+    )
 
 
 @dataclass(frozen=True)
@@ -164,12 +246,17 @@ class Elicitation:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything the analyzer derives from one dataset."""
+    """Everything the analyzer derives from one dataset.
+
+    ``reversals`` holds the canonical first :data:`REVERSAL_CAP` reversals,
+    with the exact total in ``reversal_count``.
+    """
 
     ground: GroundSet
     warnings: tuple[str, ...]
     warp: bool
     inconsistent: bool
+    reversal_count: int
     reversals: tuple[Reversal, ...]
     sp_report: SpReport
     elicitation: Elicitation
@@ -185,6 +272,7 @@ class AnalysisReport:
             "warnings": list(self.warnings),
             "warp": self.warp,
             "inconsistent": self.inconsistent,
+            "reversal_count": self.reversal_count,
             "reversals": [r.to_dict(g) for r in self.reversals],
             "sp": self.sp_report.to_dict(g),
             **self.elicitation.to_dict(g),
@@ -201,7 +289,7 @@ class AnalysisReport:
         ]
         if self.inconsistent:
             lines.append("inconsistent: every alternative pair is co-selected by a reversal")
-        lines.extend(_reversals_text(self.reversals, g))
+        lines.extend(_reversals_text(self.reversals, g, self.reversal_count))
         lines.extend(self.sp_report.to_text(g))
         lines.extend(self.elicitation.to_text(g))
         return lines
@@ -215,8 +303,11 @@ def _warp_text(ok: bool) -> str:
     return f"warp: {'satisfied' if ok else 'violated'}"
 
 
-def _reversals_text(reversals, ground: GroundSet) -> list[str]:
-    return [f"reversals: {len(reversals)}", *(f"  {r.to_text(ground)}" for r in reversals)]
+def _reversals_text(reversals, ground: GroundSet, count: int) -> list[str]:
+    head = f"reversals: {count}"
+    if count > len(reversals):
+        head += f" (first {len(reversals)} listed)"
+    return [head, *(f"  {r.to_text(ground)}" for r in reversals)]
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +327,7 @@ def load_dataset(path: str) -> LoadedDataset:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            choice = validate_choice(zip(masks.tolist(), picks.tolist()), ground)
+            choice = validate_choice(np.column_stack((masks, picks)), ground)
         except RowError as exc:
             raise exc.at({row: name(row) for row in exc.rows}) from None
     return LoadedDataset(ground, choice, tuple(str(w.message) for w in caught))
@@ -422,7 +513,8 @@ def build_analysis(ds: LoadedDataset, workers: int | None = None) -> AnalysisRep
         warnings=ds.warnings,
         warp=satisfies_warp(choice),
         inconsistent=is_inconsistent(choice),
-        reversals=tuple(find_reversals(choice)),
+        reversal_count=reversal_count(choice),
+        reversals=tuple(find_reversals(choice, REVERSAL_CAP)),
         sp_report=report,
         elicitation=build_elicitation(choice, report),
     )
@@ -431,9 +523,11 @@ def build_analysis(ds: LoadedDataset, workers: int | None = None) -> AnalysisRep
 def _emit(
     args: argparse.Namespace, to_dict: Callable[[], dict], to_text: Callable[[], list[str]]
 ) -> int:
-    """Build and print only the rendering that --format asks for."""
+    """Build and print only the rendering that --format asks for. The JSON
+    fields may hold :class:`_Rows`, which are written as they are made."""
     if args.format == "json":
-        print(json.dumps(to_dict(), indent=2))
+        sys.stdout.writelines(_json_chunks(to_dict()))
+        sys.stdout.write("\n")
     else:
         print("\n".join(to_text()))
     return 0
@@ -474,8 +568,8 @@ def _cmd_reversals(args: argparse.Namespace) -> int:
     return _emit_for(
         args,
         ds,
-        lambda: {"count": len(revs), "reversals": [r.to_dict(ds.ground) for r in revs]},
-        lambda: _reversals_text(revs, ds.ground),
+        lambda: {"count": len(revs), "reversals": _reversal_rows(revs, ds.ground)},
+        lambda: _reversals_text(revs, ds.ground, len(revs)),
     )
 
 
@@ -541,14 +635,14 @@ def _cmd_generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     ground, order = _parse_order_spec(args.order, parser)
     policy = _parse_policy_spec(args.policy, ground, parser)
     ds = LoadedDataset(ground, generate_harmful(order, policy, seed=args.seed))
-    return _emit(args, ds.to_dict, ds.to_text)
+    return _emit(args, ds.json_fields, ds.to_text)
 
 
 def _cmd_construct_inconsistent(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.k < 2:
         parser.error("--k must be at least 2")
     ds = LoadedDataset(inconsistent_ground_set(args.k), construct_inconsistent(args.k))
-    return _emit(args, ds.to_dict, ds.to_text)
+    return _emit(args, ds.json_fields, ds.to_text)
 
 
 def _parse_order_spec(

@@ -271,7 +271,7 @@ def rational_choice(order: LinearOrder) -> ChoiceFunction:
 
 
 def validate_choice(
-    rows: Iterable[tuple[Menu | int | Iterable[int], int]], ground: GroundSet
+    rows: Iterable[tuple[Menu | int | Iterable[int], int]] | np.ndarray, ground: GroundSet
 ) -> ChoiceFunction:
     """Assemble and check a total choice function from (menu, pick) rows.
 
@@ -280,6 +280,9 @@ def validate_choice(
     menu must appear exactly once with a pick among its members. Absent
     singleton menus are filled in automatically (their pick is forced) and
     reported with a :class:`DatasetWarning`.
+
+    ``rows`` may also be an integer array of shape (rows, 2), one (bitmask,
+    pick) row per line, which is checked with no Python step per row.
 
     The checks run on whole mask and pick arrays; the first faulty row, in
     row order, raises the error a row-by-row scan would raise first.
@@ -296,11 +299,16 @@ def validate_choice(
     n = ground.n
     require_enumerable(n)
     size = 1 << n
-    rows = list(rows)
-    masks = np.fromiter((_menu_mask(menu, size) for menu, _ in rows), np.int64, len(rows))
-    picks = np.fromiter((_pick_id(pick, n) for _, pick in rows), np.int64, len(rows))
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.shape[1:] == (2,):
+        masks, picks = rows.T.astype(np.int64)
+        masks[(masks <= 0) | (masks >= size)] = 0
+    else:
+        rows = list(rows)
+        masks = np.fromiter((_menu_mask(menu, size) for menu, _ in rows), np.int64, len(rows))
+        picks = np.fromiter((_pick_id(pick, n) for _, pick in rows), np.int64, len(rows))
     # a row is faulty if its pick lies outside its menu (an invalid menu has
-    # mask 0, an invalid pick is -1) or an earlier row has the same menu
+    # mask 0, an invalid pick is negative or at least n) or an earlier row
+    # has the same menu
     ok = (picks >= 0) & ((masks >> np.maximum(picks, 0)) & 1 == 1)
     order = np.argsort(masks, kind="stable")
     sorted_masks = masks[order]

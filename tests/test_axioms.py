@@ -13,11 +13,13 @@ from harmchoice import (
     UniformIndexPolicy,
     check_cns,
     constant_selection_witnesses,
+    construct_inconsistent,
     find_reversals,
     generate_harmful,
     is_cns_witness_set,
     is_inconsistent,
     rational_choice,
+    reversal_count,
     satisfies_warp,
 )
 from harmchoice.axioms import coselected_pairs, min_cover
@@ -101,6 +103,40 @@ class TestFindReversals:
             assert keys == sorted(keys)
             for r in revs:
                 assert r.menu_a.sort_key < r.menu_b.sort_key
+
+
+def listing_cases():
+    """Seeded generated choices at n = 3..10, inconsistent ones at k = 2..4
+    and a rational one."""
+    cases = {"rational": rational_choice(LinearOrder((2, 0, 3, 1)))}
+    for n in range(3, 11):
+        for seed in (0, 1):
+            cap = int(np.random.default_rng([n, seed]).integers(1, n))
+            order = LinearOrder(tuple(range(n)))
+            cases[f"harmful-n{n}-s{seed}"] = generate_harmful(order, UniformIndexPolicy(cap), seed=seed)
+    for k in (2, 3, 4):
+        cases[f"inconsistent-k{k}"] = construct_inconsistent(k)
+    return cases
+
+
+LISTING_CASES = listing_cases()
+
+
+class TestBoundedListing:
+    @pytest.mark.parametrize("name", sorted(LISTING_CASES))
+    def test_count_and_prefix_match_full_list(self, name):
+        c = LISTING_CASES[name]
+        full = find_reversals(c)
+        count = reversal_count(c)
+        assert count == len(full)
+        for k in (0, 1, 100, count, count + 5):
+            assert find_reversals(c, limit=k) == full[:k]
+
+    def test_count_matches_brute_scan_random(self):
+        rng = np.random.default_rng(25)
+        for _ in range(25):
+            c = random_choice(rng, int(rng.integers(1, 6)))
+            assert reversal_count(c) == len(brute_reversals(c))
 
 
 class TestWarp:

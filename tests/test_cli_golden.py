@@ -45,11 +45,82 @@ p,r -> p
 q,r -> q
 """
 
+# the smallest `generate --policy uniform:<cap>` dataset with more than
+# REVERSAL_CAP reversals (142): analyze lists only the first 100
+UNIFORM6 = """\
+# generated by: generate --order a,b,c,d,e,f --policy uniform:1
+alternatives: a, b, c, d, e, f
+a -> a
+b -> b
+c -> c
+d -> d
+e -> e
+f -> f
+a,b -> a
+a,c -> c
+a,d -> a
+a,e -> e
+a,f -> f
+b,c -> b
+b,d -> b
+b,e -> b
+b,f -> b
+c,d -> c
+c,e -> c
+c,f -> c
+d,e -> d
+d,f -> d
+e,f -> e
+a,b,c -> b
+a,b,d -> b
+a,b,e -> b
+a,b,f -> b
+a,c,d -> c
+a,c,e -> c
+a,c,f -> a
+a,d,e -> d
+a,d,f -> a
+a,e,f -> e
+b,c,d -> b
+b,c,e -> b
+b,c,f -> b
+b,d,e -> b
+b,d,f -> b
+b,e,f -> b
+c,d,e -> c
+c,d,f -> c
+c,e,f -> c
+d,e,f -> d
+a,b,c,d -> a
+a,b,c,e -> a
+a,b,c,f -> a
+a,b,d,e -> b
+a,b,d,f -> a
+a,b,e,f -> b
+a,c,d,e -> c
+a,c,d,f -> c
+a,c,e,f -> a
+a,d,e,f -> d
+b,c,d,e -> b
+b,c,d,f -> b
+b,c,e,f -> b
+b,d,e,f -> b
+c,d,e,f -> c
+a,b,c,d,e -> b
+a,b,c,d,f -> a
+a,b,c,e,f -> a
+a,b,d,e,f -> b
+a,c,d,e,f -> a
+b,c,d,e,f -> b
+a,b,c,d,e,f -> a
+"""
+
 DATASETS = {
     "cycle3": ("cycle3.json", json.dumps(CYCLE3)),
     "erratic4": ("erratic4.json", json.dumps(ERRATIC4)),
     "header4": ("header4.txt", HEADER4),
     "rational3": ("rational3.txt", RATIONAL3),
+    "uniform6": ("uniform6.txt", UNIFORM6),
 }
 
 POLICY_MAP = {"a,b": 1, "a,c": 1, "b,c": 1, "a,b,c": 2}

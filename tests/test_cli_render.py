@@ -1,11 +1,24 @@
 """Each command builds only the rendering that --format asks for, and only
-the stages its report needs."""
+the stages its report needs; JSON written in pieces is what
+``json.dumps(..., indent=2)`` writes."""
+
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from harmchoice import (
+    REVERSAL_CAP,
+    GroundSet,
+    LinearOrder,
+    UniformIndexPolicy,
+    find_reversals,
+    generate_harmful,
+)
 from harmchoice import cli
-from harmchoice.cli import main
-from test_cli_golden import DATASETS, FORMATS, argv_for, golden_path, write_inputs
+from harmchoice.cli import LoadedDataset, build_analysis, main
+from test_cli import LABEL_CHARS
+from test_cli_golden import DATASETS, FORMATS, GOLDEN, argv_for, golden_path, write_inputs
 
 
 @pytest.fixture
@@ -52,8 +65,60 @@ def test_elicit_does_not_enumerate_reversals(data, fmt, paths, capsys, monkeypat
     def refuse(*args, **kwargs):
         raise RuntimeError("elicit ran an analyze-only stage")
 
-    for stage in ("find_reversals", "satisfies_warp", "is_inconsistent"):
+    for stage in ("find_reversals", "reversal_count", "satisfies_warp", "is_inconsistent"):
         monkeypatch.setattr(cli, stage, refuse)
     case = f"elicit-{data}"
     assert main(argv_for(case, fmt, paths)) == 0
     assert capsys.readouterr().out == golden_path(case, fmt).read_text(encoding="utf-8")
+
+
+def test_analyze_lists_the_first_reversals(paths, capsys):
+    """analyze lists the first REVERSAL_CAP reversals of the full list that
+    the reversals command writes, with the exact count."""
+    reports = {}
+    for case in ("analyze-uniform6", "reversals-uniform6"):
+        assert main(argv_for(case, "json", paths)) == 0
+        reports[case] = json.loads(capsys.readouterr().out)
+    full = reports["reversals-uniform6"]
+    analysis = reports["analyze-uniform6"]
+    assert full["count"] == len(full["reversals"]) == analysis["reversal_count"] > REVERSAL_CAP
+    assert analysis["reversals"] == full["reversals"][:REVERSAL_CAP]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
+def test_golden_json_is_standard_indent2(name):
+    text = (GOLDEN / name).read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_json_chunks_empty_rows_and_fields():
+    assert "".join(cli._json_chunks({})) == json.dumps({}, indent=2)
+    fields = {"a": cli._Rows(iter(())), "b": {"c": [1, 2.5, None]}, "d": []}
+    plain = {"a": [], "b": {"c": [1, 2.5, None]}, "d": []}
+    assert "".join(cli._json_chunks(fields)) == json.dumps(plain, indent=2)
+
+
+# non-ASCII, quotes, backslashes and control characters, besides test_cli's mix
+JSON_LABEL_CHARS = st.one_of(
+    st.sampled_from(list('"\\\x00\x1f\x7f\n\u00e9\u65e5\u2028\U0001f600')), LABEL_CHARS
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.text(JSON_LABEL_CHARS, min_size=1, max_size=5), min_size=1, max_size=5, unique=True),
+    st.integers(0, 2**32 - 1),
+)
+def test_rows_render_as_json_dumps(labels, seed):
+    """Dataset rows, reversal rows and the analyze report, with any labels."""
+    n = len(labels)
+    ground = GroundSet(tuple(labels))
+    choice = generate_harmful(LinearOrder(tuple(range(n))), UniformIndexPolicy(n - 1), seed=seed)
+    ds = LoadedDataset(ground, choice)
+    assert "".join(cli._json_chunks(ds.json_fields())) == json.dumps(ds.to_dict(), indent=2)
+    revs = find_reversals(choice)
+    rows = {"count": len(revs), "reversals": cli._reversal_rows(revs, ground)}
+    plain = {"count": len(revs), "reversals": [r.to_dict(ground) for r in revs]}
+    assert "".join(cli._json_chunks(rows)) == json.dumps(plain, indent=2)
+    report = build_analysis(ds, workers=1).to_dict()
+    assert "".join(cli._json_chunks(report)) == json.dumps(report, indent=2)

@@ -317,6 +317,53 @@ class TestValidateChoice:
             seen.add(got[1] if got[0] == "error" else "ok")
         assert seen == {"ok", ValueError, TypeError, DuplicateMenu, PickNotInMenu, MissingMenu}
 
+    def test_array_rows_match_row_loop(self):
+        """An integer (rows, 2) array of (bitmask, pick) rows, checked in
+        bulk, gives what the row loop gives for the same rows: the same
+        choice and warnings, or the same first error."""
+        rng = np.random.default_rng(24)
+        kinds = ("drop", "repeat", "bad pick", "pick -1", "pick n", "huge pick", "outside",
+                 "zero mask", "negative mask", "shuffle")
+        seen = set()
+        for trial in range(300):
+            n = int(rng.integers(1, 7))
+            ground = GroundSet(tuple("uvwxyz"[:n]))
+            choice = random_choice(rng, n)
+            rows = [[int(m), choice.pick_mask(int(m))] for m in menu_order(n)]
+            for _ in range(int(rng.integers(0, 4))):
+                kind = kinds[int(rng.integers(len(kinds)))]
+                i = int(rng.integers(len(rows))) if rows else 0
+                if kind == "drop" and rows:
+                    rows.pop(i)
+                elif kind == "repeat" and rows:
+                    rows.insert(int(rng.integers(len(rows) + 1)), list(rows[i]))
+                elif kind == "bad pick" and rows:
+                    rows[i][1] = int(rng.integers(n))
+                elif kind == "pick -1" and rows:
+                    rows[i][1] = -1
+                elif kind == "pick n" and rows:
+                    rows[i][1] = n
+                elif kind == "huge pick" and rows:
+                    rows[i][1] = 1 << 40
+                elif kind == "outside":
+                    rows.insert(i, [1 << n | 1, 0])
+                elif kind == "zero mask":
+                    rows.insert(i, [0, 0])
+                elif kind == "negative mask":
+                    rows.insert(i, [-3, 0])
+                elif kind == "shuffle":
+                    rng.shuffle(rows)
+            dtype = np.int64 if trial % 2 or any(v < 0 for row in rows for v in row) else np.uint64
+            array = np.array(rows, dtype=dtype).reshape(-1, 2)
+            got = outcome(validate_choice, array, ground)
+            want = outcome(rowwise_validate, [tuple(row) for row in rows], ground)
+            if got[0] == "ok":
+                assert want[0] == "ok" and got[1] == want[1] and got[2] == want[2]
+            else:
+                assert got == want
+            seen.add(got[1] if got[0] == "error" else "ok")
+        assert seen == {"ok", ValueError, DuplicateMenu, PickNotInMenu, MissingMenu}
+
     def test_round_trip_identical_picks(self, projects_choice):
         ground, choice = projects_choice
         rows = list(choice.items())
