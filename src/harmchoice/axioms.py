@@ -165,11 +165,22 @@ def find_reversals(c: ChoiceFunction, limit: int | None = None) -> list[Reversal
     menu), and likewise for B. The candidate rows of every pair are ordered
     by one sort; without a limit they are all the rows.
     """
-    size = (1 << c.n) - 1
+    order = menu_order(c.n)
+    size = len(order)
+    picks = c.picks_array[order]
+    # the canonical positions of the menus that pick each alternative,
+    # ascending, and those menus' bitmasks: gathered once for every pair
+    ends = np.cumsum(np.bincount(picks, minlength=c.n))
+    positions = np.split(np.argsort(picks, kind="stable"), ends[:-1])
+    masks = [order[pos] for pos in positions]
+
+    def first(p: int, q: int) -> np.ndarray:
+        """``menu_positions(c, p, q)[:limit]``, from the gathered arrays."""
+        return positions[p][(masks[p] >> q) & 1 == 1][:limit]
+
     keys = [np.empty(0, dtype=np.int64)]
     for p, q in coselected_pairs(c):
-        at_p = menu_positions(c, p, q)[:limit]
-        at_q = menu_positions(c, q, p)[:limit]
+        at_p, at_q = first(p, q), first(q, p)
         keys.append((np.minimum.outer(at_p, at_q) * size + np.maximum.outer(at_p, at_q)).ravel())
     keys = np.sort(np.concatenate(keys))[:limit]
     return _reversals(c, zip((keys // size).tolist(), (keys % size).tolist()))

@@ -16,9 +16,9 @@ read back differently: one containing `,`, `->` or a line break, starting
 with `#`, or with leading or trailing whitespace.
 
 Each report renders only the format that `--format` asks for. JSON is
-written as `json.dumps(..., indent=2)` would write it, but the two large
-lists, dataset rows and reversals, are rendered row by row from per-label
-fragments and written as they are made.
+written as `json.dumps(..., indent=2)` would write it, but the rows of a
+written dataset are rendered from per-label fragments and written as they
+are made.
 
 Exit codes: 0 on success, 1 on dataset or analysis errors, 2 on usage
 errors.
@@ -111,8 +111,9 @@ class LoadedDataset:
         quoted = [json.dumps(label) for label in labels]
         members = _member_labels(quoted)
         picks = self.choice.picks_array.tolist()
+        sep = ",\n        "
         rows = (
-            f'{{\n      "menu": {_json_menu(members[m])},'
+            f'{{\n      "menu": [\n        {sep.join(members[m])}\n      ],'
             f'\n      "choice": {quoted[picks[m]]}\n    }}'
             for m in menu_order(len(labels)).tolist()
         )
@@ -182,31 +183,6 @@ def _json_chunks(fields: dict) -> Iterator[str]:
         else:
             yield json.dumps(value, indent=2).replace("\n", "\n  ")
     yield "{}" if head == "{" else "\n}"
-
-
-def _json_menu(quoted: list[str]) -> str:
-    """The indented JSON list of a menu inside a :class:`_Rows` item, from
-    its members' ``json.dumps`` texts."""
-    return "[\n        " + ",\n        ".join(quoted) + "\n      ]"
-
-
-def _reversal_rows(reversals: Iterable[Reversal], ground: GroundSet) -> _Rows:
-    """Reversals as :class:`_Rows` of their ``to_dict(ground)``; each menu is
-    rendered once."""
-    quoted = [json.dumps(label) for label in ground.labels]
-    menus: dict[tuple[int, ...], str] = {}
-
-    def menu(m: Menu) -> str:
-        text = menus.get(m.members)
-        if text is None:
-            text = menus[m.members] = _json_menu([quoted[e] for e in m.members])
-        return text
-
-    return _Rows(
-        f'{{\n      "menu_a": {menu(r.menu_a)},\n      "pick_a": {quoted[r.pick_a]},\n'
-        f'      "menu_b": {menu(r.menu_b)},\n      "pick_b": {quoted[r.pick_b]}\n    }}'
-        for r in reversals
-    )
 
 
 @dataclass(frozen=True)
@@ -568,7 +544,7 @@ def _cmd_reversals(args: argparse.Namespace) -> int:
     return _emit_for(
         args,
         ds,
-        lambda: {"count": len(revs), "reversals": _reversal_rows(revs, ds.ground)},
+        lambda: {"count": len(revs), "reversals": [r.to_dict(ds.ground) for r in revs]},
         lambda: _reversals_text(revs, ds.ground, len(revs)),
     )
 

@@ -12,7 +12,6 @@ from harmchoice import (
     GroundSet,
     LinearOrder,
     UniformIndexPolicy,
-    find_reversals,
     generate_harmful,
 )
 from harmchoice import cli
@@ -110,15 +109,11 @@ JSON_LABEL_CHARS = st.one_of(
     st.integers(0, 2**32 - 1),
 )
 def test_rows_render_as_json_dumps(labels, seed):
-    """Dataset rows, reversal rows and the analyze report, with any labels."""
+    """Dataset rows and the analyze report, with any labels."""
     n = len(labels)
     ground = GroundSet(tuple(labels))
     choice = generate_harmful(LinearOrder(tuple(range(n))), UniformIndexPolicy(n - 1), seed=seed)
     ds = LoadedDataset(ground, choice)
     assert "".join(cli._json_chunks(ds.json_fields())) == json.dumps(ds.to_dict(), indent=2)
-    revs = find_reversals(choice)
-    rows = {"count": len(revs), "reversals": cli._reversal_rows(revs, ground)}
-    plain = {"count": len(revs), "reversals": [r.to_dict(ground) for r in revs]}
-    assert "".join(cli._json_chunks(rows)) == json.dumps(plain, indent=2)
     report = build_analysis(ds, workers=1).to_dict()
     assert "".join(cli._json_chunks(report)) == json.dumps(report, indent=2)
