@@ -35,7 +35,6 @@ from .census import (
     total_choice_functions,
 )
 from .core import (
-    MAX_BRUTE_N,
     MAX_ENUM_N,
     ChoiceFunction,
     GroundSet,
@@ -82,7 +81,6 @@ __all__ = [
     "GroundSet",
     "LinearExtensions",
     "LinearOrder",
-    "MAX_BRUTE_N",
     "MAX_ENUM_N",
     "MAX_EXACT_CENSUS_N",
     "MAX_SAMPLE_N",

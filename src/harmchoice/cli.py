@@ -20,14 +20,18 @@ written as `json.dumps(..., indent=2)` would write it, but the rows of a
 written dataset are rendered from per-label fragments and written as they
 are made.
 
-Exit codes: 0 on success, 1 on dataset or analysis errors, 2 on usage
-errors.
+`analyze`, `sp` and `elicit` check `--workers` but ignore its value: their
+degree route runs on one thread.
+
+Exit codes: 0 on success, 1 on dataset or analysis errors and (silently)
+when the reader closes stdout early, as `| head` does, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -700,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sp", parents=[common, pool], help="degree of self-punishment")
     p.add_argument("dataset")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--brute", action="store_true", help="exhaustive order search only")
+    group.add_argument("--brute", action="store_true", help="exhaustive route (subset DP) only")
     group.add_argument("--axiomatic", action="store_true", help="axiomatic classification only")
     p.set_defaults(func=_cmd_sp)
 
@@ -746,9 +750,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "needs_parser", False):
-            return args.func(args, parser)
-        return args.func(args)
+        code = args.func(args, parser) if getattr(args, "needs_parser", False) else args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the exit flush
+        return code
+    except BrokenPipeError:  # the reader left: what stays buffered goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (HarmchoiceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,9 +27,6 @@ from .errors import (
 #: Menu-enumerating operations refuse ground sets above this size.
 MAX_ENUM_N = 20
 
-#: Exhaustive search over all n! base orders is gated at this size.
-MAX_BRUTE_N = 8
-
 
 def require_enumerable(n: int) -> None:
     """Reject ground-set sizes for which 2**n - 1 menus cannot be handled."""

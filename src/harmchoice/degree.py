@@ -1,37 +1,29 @@
 """The self-punishment degree: how deep the distortions must reach.
 
-Two routes compute it, both from the revealed relation. The exhaustive
-route scans every base order and takes the best per-order worst index. The
-axiomatic route classifies the choice from its reversal structure alone: the
-size of a minimum cover of the co-selected pairs, which is 0 under WARP and
-n-1 for inconsistent data. The dispatcher runs both where feasible and
-insists they agree.
+Two independent routes compute it from the revealed relation ``sel``. The
+exhaustive route minimises over all base orders with a subset DP (Fomin &
+Kratsch, *Exact Exponential Algorithms*, 2010): an order explains every pick
+within depth d exactly when its bottom n - d alternatives induce an acyclic
+subgraph of ``sel`` and sit in a topological order of it. The axiomatic
+route reads the reversal structure alone: the size of a minimum cover of the
+co-selected pairs. The dispatcher runs both and insists they agree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations
+from dataclasses import dataclass, replace
+from math import factorial
 
 import numpy as np
 
 from . import _kernels
-from ._parallel import index_chunks, map_chunks, resolve_workers
+from ._parallel import resolve_workers
 from .axioms import CnsWitness, _selected_with, check_cns, coselected_pairs, min_cover
-from .core import MAX_BRUTE_N, ChoiceFunction, GroundSet, LinearOrder
-from .errors import CrossCheckMismatch, GroundSetTooLarge
+from .core import ChoiceFunction, GroundSet, LinearOrder
+from .errors import CrossCheckMismatch
 
 #: Reports keep at most this many minimizing orders (the count stays exact).
 MINIMIZING_ORDER_CAP = 100
-
-_ORDER_CHUNK = 5040
-
-
-@lru_cache(maxsize=None)
-def _all_orders(n: int) -> np.ndarray:
-    """All n! rankings in lexicographic order, one per row."""
-    return np.array(list(permutations(range(n))), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -74,37 +66,85 @@ class SpReport:
         return lines
 
 
-def sp_bruteforce(c: ChoiceFunction, workers: int | None = None) -> SpReport:
-    """Scan every base order and keep the best per-order worst index.
+def _topological_counts(pred: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``t[S]``, the number of topological orders of the set S under ``sel``
+    (0 if S holds a cycle), and the largest acyclic sets.
 
-    Orders are processed in fixed lexicographic chunks and reduced in chunk
-    order, so the report does not depend on the worker count.
+    ``pred[v]`` masks the p with ``sel[p, v]``. ``t[S]`` sums ``t[S - v]``
+    over the v in S without a predecessor in S, one set size at a time. The
+    candidates of size k are the acyclic sets of size k - 1, each with one
+    alternative added above its members, so each set is built once.
+    ``t[S] <= 20!`` fits in int64.
     """
+    n = len(pred)
+    t = np.zeros(1 << n, dtype=np.int64)
+    t[0] = 1
+    bits = 1 << np.arange(n)
+    layer = np.zeros(1, dtype=np.int64)
+    while True:
+        cand = (layer[:, None] | bits)[layer[:, None] < bits]  # add v above all members
+        acc = np.zeros(cand.size, dtype=np.int64)
+        for v in range(n):
+            source = (cand & (pred[v] | 1 << v)) == 1 << v
+            acc += np.where(source, t[cand ^ (1 << v)], 0)
+        keep = acc > 0
+        if not keep.any():
+            return t, layer
+        layer = cand[keep]
+        t[layer] = acc[keep]
+
+
+def _first_orders(pred: list[int], largest_sets: np.ndarray, free: int) -> list[LinearOrder]:
+    """The lexicographically first :data:`MINIMIZING_ORDER_CAP` minimizing
+    orders, by a depth-first search that keeps only prefixes that complete:
+    in the ``free`` top positions, what is left must still contain a largest
+    acyclic set (``holds``, closed under supersets); below them, the next
+    alternative must have no predecessor among those left."""
+    n = len(pred)
+    holds = np.zeros(1 << n, dtype=bool)
+    holds[largest_sets] = True
+    for v in range(n):
+        view = holds.reshape(-1, 2, 1 << v)
+        view[:, 1] |= view[:, 0]
+    found: list[LinearOrder] = []
+    prefix: list[int] = []
+
+    def walk(rest: int) -> None:
+        if not rest:
+            found.append(LinearOrder(tuple(prefix)))
+        top = len(prefix) < free
+        for v in range(n):
+            if len(found) == MINIMIZING_ORDER_CAP:
+                return
+            if rest >> v & 1 and (holds[rest ^ 1 << v] if top else not pred[v] & rest):
+                prefix.append(v)
+                walk(rest ^ 1 << v)
+                prefix.pop()
+
+    walk((1 << n) - 1)
+    return found
+
+
+def sp_bruteforce(c: ChoiceFunction, workers: int | None = None) -> SpReport:
+    """Minimise the worst index over all base orders without listing them:
+    sp = n - the largest acyclic set of ``sel``, reached by sp! times the
+    topological orders of those sets. The listed orders are re-scored by
+    :func:`_kernels.order_scores`, and one that misses the degree raises
+    :class:`CrossCheckMismatch`. ``workers`` is checked, then ignored."""
+    resolve_workers(workers)
     n = c.n
-    if n > MAX_BRUTE_N:
-        raise GroundSetTooLarge(
-            f"exhaustive order search is capped at n <= {MAX_BRUTE_N}, got n = {n}"
-        )
-    orders = _all_orders(n)
     sel = _selected_with(c)
-
-    def work(chunk: tuple[int, int]):
-        start, stop = chunk
-        scores = _kernels.order_scores(sel, orders[start:stop])
-        local_min = int(scores.min())
-        hits = np.nonzero(scores == local_min)[0]
-        return local_min, int(hits.size), [start + int(h) for h in hits[:MINIMIZING_ORDER_CAP]]
-
-    results = map_chunks(work, index_chunks(len(orders), _ORDER_CHUNK), resolve_workers(workers))
-    best = min(r[0] for r in results)
-    count = sum(cnt for val, cnt, _ in results if val == best)
-    first = [i for val, _, idxs in results if val == best for i in idxs][:MINIMIZING_ORDER_CAP]
-    minimizing = tuple(LinearOrder(tuple(int(x) for x in orders[i])) for i in first)
+    pred = (sel.astype(np.int64) << np.arange(n)[:, None]).sum(axis=0).tolist()
+    t, largest_sets = _topological_counts(pred)
+    degree = n - int(largest_sets[0]).bit_count()
+    orders = _first_orders(pred, largest_sets, degree)
+    if (_kernels.order_scores(sel, np.array([o.ranking for o in orders])) != degree).any():
+        raise CrossCheckMismatch(f"a listed order does not score the degree {degree}")
     return SpReport(
-        sp=best,
+        sp=degree,
         method="bruteforce",
-        minimizing_orders=minimizing,
-        minimizing_order_count=count,
+        minimizing_orders=tuple(orders),
+        minimizing_order_count=factorial(degree) * int(t[largest_sets].sum()),
     )
 
 
@@ -122,19 +162,11 @@ def sp_axiomatic(c: ChoiceFunction) -> SpReport:
 
 
 def sp(c: ChoiceFunction, workers: int | None = None) -> SpReport:
-    """Compute the degree, cross-checking both routes when n allows it."""
+    """Compute the degree by both routes and insist that they agree."""
     axiomatic = sp_axiomatic(c)
-    if c.n > MAX_BRUTE_N:
-        return axiomatic
     brute = sp_bruteforce(c, workers=workers)
     if brute.sp != axiomatic.sp:
         raise CrossCheckMismatch(
             f"exhaustive search found {brute.sp} but the axioms say {axiomatic.sp}"
         )
-    return SpReport(
-        sp=axiomatic.sp,
-        method="both",
-        minimizing_orders=brute.minimizing_orders,
-        minimizing_order_count=brute.minimizing_order_count,
-        cns_witness=axiomatic.cns_witness,
-    )
+    return replace(brute, method="both", cns_witness=axiomatic.cns_witness)

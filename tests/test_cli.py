@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: commands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import harmchoice
 from harmchoice import GroundSet, LinearOrder, UniformIndexPolicy, generate_harmful, rational_choice
 from harmchoice.cli import LoadedDataset, _alt, _menu_from_labels, load_dataset, main
 from harmchoice.core import menu_order
@@ -187,6 +191,33 @@ class TestGenerators:
         code, payload = run_json(capsys, ["analyze", str(path)])
         assert code == 0
         assert payload["sp"]["sp"] == 3
+
+    @pytest.mark.parametrize(
+        "argv, lines_read",
+        [
+            # far more output than a pipe holds: the write in the command fails
+            (["generate", "--order", ",".join(f"a{i}" for i in range(14)),
+              "--policy", "uniform:3", "--format", "json"], 1),
+            # output that stays buffered until the command is done
+            (["distort", "--order", "a,b,c", "--index", "1"], 0),
+        ],
+    )
+    def test_closed_pipe_is_silent_exit_1(self, argv, lines_read):
+        """A reader that closes early, as `| head -1` does, ends the run with
+        exit 1 and nothing on stderr."""
+        env = dict(os.environ, PYTHONPATH=str(Path(harmchoice.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "harmchoice.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        for _ in range(lines_read):
+            proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
 
 class TestDatasetHandling:
