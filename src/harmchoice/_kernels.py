@@ -1,15 +1,17 @@
 """Hot numeric kernels in numpy.
 
 Everything here works on flat encodings: a choice is a picks array indexed
-by menu bitmask (entry 0 unused) or its n×n revealed relation, an order is
-one ranking row, and pair coverage is a bitmask over the C(n,2) alternative
-pairs in lexicographic order.
+by menu bitmask (entry 0 unused) or its n×n revealed relation, either as
+booleans or as n row bitmasks; an order is one ranking row, and pair
+coverage is a bitmask over the C(n,2) alternative pairs in lexicographic
+order.
 
-:func:`relation` is the one place the revealed relation is computed, for a
-batch of choices at once: row p of a choice is the OR of the masks of the
-menus that pick p, one masked OR-reduce per block of choices over a
-broadcast view of the masks. The degree routes, census, elicitation and
-reversal listing all read it.
+:func:`relation` computes the revealed relation of a batch of picks arrays
+at once: row p of a choice is the OR of the masks of the menus that pick p,
+one masked OR-reduce per block of choices over a broadcast view of the
+masks. The degree routes, exact census, elicitation and reversal listing all
+read it. The sampled census never holds picks arrays: it ORs each drawn
+menu into its packed rows and tests them with :func:`count_inconsistent`.
 
 The central quantity is the minimal distortion index of a (menu, pick, order)
 triple: demoting the top block down to just past the lowest-ranked menu member
@@ -92,11 +94,16 @@ def pair_masks(picks_mat: np.ndarray, n: int) -> np.ndarray:
     return (mutual.astype(np.int64) << np.arange(iu.size)).sum(axis=1)
 
 
-def count_inconsistent(picks_mat: np.ndarray, n: int) -> int:
-    """How many of the given choices co-select every alternative pair."""
-    sel = relation(picks_mat, n)
-    iu, ju = np.triu_indices(n, 1)
-    return int(np.all(sel[:, iu, ju] & sel[:, ju, iu], axis=1).sum())
+def count_inconsistent(rows: np.ndarray, n: int) -> int:
+    """How many of the given choices co-select every alternative pair.
+
+    ``rows[c, p]`` is row p of choice c's revealed relation packed as a
+    bitmask: bit q is set when c picks p from some menu containing q. Bit p
+    itself (set by any menu that picks p) is ignored. Every pair is
+    co-selected exactly when every row holds every other alternative.
+    """
+    own = 1 << np.arange(n)
+    return int(np.all((rows | own) == (1 << n) - 1, axis=1).sum())
 
 
 # ---------------------------------------------------------------------------

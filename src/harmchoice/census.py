@@ -36,9 +36,9 @@ from .rationalize import distortion_max_tables
 #: Exact enumeration of all choice functions is gated at this size.
 MAX_EXACT_CENSUS_N = 4
 
-#: The sampled census is gated at this size. One sampling chunk holds
-#: ``_sample_chunk(n)`` draws of 2**n int16 picks: 128 MiB per worker at
-#: n = 16, and twice as much for each further alternative.
+#: The sampled census is gated at this size, which bounds its time: a chunk
+#: draws up to 2**n - 1 menu picks per sample, though it holds only
+#: ``_sample_chunk(n)`` x n relation-row bitmasks.
 MAX_SAMPLE_N = 16
 
 #: Seed used by randomized operations when none is given.
@@ -101,11 +101,11 @@ def total_choice_functions(n: int) -> int:
 def _menu_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical menu masks, their sizes, and a padded member table."""
     masks = menu_order(n)
-    sizes = np.array([int(m).bit_count() for m in masks], dtype=np.int64)
+    sizes = np.bitwise_count(masks).astype(np.int64)
+    bits = (masks[:, None] >> np.arange(n)) & 1
     members = np.zeros((len(masks), n), dtype=np.int16)
-    for j, m in enumerate(masks):
-        row = [e for e in range(n) if (int(m) >> e) & 1]
-        members[j, : len(row)] = row
+    menu, member = np.nonzero(bits)  # members ascend within each menu
+    members[menu, np.cumsum(bits, axis=1)[menu, member] - 1] = member
     return masks, sizes, members
 
 
@@ -166,6 +166,15 @@ def sample_census(
     Each fixed-size chunk gets its own counter-based generator keyed by
     (seed, chunk index), so identical (n, samples, seed) reproduce identical
     estimates at any worker count.
+
+    A chunk never stores the picks: each draw ORs its menu's mask into the
+    picked alternative's revealed-relation row. Menus come in canonical order,
+    and after each size class of menus with two or more members the chunk
+    counts the samples that co-select every pair. Once all of them do, it
+    stops drawing. That is exact: a relation only gains edges as menus are
+    added, so a sample that co-selects every pair keeps doing so, and the
+    skipped draws are the tail of this chunk's own stream, which no other
+    chunk reads.
     """
     if n > MAX_SAMPLE_N:
         raise GroundSetTooLarge(f"sampled census is capped at n <= {MAX_SAMPLE_N}, got n = {n}")
@@ -175,7 +184,9 @@ def sample_census(
     if samples < 1:
         raise ValueError("samples must be at least 1")
     masks, sizes, members = _menu_layout(n)
-    masks_int = [int(m) for m in masks]
+    masks = masks.astype(np.min_scalar_type(masks[-1]))
+    # canonical order runs by size: each size class starts where the size steps up
+    bounds = np.flatnonzero(np.diff(sizes, prepend=0, append=n + 1)).tolist()
     chunk_size = _sample_chunk(n)
 
     def work(chunk: tuple[int, int]) -> int:
@@ -183,11 +194,17 @@ def sample_census(
         count = stop - start
         key = np.array([seed & _MASK64, start // chunk_size], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        picks_mat = np.zeros((count, 1 << n), dtype=np.int16)
-        for j, mask in enumerate(masks_int):
-            digits = rng.integers(0, sizes[j], size=count)
-            picks_mat[:, mask] = members[j, digits]
-        return _kernels.count_inconsistent(picks_mat, n)
+        rows = np.zeros((count, n), dtype=masks.dtype)
+        flat, row_starts = rows.reshape(-1), np.arange(0, count * n, n)
+        for lo, hi in zip(bounds, bounds[1:]):
+            for j in range(lo, hi):
+                digits = rng.integers(0, sizes[j], size=count)
+                flat[row_starts + members[j][digits]] |= masks[j]
+            if sizes[lo] >= 2:
+                hits = _kernels.count_inconsistent(rows, n)
+                if hits == count:
+                    break
+        return hits
 
     chunks = index_chunks(samples, chunk_size)
     hits = sum(map_chunks(work, chunks, resolve_workers(workers)))
@@ -253,7 +270,7 @@ def generate_harmful(
     """
     n = order.n
     require_enumerable(n)
-    masks = menu_order(n).tolist()
+    masks = menu_order(n)
 
     def check(i: int) -> int:
         if not 0 <= i <= n - 1:
@@ -261,25 +278,25 @@ def generate_harmful(
         return i
 
     if isinstance(policy, FixedIndexPolicy):
-        indices = [check(policy.index)] * len(masks)
+        indices = check(policy.index)
     elif isinstance(policy, UniformIndexPolicy):
         check(policy.cap)
         key = np.array([seed & _MASK64, 0], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        indices = [int(i) for i in rng.integers(0, policy.cap + 1, size=len(masks))]
+        indices = rng.integers(0, policy.cap + 1, size=len(masks))
     elif isinstance(policy, ExplicitIndexPolicy):
         lookup = policy.lookup()
-        unknown = set(lookup) - set(masks)
-        if unknown:
+        if any(not 0 < mask < 1 << n for mask in lookup):
             raise ValueError("policy assigns an index to a menu outside the ground set")
-        indices = [check(lookup.get(mask, 0)) for mask in masks]
+        by_mask = np.zeros(1 << n, dtype=np.int64)
+        for mask in sorted(lookup, key=lambda m: Menu.from_mask(m).sort_key):
+            by_mask[mask] = check(lookup[mask])
+        indices = by_mask[masks]
     else:
         raise TypeError(f"unsupported policy {policy!r}")
 
-    tabs = distortion_max_tables(order)
     picks = np.full(1 << n, -1, dtype=np.int16)
-    for mask, i in zip(masks, indices):
-        picks[mask] = tabs[i, mask]
+    picks[masks] = distortion_max_tables(order)[indices, masks]
     return ChoiceFunction(n, picks)
 
 

@@ -22,10 +22,51 @@ from harmchoice import (
     sp,
     total_choice_functions,
 )
-from harmchoice.census import _sample_chunk
+from harmchoice import _kernels
+from harmchoice.census import _menu_layout, _sample_chunk
+from harmchoice.core import ChoiceFunction, menu_order
+from harmchoice.rationalize import distortion_max_tables
 from harmchoice.cli import main
 from harmchoice.errors import GroundSetTooLarge, IndexOutOfRange
 from conftest import iter_all_choices
+
+
+def loop_menu_layout(n):
+    """Oracle for ``_menu_layout``: one menu at a time."""
+    masks = menu_order(n)
+    sizes = np.array([int(m).bit_count() for m in masks], dtype=np.int64)
+    members = np.zeros((len(masks), n), dtype=np.int16)
+    for j, m in enumerate(masks):
+        row = [e for e in range(n) if (int(m) >> e) & 1]
+        members[j, : len(row)] = row
+    return masks, sizes, members
+
+
+def full_matrix_hits(n, samples, seed):
+    """Oracle for ``sample_census``: every chunk draws every menu into a
+    picks matrix, which the relation kernel and the all-pairs test read."""
+    masks, sizes, members = loop_menu_layout(n)
+    chunk_size = _sample_chunk(n)
+    iu, ju = np.triu_indices(n, 1)
+    hits = 0
+    for start in range(0, samples, chunk_size):
+        count = min(chunk_size, samples - start)
+        key = np.array([seed, start // chunk_size], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        picks_mat = np.zeros((count, 1 << n), dtype=np.int16)
+        for j, mask in enumerate(masks.tolist()):
+            digits = rng.integers(0, sizes[j], size=count)
+            picks_mat[:, mask] = members[j, digits]
+        sel = _kernels.relation(picks_mat, n)
+        hits += int(np.all(sel[:, iu, ju] & sel[:, ju, iu], axis=1).sum())
+    return hits
+
+
+def test_menu_layout_matches_loop():
+    for n in range(1, 13):
+        for got, want in zip(_menu_layout(n), loop_menu_layout(n)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 class TestTotals:
@@ -117,10 +158,54 @@ class TestSample:
         rep = sample_census(MAX_SAMPLE_N, 2, seed=0)
         assert rep.n == MAX_SAMPLE_N and rep.samples == 2
 
-    def test_cap_bounds_one_chunk(self):
-        """At the cap one chunk of int16 picks is 128 MiB; one more
-        alternative would double it."""
-        assert _sample_chunk(MAX_SAMPLE_N) * (1 << MAX_SAMPLE_N) * 2 == 128 << 20
+    def test_chunk_holds_no_menu_wide_array(self, monkeypatch):
+        """At the cap a chunk allocates count x n relation rows, nothing
+        with 2**n entries along any axis."""
+        shapes = []
+        zeros = np.zeros
+
+        def spy(shape, *args, **kwargs):
+            shapes.append(np.atleast_1d(shape).tolist())
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", spy)
+        sample_census(MAX_SAMPLE_N, 3, seed=0)
+        assert [3, MAX_SAMPLE_N] in shapes
+        assert not any(1 << MAX_SAMPLE_N in shape for shape in shapes)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_full_matrix_sampler(self, n):
+        two_chunks = _sample_chunk(n) + 37  # the second one partial
+        for seed, samples in ((3, two_chunks), (1729, two_chunks), ((1 << 64) - 1, 100)):
+            hits = full_matrix_hits(n, samples, seed)
+            for workers in (1, 2, 8):
+                rep = sample_census(n, samples, seed=seed, workers=workers)
+                assert rep.counts_by_sp == {n - 1: hits}
+
+    def _count_tests(self, monkeypatch):
+        calls = []
+        count = _kernels.count_inconsistent
+
+        def spy(rows, n):
+            calls.append(rows.shape)
+            return count(rows, n)
+
+        monkeypatch.setattr(_kernels, "count_inconsistent", spy)
+        return calls
+
+    def test_chunk_stops_once_every_sample_qualifies(self, monkeypatch):
+        calls = self._count_tests(monkeypatch)
+        n = 12
+        rep = sample_census(n, _sample_chunk(n), seed=5, workers=1)
+        assert rep.counts_by_sp == {n - 1: _sample_chunk(n)}
+        assert 1 <= len(calls) < n - 1  # size classes 2..n
+
+    def test_chunk_runs_every_class_while_some_sample_falls_short(self, monkeypatch):
+        calls = self._count_tests(monkeypatch)
+        n = 6
+        rep = sample_census(n, 65_536, seed=5, workers=1)
+        assert _sample_chunk(n) == 65_536 and rep.counts_by_sp[n - 1] < 65_536
+        assert calls == [(65_536, n)] * (n - 1)
 
     def test_cli_cap_is_exit_1(self, monkeypatch, capsys):
         monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated"))
@@ -190,6 +275,35 @@ class TestGenerate:
             generate_harmful(order, FixedIndexPolicy(3))
         with pytest.raises(IndexOutOfRange):
             generate_harmful(order, UniformIndexPolicy(-1))
+        # the first bad index in canonical menu order is the one reported
+        policy = ExplicitIndexPolicy.from_menus({Menu((0, 1)): 7, Menu((2,)): 5})
+        with pytest.raises(IndexOutOfRange, match="policy index 5 outside 0..2"):
+            generate_harmful(order, policy)
+
+    def test_matches_menu_loop(self):
+        """One gather over the distortion tables equals filling the picks
+        menu by menu."""
+        rng = np.random.default_rng(63)
+        for n in range(1, 9):
+            order = LinearOrder(tuple(int(x) for x in rng.permutation(n)))
+            masks = menu_order(n).tolist()
+            explicit = {m: int(rng.integers(0, n)) for m in masks if rng.random() < 0.5}
+            policies = [
+                (FixedIndexPolicy(n - 1), [n - 1] * len(masks)),
+                (UniformIndexPolicy(n - 1), None),
+                (ExplicitIndexPolicy(tuple(sorted(explicit.items()))),
+                 [explicit.get(m, 0) for m in masks]),
+            ]
+            for policy, indices in policies:
+                if indices is None:  # the uniform draw, in canonical menu order
+                    key = np.array([11, 0], dtype=np.uint64)
+                    draw = np.random.Generator(np.random.Philox(key=key))
+                    indices = draw.integers(0, n, size=len(masks)).tolist()
+                tabs = distortion_max_tables(order)
+                picks = np.full(1 << n, -1, dtype=np.int16)
+                for mask, i in zip(masks, indices):
+                    picks[mask] = tabs[i, mask]
+                assert generate_harmful(order, policy, seed=11) == ChoiceFunction(n, picks)
 
     def test_explicit_foreign_menu_rejected(self):
         order = LinearOrder((0, 1))

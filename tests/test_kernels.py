@@ -58,7 +58,11 @@ def test_relation_matches_menu_loop(n):
 def test_count_inconsistent_matches_per_choice(n):
     picks_mat = choice_batch(n, 300 + n)
     expected = sum(is_inconsistent(ChoiceFunction(n, row)) for row in picks_mat)
-    assert _kernels.count_inconsistent(picks_mat, n) == expected
+    # the relation's rows packed as bitmasks, as the sampled census keeps them
+    rows = (_kernels.relation(picks_mat, n).astype(np.int64) << np.arange(n)).sum(axis=2)
+    assert _kernels.count_inconsistent(rows.astype(np.uint16), n) == expected
+    # the diagonal bit that a singleton menu sets is ignored
+    assert _kernels.count_inconsistent(rows | (1 << np.arange(n)), n) == expected
 
 
 @pytest.mark.parametrize("n", range(2, 9))
