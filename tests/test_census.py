@@ -199,6 +199,7 @@ class TestSample:
         rep = sample_census(n, _sample_chunk(n), seed=5, workers=1)
         assert rep.counts_by_sp == {n - 1: _sample_chunk(n)}
         assert 1 <= len(calls) < n - 1  # size classes 2..n
+        assert set(calls) == {(_sample_chunk(n), n)}
 
     def test_chunk_runs_every_class_while_some_sample_falls_short(self, monkeypatch):
         calls = self._count_tests(monkeypatch)
