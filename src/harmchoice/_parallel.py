@@ -2,13 +2,14 @@
 
 Work is split into chunks whose boundaries never depend on the worker count,
 and results are combined in chunk order, so any worker count produces the
-same output bytes. Workers are threads.
+same output bytes. Workers are threads. The thread pool is imported only
+when more than one thread will run, so a single-threaded command never
+loads ``concurrent.futures`` or the ``logging`` module it pulls in.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 ENV_WORKERS = "HARMCHOICE_WORKERS"
@@ -50,5 +51,7 @@ def map_chunks(func: Callable[[T], R], chunks: Sequence[T], workers: int) -> lis
     workers = min(workers, len(chunks), os.cpu_count() or 1)
     if workers <= 1:
         return [func(ch) for ch in chunks]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, chunks))

@@ -82,7 +82,7 @@ class CensusReport:
         return out
 
     def to_text(self) -> list[str]:
-        lines = [f"n: {self.n}", f"mode: {self.mode}", f"total: {self.total}"]
+        lines = [f"n: {self.n}", f"mode: {self.mode}", f"total: {int_text(self.total)}"]
         lines.extend(f"sp {k}: {v}" for k, v in sorted(self.counts_by_sp.items()))
         lines.append(f"strongly harmful fraction: {self.strongly_harmful_fraction}")
         if self.mode == "sampled":
@@ -90,6 +90,18 @@ class CensusReport:
             lines.append(f"seed: {self.seed}")
             lines.append(f"samples: {self.samples}")
         return lines
+
+
+def int_text(value: int) -> str:
+    """``str(value)``, also past the interpreter's int-to-str digit limit
+    (the exact total has 6,503 digits at n = 13), which stays as it is for
+    every other caller in the process."""
+    try:
+        return str(value)
+    except ValueError:
+        from decimal import Decimal  # converts from the binary digits, unlimited
+
+        return str(Decimal(value))
 
 
 def total_choice_functions(n: int) -> int:

@@ -25,11 +25,21 @@ degree route runs on one thread.
 
 Exit codes: 0 on success, 1 on dataset or analysis errors and (silently)
 when the reader closes stdout early, as `| head` does, 2 on usage errors.
+
+:func:`main` pauses the cyclic garbage collector while a command runs and
+restores the caller's setting when it returns: a command frees its data by
+reference counting, and the collector would only re-walk the many small
+objects a large dataset parses into. :func:`run`, the entry point of
+``python -m harmchoice.cli`` and of the ``harmchoice`` script, calls
+:func:`main`, flushes stdout and stderr and ends the process with
+``os._exit``, skipping interpreter teardown, so ``atexit`` handlers do not
+run. Called in-process, :func:`main` returns its exit code as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -60,6 +70,7 @@ from .census import (
     enumerate_census,
     generate_harmful,
     inconsistent_ground_set,
+    int_text,
     sample_census,
 )
 from .core import (
@@ -172,8 +183,10 @@ class _Rows:
 
 def _json_chunks(fields: dict) -> Iterator[str]:
     """``json.dumps(fields, indent=2)`` in pieces, one per field and one per
-    item of a :class:`_Rows` field; every other value goes through
-    ``json.dumps``, whose output holds no raw line break inside a string."""
+    item of a :class:`_Rows` field. An int field is written by
+    :func:`int_text`, which has no digit limit; every other value goes
+    through ``json.dumps``, whose output holds no raw line break inside a
+    string."""
     head = "{"
     for key, value in fields.items():
         yield f"{head}\n  {json.dumps(key)}: "
@@ -184,6 +197,8 @@ def _json_chunks(fields: dict) -> Iterator[str]:
                 yield f"{sep}\n    {item}"
                 sep = ","
             yield "[]" if sep == "[" else "\n  ]"
+        elif type(value) is int:
+            yield int_text(value)
         else:
             yield json.dumps(value, indent=2).replace("\n", "\n  ")
     yield "{}" if head == "{" else "\n}"
@@ -749,6 +764,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = args.func(args, parser) if getattr(args, "needs_parser", False) else args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not in the exit flush
@@ -759,7 +776,25 @@ def main(argv: list[str] | None = None) -> int:
     except (HarmchoiceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def run() -> None:
+    """Run :func:`main` on the command line and end the process without
+    interpreter teardown, once stdout and stderr are flushed."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
+        code = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:  # the interpreter's own exit reports a flush that fails
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

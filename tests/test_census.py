@@ -1,6 +1,9 @@
 """Census enumeration, sampling, and the choice generators."""
 
 import itertools
+import json
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -212,6 +215,35 @@ class TestSample:
         monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated"))
         assert main(["sample-census", "--n", str(MAX_SAMPLE_N + 1), "--samples", "1"]) == 1
         assert f"sampled census is capped at n <= {MAX_SAMPLE_N}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [13, 16])
+    def test_cli_prints_exact_total_past_str_digit_limit(self, capsys, n):
+        """The total has 6,503 digits at n = 13 and 58,194 at n = 16; the
+        process-wide limit (4,300 by default) stays as it was."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            digits = str(total_choice_functions(n))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        argv = ["sample-census", "--n", str(n), "--samples", "3", "--seed", "2"]
+        assert main([*argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_int=str)
+        assert payload["total"] == digits
+        assert payload["n"] == str(n) and payload["samples"] == "3"
+        assert main([*argv, "--format", "text"]) == 0
+        assert f"\ntotal: {digits}\n" in capsys.readouterr().out
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_cli_matches_json_dumps_below_digit_limit(self, capsys, n):
+        argv = ["sample-census", "--n", str(n), "--samples", "50", "--seed", "4"]
+        rep = sample_census(n, 50, seed=4)
+        assert main([*argv, "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(rep.to_dict(), indent=2) + "\n"
+        assert main([*argv, "--format", "text"]) == 0
+        text = capsys.readouterr().out
+        assert re.search(r"^total: (\d+)$", text, re.M).group(1) == str(rep.total)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

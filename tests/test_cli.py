@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: commands, formats, exit codes."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -13,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import harmchoice
 from harmchoice import GroundSet, LinearOrder, UniformIndexPolicy, generate_harmful, rational_choice
+from harmchoice import cli
+from harmchoice.census import _sample_chunk
 from harmchoice.cli import LoadedDataset, _alt, _menu_from_labels, load_dataset, main
 from harmchoice.core import menu_order
 from harmchoice.errors import GroundSetTooLarge, HarmchoiceError, ParseError, RowError
@@ -681,3 +685,199 @@ def test_generate_load_write_round_trip_n12(capsys, tmp_path):
         assert "\n".join(again.to_text()) + "\n" == written["text"]
     as_dict, lines = items_writer(ds)
     assert ds.to_dict() == as_dict and ds.to_text() == lines
+
+
+def _cli_env():
+    """The environment of a CLI subprocess; its stdout is block-buffered, so
+    output that nothing flushes before the process ends is lost."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return dict(env, PYTHONPATH=str(Path(harmchoice.__file__).parents[1]))
+
+
+def _fresh_python(code, *args, **kwargs):
+    """Run ``code`` in a new interpreter that imports this package."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=_cli_env(), timeout=300, **kwargs
+    )
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """JSON datasets from `generate` at n = 6, 12 and 16, by size."""
+    tmp = tmp_path_factory.mktemp("generated")
+    paths = {}
+    for n in (6, 12, 16):
+        order = ",".join(f"a{i}" for i in range(n))
+        argv = ["generate", "--order", order, "--policy", f"uniform:{n // 2}", "--seed", "3", "--format", "json"]
+        paths[n] = str(tmp / f"gen{n}.json")
+        with open(paths[n], "w", encoding="utf-8") as fh:
+            subprocess.run(
+                [sys.executable, "-m", "harmchoice.cli", *argv], stdout=fh, env=_cli_env(), timeout=300, check=True
+            )
+    return paths
+
+
+class TestProcessLifecycle:
+    """`main` pauses the cyclic collector only while its command runs;
+    `python -m harmchoice.cli` ends through `run`, skipping teardown."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["census", "--n", "3"], 0),
+            (["sp", "missing.json"], 1),
+            (["census", "--n", "9"], SystemExit),  # refused by parse_args
+            (["generate", "--order=--", "--policy", "fixed:0"], SystemExit),  # by the command
+        ],
+    )
+    def test_main_restores_collector_setting(self, capsys, argv, code, enabled):
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            if code is SystemExit:
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2
+            else:
+                assert main(argv) == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+        capsys.readouterr()
+
+    def test_command_runs_with_collector_paused(self, capsys, monkeypatch):
+        seen = []
+        census = cli.enumerate_census
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return census(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "enumerate_census", spy)
+        assert gc.isenabled()
+        assert main(["census", "--n", "3"]) == 0
+        assert seen == [False] and gc.isenabled()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["census", "--n", "3"], 0), (["census", "--n", "9"], 2), (["--help"], 0)],
+    )
+    def test_run_exits_with_main_code(self, capsys, monkeypatch, argv, code):
+        class Exited(Exception):
+            pass
+
+        def fake_exit(status):
+            raise Exited(status)
+
+        monkeypatch.setattr(sys, "argv", ["harmchoice", *argv])
+        monkeypatch.setattr(os, "_exit", fake_exit)
+        with pytest.raises(Exited) as exc:
+            cli.run()
+        assert exc.value.args == (code,)
+        capsys.readouterr()
+
+    def test_module_run_skips_teardown(self):
+        """`python -m harmchoice.cli` and the console script end through
+        `run`: an atexit handler registered before the command never runs."""
+        proc = _fresh_python(
+            "import atexit, runpy, sys\n"
+            "atexit.register(print, 'teardown ran', file=sys.stderr)\n"
+            "sys.argv = ['harmchoice', 'census', '--n', '3']\n"
+            "runpy.run_module('harmchoice.cli', run_name='__main__')\n",
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith("n: 3\n")
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        assert 'harmchoice = "harmchoice.cli:run"' in pyproject
+
+    def test_module_run_writes_files_like_main(self, capsys, monkeypatch, tmp_path, generated):
+        """stdout and stderr redirected to files, not pipes: nothing that
+        teardown would have flushed is lost."""
+
+        def module_run(*argv):
+            out, err = tmp_path / "out", tmp_path / "err"
+            with open(out, "wb") as fo, open(err, "wb") as fe:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "harmchoice.cli", *argv],
+                    stdout=fo, stderr=fe, env=_cli_env(), timeout=300,
+                )
+            return proc.returncode, out.read_bytes(), err.read_bytes()
+
+        order = ",".join(f"a{i}" for i in range(12))
+        for argv in (
+            ["generate", "--order", order, "--policy", "uniform:5", "--seed", "11", "--format", "json"],
+            ["analyze", generated[12], "--format", "text"],
+        ):
+            assert main(argv) == 0
+            expected = capsys.readouterr()
+            code, out, err = module_run(*argv)
+            assert code == 0 and len(out) > 1000
+            assert out == expected.out.encode() and err == expected.err.encode() == b""
+
+        code, out, err = module_run("sp", str(tmp_path / "nope.json"))
+        assert code == 1 and out == b""
+        assert err.decode().startswith("error: ") and err.count(b"\n") == 1
+
+        code, out, err = module_run("sp", generated[6], "--bogus")
+        assert code == 2 and out == b""
+        assert b"unrecognized arguments: --bogus" in err
+
+        monkeypatch.setenv("COLUMNS", "80")  # the same help layout on both sides
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert module_run("--help") == (0, capsys.readouterr().out.encode(), b"")
+
+
+class TestBoundsAndImports:
+    @pytest.mark.parametrize(
+        "command, n",
+        [(c, n) for c in ("analyze", "sp", "elicit") for n in (6, 12)] + [("warp", 16)],
+    )
+    def test_paused_collector_keeps_no_dataset_sized_garbage(self, generated, command, n):
+        """What a command leaves for the collector is the parser's few hundred
+        objects, whatever 2**n is."""
+        code = (
+            "import contextlib, gc, io, sys\n"
+            "from harmchoice.cli import main\n"
+            "gc.collect(); gc.disable()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(code, gc.collect())\n"
+        )
+        for fmt in ("json", "text"):
+            proc = _fresh_python(code, command, generated[n], "--format", fmt, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            exit_code, found = map(int, proc.stdout.split())
+            assert exit_code == 0 and found < 2000
+
+    def test_import_leaves_thread_pool_out(self):
+        proc = _fresh_python(
+            "import sys, harmchoice.cli\n"
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))",
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_sample_census_workers_2_starts_2_threads(self, capsys, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.delenv("HARMCHOICE_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        argv = ["sample-census", "--n", "10", "--samples", str(4 * _sample_chunk(10)), "--seed", "7"]
+        assert main([*argv, "--workers", "2"]) == 0
+        assert len(started) == 2 and all("ThreadPoolExecutor" in name for name in started)
+        threaded = capsys.readouterr().out
+        assert main([*argv, "--workers", "1"]) == 0
+        assert len(started) == 2
+        assert capsys.readouterr().out == threaded

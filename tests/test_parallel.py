@@ -1,5 +1,7 @@
 """Chunking and worker-resolution helpers."""
 
+import concurrent.futures
+
 import pytest
 
 from harmchoice import _parallel
@@ -40,7 +42,7 @@ def test_map_chunks_caps_threads_at_chunks_and_cpus(monkeypatch):
         def map(self, func, chunks):
             return map(func, chunks)
 
-    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 4)
     chunks = list(range(10))
     assert map_chunks(lambda x: -x, chunks, 100_000) == [-x for x in chunks]
