@@ -53,7 +53,6 @@ from .elicit import (
     all_extensions,
     elicit_partial,
     elicit_weakly_harmful,
-    extend_linear,
 )
 from .rationalize import (
     SelfPunishmentRationalization,
@@ -103,7 +102,6 @@ __all__ = [
     "elicit_partial",
     "elicit_weakly_harmful",
     "enumerate_census",
-    "extend_linear",
     "find_reversals",
     "generate_harmful",
     "harmful_distortion",

@@ -210,7 +210,9 @@ class Elicitation:
 
     ``orders`` is truncated to :data:`ELICITED_ORDER_CAP` with the exact
     total in ``count``. For degree >= 1, ``partial_pairs`` holds the strict
-    partial order (better, worse) that every elicited order extends.
+    partial order (better, worse) that the degree report's witness, in its
+    order, identifies. It is total: at degree >= 2 its one ranking is the
+    one elicited order, at degree 1 it is the first elicited order.
     """
 
     orders: tuple[LinearOrder, ...] = ()

@@ -91,10 +91,6 @@ class Menu:
         object.__setattr__(self, "members", members)
 
     @classmethod
-    def of(cls, *members: int) -> "Menu":
-        return cls(tuple(members))
-
-    @classmethod
     def from_mask(cls, mask: int) -> "Menu":
         if mask <= 0:
             raise ValueError("menu bitmask must be positive")

@@ -1,22 +1,27 @@
 """Recovering the latent preference(s) behind a self-punishing choice.
 
-For minimally self-punishing data the base order is pinned down almost
-exactly: the constantly selected item goes on top and picks from menus
-avoiding it order the rest. For deeper distortions only a strict partial
-order is identified; every linear extension of it explains the data within
-the same distortion bound.
+Elicitation reads the revealed relation ``sel`` ("p was picked from a menu
+containing q"). A witness is a minimum cover of the co-selected pairs, so
+the alternatives outside it share no co-selected pair. The two-element
+menus make ``sel`` semicomplete, a cycle in a semicomplete digraph contains
+a 3-cycle, and the menu of a 3-cycle's members would co-select one of its
+pairs; so ``sel`` orders the outside alternatives as a transitive
+tournament. The witness in its given order, then the rest in ``sel``
+order, is one base order: one per constantly selected item at degree 1,
+and at deeper degrees the only linear extension of the partial order that
+an ordered witness identifies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .axioms import _selected_with, constant_selection_witnesses, is_cns_witness_set
-from .core import ChoiceFunction, GroundSet, LinearOrder
+from .core import ChoiceFunction, GroundSet, LinearOrder, require_enumerable
 from .errors import CycleDetected, InvalidWitness, NotWeaklyHarmful
 
 
@@ -77,81 +82,38 @@ def _transitive_closure(n: int, pairs: frozenset[tuple[int, int]]) -> frozenset[
     return frozenset(zip(*np.nonzero(rel), strict=True))
 
 
-def elicit_weakly_harmful(c: ChoiceFunction) -> list[LinearOrder]:
-    """One base order per constant-selection witness.
+def _ranked(c: ChoiceFunction, head: Sequence[int]) -> LinearOrder:
+    """``head`` in its given order, then the other alternatives by their wins
+    in ``sel`` among themselves, smaller id first on ties."""
+    rest = [e for e in range(c.n) if e not in head]
+    wins = _selected_with(c)[np.ix_(rest, rest)].sum(axis=1)
+    tail = np.argsort(-wins, kind="stable")
+    if wins[tail].tolist() != list(range(len(rest) - 1, -1, -1)):
+        raise RuntimeError("tail relation is not a linear order; this cannot happen")
+    return LinearOrder((*head, *(rest[i] for i in tail)))
 
-    Each order puts its witness on top; below it, y precedes z whenever some
-    menu avoiding the witness but containing z has pick y. That tail relation
-    is always a strict total order for choices of this kind. Every returned
-    order explains the data using distortion indices 0 and 1 only.
-    """
+
+def elicit_weakly_harmful(c: ChoiceFunction) -> list[LinearOrder]:
+    """One base order per constant-selection witness: the witness on top,
+    the rest in ``sel`` order. Each explains the data using distortion
+    indices 0 and 1 only."""
     witnesses = constant_selection_witnesses(c)
     if witnesses is None:
-        raise NotWeaklyHarmful(
-            "no alternative is selected in every reversal (or WARP holds)"
-        )
-    n = c.n
-    masks = np.arange(1 << n, dtype=np.int64)
-    orders = []
-    for star in sorted(witnesses):
-        # menus containing the witness join no row of the tail relation
-        picks = np.where((masks >> star) & 1 == 1, -1, c.picks_array)
-        wins = _kernels.relation(picks[None, :], n)[0].sum(axis=1)
-        tail = sorted((e for e in range(n) if e != star), key=lambda e: (-wins[e], e))
-        if [int(wins[e]) for e in tail] != list(range(n - 2, -1, -1)):
-            raise RuntimeError("tail relation is not a linear order; this cannot happen")
-        orders.append(LinearOrder((star, *tail)))
-    return orders
+        raise NotWeaklyHarmful("no alternative is selected in every reversal (or WARP holds)")
+    return [_ranked(c, (star,)) for star in sorted(witnesses)]
 
 
 def elicit_partial(c: ChoiceFunction, witness: Sequence[int]) -> StrictPartialOrder:
-    """Partial identification of the base order from an ordered witness.
+    """Identification of the base order from an ordered witness.
 
     Earlier witness items precede later ones, every witness item precedes
-    every outside alternative, and among outside alternatives y precedes z
-    whenever some menu containing z has pick y (no menu restriction here).
-    The result is transitively closed.
+    every outside alternative, and ``sel`` orders the outside alternatives.
+    The result is a total order: all n(n-1)/2 pairs of that one ranking.
     """
-    n = c.n
     items = tuple(int(x) for x in witness)
     if not is_cns_witness_set(c, items):
-        raise InvalidWitness(
-            f"{items} is not a valid witness set for this choice"
-        )
-    sset = frozenset(items)
-    rel: set[tuple[int, int]] = set()
-    for g in range(len(items)):
-        for h in range(g + 1, len(items)):
-            rel.add((items[g], items[h]))
-    others = [e for e in range(n) if e not in sset]
-    sel = _selected_with(c)
-    rel.update((y, z) for y in others for z in others if sel[y, z])
-    for x in items:
-        for y in others:
-            rel.add((x, y))
-    return StrictPartialOrder.from_cover(n, rel)
-
-
-def extend_linear(p: StrictPartialOrder) -> LinearOrder:
-    """One linear extension; ties at each extraction go to the smallest id."""
-    n = p.n
-    above = [0] * n
-    below: dict[int, list[int]] = {e: [] for e in range(n)}
-    for a, b in p.pairs:
-        above[b] += 1
-        below[a].append(b)
-    remaining = set(range(n))
-    ranking = []
-    for _ in range(n):
-        ready = [e for e in sorted(remaining) if above[e] == 0]
-        if not ready:
-            raise CycleDetected("no extension exists; the relation has a cycle")
-        e = ready[0]
-        remaining.remove(e)
-        ranking.append(e)
-        for b in below[e]:
-            above[b] -= 1
-    return LinearOrder(tuple(ranking))
+        raise InvalidWitness(f"{items} is not a valid witness set for this choice")
+    return StrictPartialOrder(c.n, frozenset(combinations(_ranked(c, items).ranking, 2)))
 
 
 @dataclass(frozen=True)
@@ -163,45 +125,43 @@ class LinearExtensions:
 
 
 def all_extensions(p: StrictPartialOrder, cap: int) -> LinearExtensions:
-    """Enumerate every linear extension, keeping at most ``cap`` of them."""
+    """The lexicographically first ``cap`` linear extensions and their number.
+
+    The number counts the orderings of each down-set of ``p`` (a set that
+    holds everything before its members), one set size at a time: at most
+    2**n sets, n + 1 for a chain. A depth-first search lists the first
+    ``cap`` extensions and stops.
+    """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     n = p.n
-    above = [0] * n
-    below: dict[int, list[int]] = {e: [] for e in range(n)}
+    require_enumerable(n)
+    before = [0] * n
     for a, b in p.pairs:
-        above[b] += 1
-        below[a].append(b)
-    stored: list[LinearOrder] = []
-    prefix: list[int] = []
-    remaining = sorted(range(n))
-    total = 0
+        before[b] |= 1 << a
 
-    def walk() -> None:
-        nonlocal total
-        if len(prefix) == n:
-            total += 1
-            if len(stored) < cap:
-                stored.append(LinearOrder(tuple(prefix)))
-            return
-        for e in list(remaining):
-            if above[e] != 0:
-                continue
-            remaining.remove(e)
-            prefix.append(e)
-            for b in below[e]:
-                above[b] -= 1
-            walk()
-            for b in below[e]:
-                above[b] += 1
-            prefix.pop()
-            # keep candidates sorted so enumeration stays lexicographic
-            idx = 0
-            while idx < len(remaining) and remaining[idx] < e:
-                idx += 1
-            remaining.insert(idx, e)
+    def ready(done: int) -> list[int]:
+        return [e for e in range(n) if not done >> e & 1 and before[e] & done == before[e]]
 
-    walk()
+    ways = {0: 1}
+    for _ in range(n):
+        grown: dict[int, int] = {}
+        for done, count in ways.items():
+            for e in ready(done):
+                grown[done | 1 << e] = grown.get(done | 1 << e, 0) + count
+        ways = grown
+    total = ways.get((1 << n) - 1, 0)
     if total == 0:
         raise CycleDetected("no extension exists; the relation has a cycle")
-    return LinearExtensions(orders=tuple(stored), total=total)
+    orders: list[LinearOrder] = []
+
+    def walk(done: int, prefix: tuple[int, ...]) -> None:
+        if len(prefix) == n:
+            orders.append(LinearOrder(prefix))
+        for e in ready(done):
+            if len(orders) == cap:
+                return
+            walk(done | 1 << e, (*prefix, e))
+
+    walk(0, ())
+    return LinearExtensions(orders=tuple(orders), total=total)

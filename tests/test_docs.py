@@ -7,9 +7,11 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 import harmchoice
 import harmchoice.cli
-from test_cli import CYCLE3
+from test_cli import CYCLE3, ERRATIC4
 from test_cli_golden import subcommands
 
 ROOT = Path(__file__).parent.parent
@@ -39,17 +41,24 @@ def test_readme_api_names_are_exported():
     assert used <= set(harmchoice.__all__)
 
 
-def test_traced_layers_resolve():
-    """Every (module, function) that perfbench/traced_cli.py wraps exists, so
-    renaming a traced layer fails here and not only in a traced benchmark
-    run. TARGETS is read with ast; nothing from perfbench is imported."""
-    tree = ast.parse((ROOT / "perfbench" / "traced_cli.py").read_text(encoding="utf-8"))
-    (targets,) = [
+def perfbench_value(module: str, name: str) -> ast.expr:
+    """The expression assigned to ``name`` at the top of perfbench/<module>.py,
+    read with ast; nothing from perfbench is imported."""
+    tree = ast.parse((ROOT / "perfbench" / f"{module}.py").read_text(encoding="utf-8"))
+    (value,) = [
         node.value
         for node in tree.body
         if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+        and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
     ]
+    return value
+
+
+def test_traced_layers_resolve():
+    """Every (module, function) that perfbench/traced_cli.py wraps exists, so
+    renaming a traced layer fails here and not only in a traced benchmark
+    run."""
+    targets = perfbench_value("traced_cli", "TARGETS")
     pairs = [(row.elts[0].value, row.elts[1].value) for row in targets.elts]
     assert pairs
     missing = [
@@ -76,3 +85,43 @@ def test_load_dataset_reaches_traced_validate(tmp_path, monkeypatch):
     for path in (json_path, text_path):
         harmchoice.cli.load_dataset(str(path))
     assert calls == [3, 3]
+
+
+def test_required_spans_are_traced():
+    """Every span a workload must record is the span name of a TARGETS row."""
+    spans = {row.elts[2].value for row in perfbench_value("traced_cli", "TARGETS").elts}
+    required = ast.literal_eval(perfbench_value("workloads", "TRACED_SPANS"))
+    assert required
+    missing = {name for names in required.values() for name in names} - spans
+    assert missing == set()
+
+
+@pytest.mark.parametrize("command", ["analyze", "elicit"])
+@pytest.mark.parametrize(
+    ("data", "reached", "count"),
+    [
+        (ERRATIC4, ["elicit_partial", "all_extensions"], 1),
+        (CYCLE3, ["elicit_partial", "elicit_weakly_harmful"], 2),
+    ],
+    ids=["sp3", "sp1"],
+)
+def test_commands_reach_traced_elicitation(
+    tmp_path, monkeypatch, capsys, command, data, reached, count
+):
+    """analyze and elicit elicit through the names in harmchoice.cli that
+    traced_cli.py wraps for the elicit.* spans: the partial order and its
+    extensions at sp >= 2, the partial order and the exact orders at sp = 1."""
+    calls = []
+    for name in ("elicit_partial", "elicit_weakly_harmful", "all_extensions"):
+        original = getattr(harmchoice.cli, name)
+
+        def spy(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(harmchoice.cli, name, spy)
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert harmchoice.cli.main([command, "--format", "json", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["elicited_order_count"] == count
+    assert sorted(calls) == sorted(reached)

@@ -1,6 +1,8 @@
 """Preference recovery: exact orders, partial orders, linear extensions."""
 
 import itertools
+import math
+import time
 
 import numpy as np
 import pytest
@@ -8,16 +10,146 @@ import pytest
 from harmchoice import (
     LinearOrder,
     StrictPartialOrder,
+    UniformIndexPolicy,
     all_extensions,
     check_cns,
+    constant_selection_witnesses,
+    construct_inconsistent,
     elicit_partial,
     elicit_weakly_harmful,
-    extend_linear,
+    generate_harmful,
     min_max_index,
     rational_choice,
+    sp_axiomatic,
 )
-from harmchoice.errors import CycleDetected, InvalidWitness, NotWeaklyHarmful
+from harmchoice import _kernels
+from harmchoice.axioms import _selected_with, coselected_pairs, min_cover
+from harmchoice.errors import (
+    CycleDetected,
+    GroundSetTooLarge,
+    InvalidWitness,
+    NotWeaklyHarmful,
+)
 from conftest import random_choice
+
+
+def masked_weakly_harmful(c):
+    """Oracle: for each witness, the relation of the menus that avoid it,
+    built again from a masked picks array, orders the rest."""
+    witnesses = constant_selection_witnesses(c)
+    if witnesses is None:
+        raise NotWeaklyHarmful("no witness")
+    n = c.n
+    masks = np.arange(1 << n, dtype=np.int64)
+    orders = []
+    for star in sorted(witnesses):
+        picks = np.where((masks >> star) & 1 == 1, -1, c.picks_array)
+        wins = _kernels.relation(picks[None, :], n)[0].sum(axis=1)
+        tail = sorted((e for e in range(n) if e != star), key=lambda e: (-wins[e], e))
+        assert [int(wins[e]) for e in tail] == list(range(n - 2, -1, -1))
+        orders.append(LinearOrder((star, *tail)))
+    return orders
+
+
+def closed_partial(c, witness):
+    """Oracle: the witness chain, the witness above the rest, and ``sel``
+    among the rest, closed by matrix powers."""
+    n = c.n
+    items = tuple(witness)
+    others = [e for e in range(n) if e not in items]
+    sel = _selected_with(c)
+    rel = set(itertools.combinations(items, 2))
+    rel.update((x, y) for x in items for y in others)
+    rel.update((y, z) for y in others for z in others if sel[y, z])
+    return StrictPartialOrder.from_cover(n, rel)
+
+
+def seeded_choices():
+    """generate_harmful at n = 3..9, random choices at n = 3..8 and
+    construct_inconsistent(k) at k = 2..4."""
+    rng = np.random.default_rng(54)
+    for n in range(3, 10):
+        for cap in range(1, n):
+            for seed in range(3):
+                order = LinearOrder(tuple(int(e) for e in rng.permutation(n)))
+                yield generate_harmful(order, UniformIndexPolicy(cap), seed=100 * n + 10 * cap + seed)
+    for n in range(3, 9):
+        for _ in range(6):
+            yield random_choice(rng, n)
+    for k in (2, 3, 4):
+        yield construct_inconsistent(k)
+
+
+def minimum_covers(c):
+    """Every minimum vertex cover of the co-selected pairs."""
+    pairs = coselected_pairs(c)
+    size = len(min_cover(pairs, c.n))
+    return [
+        cover
+        for cover in itertools.combinations(range(c.n), size)
+        if all(p in cover or q in cover for p, q in pairs)
+    ]
+
+
+def extension_scan(p):
+    """Oracle: every permutation that respects p, in lexicographic order."""
+    return [
+        ranking
+        for ranking in itertools.permutations(range(p.n))
+        if all(ranking.index(a) < ranking.index(b) for a, b in p.pairs)
+    ]
+
+
+class TestRankedOrderMatchesOracles:
+    def test_weakly_harmful_equals_masked_relation(self):
+        checked = 0
+        for c in seeded_choices():
+            if constant_selection_witnesses(c) is None:
+                with pytest.raises(NotWeaklyHarmful):
+                    elicit_weakly_harmful(c)
+                continue
+            orders = elicit_weakly_harmful(c)
+            assert orders == masked_weakly_harmful(c)
+            first = set(itertools.combinations(orders[0].ranking, 2))
+            assert elicit_partial(c, check_cns(c, 1).items).pairs == first
+            checked += 1
+        assert checked >= 30
+
+    def test_partial_equals_loop_and_closure(self):
+        checked = 0
+        for c in seeded_choices():
+            pairs = coselected_pairs(c)
+            if not pairs:
+                continue
+            witness = min_cover(pairs, c.n)
+            for items in (witness, witness[::-1]):
+                assert elicit_partial(c, items) == closed_partial(c, items)
+            checked += 1
+        assert checked >= 100
+
+    def test_every_ordered_minimum_cover_pins_one_order(self):
+        rng = np.random.default_rng(55)
+        choices = [construct_inconsistent(k) for k in (2, 3)]
+        for n in range(3, 7):
+            for cap in range(1, n):
+                order = LinearOrder(tuple(int(e) for e in rng.permutation(n)))
+                choices.append(generate_harmful(order, UniformIndexPolicy(cap), seed=n * 7 + cap))
+            choices.extend(random_choice(rng, n) for _ in range(3))
+        checked = 0
+        for c in choices:
+            degree = sp_axiomatic(c).sp
+            if degree == 0:
+                continue
+            for cover in minimum_covers(c):
+                for items in itertools.permutations(cover):
+                    p = elicit_partial(c, items)
+                    assert len(p.pairs) == c.n * (c.n - 1) // 2
+                    ext = all_extensions(p, 2)
+                    assert ext.total == 1
+                    assert ext.orders[0].ranking[: len(items)] == items
+                    assert min_max_index(c, ext.orders[0]) <= degree
+                    checked += 1
+        assert checked >= 200
 
 
 class TestElicitWeaklyHarmful:
@@ -128,17 +260,20 @@ class TestElicitPartial:
 
 
 class TestExtendLinear:
+    """The first extension, ``all_extensions(p, 1)``: ties at each step go
+    to the smallest id."""
+
     def test_chain_already_total(self):
         p = StrictPartialOrder.from_cover(3, {(0, 2), (2, 1)})
-        assert extend_linear(p).ranking == (0, 2, 1)
+        assert all_extensions(p, 1).orders[0].ranking == (0, 2, 1)
 
     def test_empty_relation_uses_id_order(self):
         p = StrictPartialOrder.from_cover(2, set())
-        assert extend_linear(p).ranking == (0, 1)
+        assert all_extensions(p, 1).orders[0].ranking == (0, 1)
 
     def test_sparse_relation_tie_break(self):
         p = StrictPartialOrder.from_cover(3, {(0, 2)})
-        assert extend_linear(p).ranking == (0, 1, 2)
+        assert all_extensions(p, 1).orders[0].ranking == (0, 1, 2)
 
     def test_extension_respects_pairs(self):
         rng = np.random.default_rng(52)
@@ -150,7 +285,7 @@ class TestExtendLinear:
                 i, j = sorted(rng.choice(n, size=2, replace=False))
                 pairs.add((int(base[i]), int(base[j])))
             p = StrictPartialOrder.from_cover(n, pairs)
-            order = extend_linear(p)
+            (order,) = all_extensions(p, 1).orders
             for a, b in p.pairs:
                 assert order.prefers(a, b)
 
@@ -184,6 +319,36 @@ class TestAllExtensions:
     def test_cap_must_be_positive(self):
         with pytest.raises(ValueError):
             all_extensions(StrictPartialOrder.from_cover(2, set()), cap=0)
+
+    def test_equals_permutation_scan(self):
+        rng = np.random.default_rng(56)
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            base = rng.permutation(n)
+            pairs = set()
+            for _ in range(int(rng.integers(0, 2 * n))):
+                if n > 1:
+                    i, j = sorted(rng.choice(n, size=2, replace=False))
+                    pairs.add((int(base[i]), int(base[j])))
+            p = StrictPartialOrder.from_cover(n, pairs)
+            expected = extension_scan(p)
+            cap = int(rng.integers(1, len(expected) + 3))
+            ext = all_extensions(p, cap)
+            assert ext.total == len(expected)
+            assert [o.ranking for o in ext.orders] == expected[:cap]
+
+    def test_empty_order_n12_counts_fast(self):
+        start = time.perf_counter()
+        ext = all_extensions(StrictPartialOrder(12, frozenset()), cap=5)
+        assert time.perf_counter() - start < 1.0
+        assert ext.total == math.factorial(12)
+        assert [o.ranking for o in ext.orders] == list(
+            itertools.islice(itertools.permutations(range(12)), 5)
+        )
+
+    def test_refuses_more_than_twenty_alternatives(self):
+        with pytest.raises(GroundSetTooLarge):
+            all_extensions(StrictPartialOrder(21, frozenset()), cap=1)
 
 
 class TestStrictPartialOrder:
