@@ -7,9 +7,13 @@ menu, optionally preceded by `alternatives: a,b,c` to pin the label order
 (otherwise the sorted union of mentioned labels is used). Singleton menus
 may be omitted; their forced picks are filled in with a warning.
 
-Both readers work in bulk: they turn the rows into one menu bitmask and one
-pick id each, and a faulty dataset reports the error that a row-by-row
-reader would meet first, naming the row as `choices[i]` or `line N`.
+Both readers work in blocks of rows and keep only one menu bitmask and one
+pick id per row (and, for text, its line number), not the rows' labels. The
+text reader parses about 64 K characters of lines at a time. The JSON
+reader decodes the file with one shared string per distinct label, drops
+the file text, and turns 4,096 entries at a time into masks. A faulty
+dataset reports the error that a row-by-row reader would meet first, naming
+the row as `choices[i]` or `line N`.
 
 JSON holds any label. The text writer refuses a label that its reader would
 read back differently: one containing `,`, `->` or a line break, starting
@@ -47,7 +51,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -74,6 +78,7 @@ from .census import (
     sample_census,
 )
 from .core import (
+    MAX_ENUM_N,
     ChoiceFunction,
     GroundSet,
     LinearOrder,
@@ -85,10 +90,14 @@ from .core import (
 from .degree import SpReport, sp, sp_axiomatic, sp_bruteforce
 from .distortion import harmful_distortion
 from .elicit import all_extensions, elicit_partial, elicit_weakly_harmful
-from .errors import HarmchoiceError, ParseError, RowError
+from .errors import HarmchoiceError, ParseError, ReportTooLarge, RowError
 
 #: Reports keep at most this many elicited orders (the count stays exact).
 ELICITED_ORDER_CAP = 100
+
+#: ``reversals`` refuses a dataset with more reversals than this (about 7 MB
+#: of text); ``analyze`` still reports their exact count.
+MAX_REVERSAL_ROWS = 100_000
 
 DATASET_VERSION = 1
 
@@ -134,7 +143,9 @@ class LoadedDataset:
         )
         return {"version": DATASET_VERSION, "alternatives": list(labels), "choices": _Rows(rows)}
 
-    def to_text(self) -> list[str]:
+    def to_text(self) -> Iterator[str]:
+        """The text lines, made as they are read; a label that the text
+        reader would read back differently raises at the call."""
         labels = self.ground.labels
         for label in labels:
             if (
@@ -151,11 +162,10 @@ class LoadedDataset:
                 )
         members = _member_labels(labels)
         picks = self.choice.picks_array.tolist()
-        lines = [f"alternatives: {', '.join(labels)}"]
-        lines.extend(
+        rows = (
             f"{','.join(members[m])} -> {labels[picks[m]]}" for m in menu_order(len(labels)).tolist()
         )
-        return lines
+        return chain((f"alternatives: {', '.join(labels)}",), rows)
 
 
 def _member_labels(labels: Iterable[str]) -> list[list[str]]:
@@ -311,6 +321,16 @@ def _reversals_text(reversals, ground: GroundSet, count: int) -> list[str]:
 # dataset loading
 
 
+#: Characters of dataset text that the text reader parses at a time. Only
+#: the menu bitmasks, picks and line numbers of its rows outlive a block.
+_TEXT_BLOCK = 1 << 16
+
+#: ``choices`` entries of a JSON dataset turned into masks at a time.
+_JSON_BLOCK = 1 << 12
+
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+
+
 def load_dataset(path: str) -> LoadedDataset:
     """Read, parse, and validate a dataset file ('-' reads stdin)."""
     if path == "-":
@@ -318,9 +338,13 @@ def load_dataset(path: str) -> LoadedDataset:
     else:
         text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
-        ground, masks, picks, name = _parse_json_dataset(text)
+        obj = _decode_json(text)
+        del text  # the entries hold one shared string per distinct label
+        ground, masks, picks, name = _parse_json_dataset(obj)
+        del obj
     else:
         ground, masks, picks, name = _parse_text_dataset(text)
+        del text
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -335,11 +359,43 @@ def load_dataset(path: str) -> LoadedDataset:
 _Parsed = tuple[GroundSet, np.ndarray, np.ndarray, Callable[[int], str]]
 
 
-def _parse_json_dataset(text: str) -> _Parsed:
+class _SharedLabels(dict):
+    """One object per distinct string label: ``shared[label]`` returns the
+    first string equal to ``label``, and raises TypeError for a label that
+    is not a string, which is then kept as it is."""
+
+    def __missing__(self, label: object) -> str:
+        if type(label) is not str:
+            raise TypeError(label)
+        self[label] = label
+        return label
+
+
+def _decode_json(text: str) -> object:
+    """``json.loads(text)``, except that the string labels of each entry's
+    ``menu`` list and its string ``choice`` are one shared object per
+    distinct label: the strings decoded for an entry die as it is built."""
+    share = _SharedLabels().__getitem__
+
+    def entry(obj: dict) -> dict:
+        menu = obj.get("menu")
+        if type(menu) is list:
+            try:
+                obj["menu"] = list(map(share, menu))
+            except TypeError:  # a number or list among the labels
+                pass
+        pick = obj.get("choice")
+        if type(pick) is str:
+            obj["choice"] = share(pick)
+        return obj
+
     try:
-        obj = json.loads(text)
+        return json.loads(text, object_hook=entry)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+
+
+def _parse_json_dataset(obj: object) -> _Parsed:
     if not isinstance(obj, dict):
         raise ParseError("dataset must be a JSON object")
     version = obj.get("version", DATASET_VERSION)
@@ -357,20 +413,32 @@ def _parse_json_dataset(text: str) -> _Parsed:
         raise ParseError('dataset needs a "choices" list')
     require_enumerable(ground.n)
     name = "choices[{}]".format
-    # a malformed entry counts as an empty menu, which flags its row
-    shaped = [
-        isinstance(e, dict) and "menu" in e and "choice" in e and isinstance(e["menu"], list)
-        for e in choices
-    ]
-    menus = [e["menu"] if ok else [] for e, ok in zip(choices, shaped)]
-    pick_labels = [e["choice"] if ok else None for e, ok in zip(choices, shaped)]
-    lengths = np.fromiter(map(len, menus), np.int64, len(menus))
-    flat = list(chain.from_iterable(menus))
-    masks, picks, flagged = _label_rows(ground, flat, lengths, pick_labels)
-    if flagged.any():
-        i = int(flagged.argmax())
-        _check_json_row(ground, choices[i], name(i))
-    return ground, masks, picks, name
+    mask_blocks, pick_blocks = [_NO_ROWS], [_NO_ROWS]
+    for start in range(0, len(choices), _JSON_BLOCK):
+        block = choices[start : start + _JSON_BLOCK]
+        try:
+            menus = [e["menu"] for e in block]
+            pick_labels = [e["choice"] for e in block]
+            shaped = {list}.issuperset(map(type, menus))
+        except (KeyError, TypeError):  # an entry that is not an object or lacks a key
+            shaped = False
+        if not shaped:
+            # a malformed entry counts as an empty menu, which flags its row
+            shaped = [
+                isinstance(e, dict) and "menu" in e and "choice" in e and isinstance(e["menu"], list)
+                for e in block
+            ]
+            menus = [e["menu"] if ok else [] for e, ok in zip(block, shaped)]
+            pick_labels = [e["choice"] if ok else None for e, ok in zip(block, shaped)]
+        lengths = np.fromiter(map(len, menus), np.int64, len(menus))
+        flat = list(chain.from_iterable(menus))
+        masks, picks, flagged = _label_rows(ground, flat, lengths, pick_labels)
+        if flagged.any():
+            i = start + int(flagged.argmax())
+            _check_json_row(ground, choices[i], name(i))
+        mask_blocks.append(masks)
+        pick_blocks.append(picks)
+    return ground, np.concatenate(mask_blocks), np.concatenate(pick_blocks), name
 
 
 def _check_json_row(ground: GroundSet, entry: object, ref: str) -> None:
@@ -385,54 +453,129 @@ def _check_json_row(ground: GroundSet, entry: object, ref: str) -> None:
 
 
 def _parse_text_dataset(text: str) -> _Parsed:
-    lines = [
-        (lineno, line)
-        for lineno, line in enumerate(map(str.strip, text.splitlines()), 1)
-        if line and not line.startswith("#")
-    ]
-    header: list[str] | None = None
-    if lines and lines[0][1].lower().startswith("alternatives:"):
-        header = [s.strip() for s in lines.pop(0)[1].split(":", 1)[1].split(",")]
-    if not lines:
+    """Parse a text dataset one block of lines at a time.
+
+    The first syntax error is raised when its block is read, since it comes
+    before every other error. Masks are built per block from the header's
+    labels or, without a header, from provisional ids in order of first
+    appearance, which are remapped to the sorted labels at the end. The
+    first row that :func:`_label_rows` flags stops the mask building; its
+    error is raised once the whole ground set has passed its checks.
+    """
+    header: tuple[str, ...] | None = None
+    seen_labels: dict[str, None] = {}  # without a header: labels in provisional id order
+    ground: GroundSet | None = None  # the labels the masks are built from
+    fault: tuple[int, list[str], str] | None = None  # line, menu and pick of a flagged row
+    mask_blocks, pick_blocks, lineno_blocks = [_NO_ROWS], [_NO_ROWS], [_NO_ROWS]
+    rows = seen = 0  # choice rows so far, lines in the blocks before this one
+    for block in _text_blocks(text):
+        raw = block.splitlines()
+        lines = [
+            (lineno, line)
+            for lineno, line in enumerate(map(str.strip, raw), seen + 1)
+            if line and not line.startswith("#")
+        ]
+        seen += len(raw)
+        if lines and header is None and not rows:  # the first content line
+            if lines[0][1].lower().startswith("alternatives:"):
+                header = tuple(s.strip() for s in lines.pop(0)[1].split(":", 1)[1].split(","))
+                ground = _mask_ground(header)
+        if not lines:
+            continue
+        linenos, flat, lengths, pick_labels = _split_rows(lines)
+        rows += len(linenos)
+        if header is None:
+            new = set(flat).union(pick_labels).difference(seen_labels)
+            if new:
+                seen_labels.update(dict.fromkeys(sorted(new)))
+                ground = _mask_ground(seen_labels)
+        if ground is None or fault is not None:
+            continue  # only syntax errors can still be met
+        masks, picks, flagged = _label_rows(ground, flat, lengths, pick_labels)
+        if flagged.any():
+            i = int(flagged.argmax())
+            end = int(lengths[: i + 1].sum())
+            fault = (linenos[i], flat[end - int(lengths[i]) : end], pick_labels[i])
+            continue
+        mask_blocks.append(masks)
+        pick_blocks.append(picks)
+        lineno_blocks.append(np.array(linenos, dtype=np.int64))
+    if not rows:
         raise ParseError("dataset contains no choice rows")
-    linenos = [lineno for lineno, _ in lines]
+    try:
+        ground = GroundSet(header if header is not None else tuple(sorted(seen_labels)))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    require_enumerable(ground.n)
+    if fault is not None:
+        lineno, menu_labels, pick_label = fault
+        _menu_from_labels(ground, menu_labels, f"line {lineno}")
+        _alt(ground, pick_label, f"line {lineno}")
+    masks, picks = np.concatenate(mask_blocks), np.concatenate(pick_blocks)
+    linenos = np.concatenate(lineno_blocks)
+    if header is None:  # provisional ids to sorted ones
+        rank = {label: e for e, label in enumerate(ground.labels)}
+        final = np.fromiter(map(rank.__getitem__, seen_labels), np.int64, ground.n)
+        masks, picks = _move_bits(masks, final), final[picks]
 
     def name(i: int) -> str:
         return f"line {linenos[i]}"
 
+    return ground, masks, picks, name
+
+
+def _text_blocks(text: str) -> Iterator[str]:
+    """``text`` in slices of about :data:`_TEXT_BLOCK` characters, each cut
+    just after a ``\\n``: the lines of the slices are the lines of ``text``."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _TEXT_BLOCK) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _split_rows(lines: list[tuple[int, str]]) -> tuple[list[int], list[str], np.ndarray, list[str]]:
+    """Line numbers, chained menu labels, menu sizes and pick labels of
+    ``(line number, stripped line)`` rows; raises the syntax error of the
+    first row without "->", with an empty pick or with an empty menu label."""
+    linenos = [lineno for lineno, _ in lines]
     split = [line.partition("->") for _, line in lines]
     arrows = [bool(sep) for _, sep, _ in split]
     lefts = [left for left, _, _ in split]
     pick_labels = [right.strip() for _, _, right in split]
-    del lines, split  # free the row text before the labels are split out
     lengths = np.fromiter((left.count(",") + 1 for left in lefts), np.int64, len(lefts))
-    ends = np.cumsum(lengths)
     flat = list(map(str.strip, ",".join(lefts).split(",")))
-    del lefts
-    # the first row without "->", with an empty pick, or with an empty menu label
     malformed = [not arrow or not pick for arrow, pick in zip(arrows, pick_labels)]
     first = malformed.index(True) if True in malformed else len(linenos)
     if "" in flat:
-        first = min(first, int(np.searchsorted(ends, flat.index(""), side="right")))
+        first = min(first, int(np.searchsorted(np.cumsum(lengths), flat.index(""), side="right")))
     if first < len(linenos):
         if not arrows[first]:
-            raise ParseError(f"{name(first)}: expected 'a,b,c -> a'")
-        raise ParseError(f"{name(first)}: empty label")
-    if header is not None:
-        labels = tuple(header)
-    else:
-        labels = tuple(sorted(set(flat).union(pick_labels)))
+            raise ParseError(f"line {linenos[first]}: expected 'a,b,c -> a'")
+        raise ParseError(f"line {linenos[first]}: empty label")
+    return linenos, flat, lengths, pick_labels
+
+
+def _mask_ground(labels: Collection[str]) -> GroundSet | None:
+    """The ground set that masks are built from, or None if ``labels`` is
+    not one or is too large for int64 masks."""
+    if len(labels) > MAX_ENUM_N:
+        return None
     try:
-        ground = GroundSet(labels)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    require_enumerable(ground.n)
-    masks, picks, flagged = _label_rows(ground, flat, lengths, pick_labels)
-    if flagged.any():
-        i = int(flagged.argmax())
-        _menu_from_labels(ground, flat[ends[i] - lengths[i] : ends[i]], name(i))
-        _alt(ground, pick_labels[i], name(i))
-    return ground, masks, picks, name
+        return GroundSet(tuple(labels))
+    except ValueError:
+        return None
+
+
+def _move_bits(masks: np.ndarray, to: np.ndarray) -> np.ndarray:
+    """``masks`` (below 2**20) with each bit ``b`` moved to bit ``to[b]``,
+    looked up in one table for the low and one for the high 10 bits."""
+    half = np.arange(1 << 10)
+    low, high = np.zeros((2, 1 << 10), dtype=np.int64)
+    for b, e in enumerate(to.tolist()):
+        table = low if b < 10 else high
+        table[(half >> (b % 10)) & 1 == 1] |= 1 << e
+    return low[masks & 1023] | high[masks >> 10]
 
 
 def _label_rows(
@@ -518,15 +661,18 @@ def build_analysis(ds: LoadedDataset, workers: int | None = None) -> AnalysisRep
 
 
 def _emit(
-    args: argparse.Namespace, to_dict: Callable[[], dict], to_text: Callable[[], list[str]]
+    args: argparse.Namespace, to_dict: Callable[[], dict], to_text: Callable[[], Iterable[str]]
 ) -> int:
     """Build and print only the rendering that --format asks for. The JSON
-    fields may hold :class:`_Rows`, which are written as they are made."""
+    fields may hold :class:`_Rows`, and the text lines may be a generator:
+    both are written as they are made."""
     if args.format == "json":
         sys.stdout.writelines(_json_chunks(to_dict()))
         sys.stdout.write("\n")
-    else:
-        print("\n".join(to_text()))
+    else:  # print("\n".join(lines)), which writes "\n" for no lines too
+        lines = iter(to_text())
+        first = (next(lines, ""),)
+        sys.stdout.writelines(f"{line}\n" for line in chain(first, lines))
     return 0
 
 
@@ -561,6 +707,12 @@ def _cmd_warp(args: argparse.Namespace) -> int:
 
 def _cmd_reversals(args: argparse.Namespace) -> int:
     ds = load_dataset(args.dataset)
+    count = reversal_count(ds.choice)
+    if count > MAX_REVERSAL_ROWS:
+        raise ReportTooLarge(
+            f"the dataset has {count} reversals, more than the {MAX_REVERSAL_ROWS} that"
+            f" `reversals` lists; `analyze` reports the exact count and lists the first {REVERSAL_CAP}"
+        )
     revs = find_reversals(ds.choice)
     return _emit_for(
         args,

@@ -56,6 +56,10 @@ class GroundSetTooLarge(HarmchoiceError):
     """The ground set exceeds the size cap of the requested operation."""
 
 
+class ReportTooLarge(HarmchoiceError):
+    """A report would list more rows than its command's documented cap."""
+
+
 class IndexOutOfRange(HarmchoiceError):
     """A distortion index lies outside 0..n-1."""
 

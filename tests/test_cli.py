@@ -1,11 +1,15 @@
 """End-to-end CLI behavior: commands, formats, exit codes."""
 
+import argparse
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
 import threading
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -505,6 +509,24 @@ JSON_CASES = {
         "alternatives": [f"a{i}" for i in range(21)],
         "choices": [{"menu": ["a0", "a1"], "choice": "a0"}],
     }),
+    "choices before alternatives": json.dumps({
+        "choices": [{"menu": m, "choice": p} for m, p in GOOD],
+        "alternatives": ["x", "y", "z"],
+    }),
+    "number and string labels": json.dumps({
+        "alternatives": ["1", "x"],
+        "choices": [{"menu": [1, "x"], "choice": 1}, {"menu": ["x"], "choice": "x"}, {"menu": [1], "choice": "1"}],
+    }),
+    "number labels equal as numbers": json.dumps({
+        "alternatives": ["1", "2"],
+        "choices": [{"menu": [1, "2"], "choice": 1}, {"menu": [1.0], "choice": "1"}],
+    }),
+    "list pick": json_rows([GOOD[0], (["x", "y"], ["x"]), *GOOD[2:]]),
+    "object label": json_rows([GOOD[0], (["x", {"menu": ["y"], "choice": "y"}], "x"), *GOOD[2:]]),
+    "duplicate keys": (
+        '{"alternatives": ["q"], "alternatives": ["x", "y"], "choices": ['
+        '{"menu": ["x"], "menu": ["x", "y"], "choice": "y", "choice": "x"}, {"menu": ["y"], "choice": "y"}]}'
+    ),
 }
 
 TEXT_CASES = {
@@ -530,6 +552,28 @@ TEXT_CASES = {
     "second header is a row": text_rows([*GOOD_TEXT, "alternatives: x, y"]),
     "only a header": "alternatives: x, y\n",
     "duplicate header label": text_rows(GOOD_TEXT, header="x, y, x"),
+    "syntax fault blocks after a label fault": text_rows(
+        [GOOD_TEXT[0], "x,q -> x", *GOOD_TEXT[2:], "# filler", "", "x,y -> y", "", "y,z"]
+    ),
+    "no header, a later alternatives line is a row": text_rows([*GOOD_TEXT, "alternatives: x, y"], header=None),
+    "no header, new label on the last line": text_rows(["y -> y", "x,y -> x"], header=None),
+    "no header, new label on the last line, missing menus": text_rows(
+        ["z -> z", "y,z -> y", "y -> y", "x,y,z -> x"], header=None
+    ),
+    "no header, labels first seen in reverse": text_rows(
+        ["z -> z", "y,z -> y", "y -> y", "x,z -> z", "x,y -> x", "x,y,z -> y", "x -> x"], header=None
+    ),
+    "no header, 21 labels then a syntax fault": text_rows(
+        [f"a{i},a{i + 1} -> a{i}" for i in range(20)] + ["a0 -> a0", "a0,a1"], header=None
+    ),
+    "no header, 22 labels": text_rows([f"a{i} -> a{i}" for i in range(22)], header=None),
+    "comments and blanks before the header": "# a\n\n#b\n  \n# c\n" + text_rows(GOOD_TEXT),
+    "line breaks other than \\n": (
+        "alternatives: x, y, z\r\nx,y,z -> x\x0cx,y -> y\u2028y,z -> z\rx,z -> x\r\n"
+    ),
+    "line breaks other than \\n, then a syntax fault": (
+        "alternatives: x, y, z\r\nx,y,z -> x\x0cx,y -> y\u2028\x0b\ny,z\rx,z -> x\n"
+    ),
 }
 
 
@@ -604,45 +648,202 @@ class TestLoaderMatchesRowLoop:
             rowwise_load(str(path))
 
     def test_seeded_random_faults(self, tmp_path):
-        """Mutated datasets at n = 2..4 in both formats: dropped, repeated,
-        reordered and corrupted rows."""
-        rng = np.random.default_rng(5)
-        labels = ("w", "x", "y", "z")
-        for trial in range(150):
-            n = int(rng.integers(2, 5))
-            choice = random_choice(rng, n)
-            rows = []
-            for mask in menu_order(n).tolist():
-                members = [labels[e] for e in range(n) if (mask >> e) & 1]
-                rows.append([list(rng.permutation(members)), labels[choice.pick_mask(mask)]])
-            for _ in range(int(rng.integers(0, 3))):
-                i = int(rng.integers(len(rows)))
-                kind = int(rng.integers(7))
-                if kind == 0:
-                    rows.pop(i)
-                elif kind == 1:
-                    rows.insert(int(rng.integers(len(rows))), [list(rows[i][0]), rows[i][1]])
-                elif kind == 2:
-                    rows[i][1] = labels[int(rng.integers(n))]
-                elif kind == 3:
-                    rows[i][0] = rows[i][0] + ["q"]
-                elif kind == 4:
-                    rows[i][0] = rows[i][0] + rows[i][0][:1]
-                elif kind == 5:
-                    rows[i][1] = "q"
-                elif kind == 6 and len(rows) > 1:
-                    rows[i], rows[-1] = rows[-1], rows[i]
-                if not rows:
-                    rows.append([["w"], "w"])
-            json_path = tmp_path / f"{trial}.json"
-            json_path.write_text(json_rows([tuple(row) for row in rows], labels[:n]), encoding="utf-8")
-            assert_same_outcome(json_path)
-            text_path = tmp_path / f"{trial}.txt"
-            header = ", ".join(labels[:n]) if trial % 2 else None
-            text_path.write_text(
-                text_rows([f"{','.join(m)} -> {p}" for m, p in rows], header), encoding="utf-8"
-            )
-            assert_same_outcome(text_path)
+        check_seeded_random_faults(tmp_path)
+
+
+def check_seeded_random_faults(tmp_path):
+    """Mutated datasets at n = 2..4 in both formats, each loaded by
+    load_dataset and by the row loop: dropped, repeated, reordered and
+    corrupted rows."""
+    rng = np.random.default_rng(5)
+    labels = ("w", "x", "y", "z")
+    for trial in range(150):
+        n = int(rng.integers(2, 5))
+        choice = random_choice(rng, n)
+        rows = []
+        for mask in menu_order(n).tolist():
+            members = [labels[e] for e in range(n) if (mask >> e) & 1]
+            rows.append([list(rng.permutation(members)), labels[choice.pick_mask(mask)]])
+        for _ in range(int(rng.integers(0, 3))):
+            i = int(rng.integers(len(rows)))
+            kind = int(rng.integers(7))
+            if kind == 0:
+                rows.pop(i)
+            elif kind == 1:
+                rows.insert(int(rng.integers(len(rows))), [list(rows[i][0]), rows[i][1]])
+            elif kind == 2:
+                rows[i][1] = labels[int(rng.integers(n))]
+            elif kind == 3:
+                rows[i][0] = rows[i][0] + ["q"]
+            elif kind == 4:
+                rows[i][0] = rows[i][0] + rows[i][0][:1]
+            elif kind == 5:
+                rows[i][1] = "q"
+            elif kind == 6 and len(rows) > 1:
+                rows[i], rows[-1] = rows[-1], rows[i]
+            if not rows:
+                rows.append([["w"], "w"])
+        json_path = tmp_path / f"{trial}.json"
+        json_path.write_text(json_rows([tuple(row) for row in rows], labels[:n]), encoding="utf-8")
+        assert_same_outcome(json_path)
+        text_path = tmp_path / f"{trial}.txt"
+        header = ", ".join(labels[:n]) if trial % 2 else None
+        text_path.write_text(
+            text_rows([f"{','.join(m)} -> {p}" for m, p in rows], header), encoding="utf-8"
+        )
+        assert_same_outcome(text_path)
+
+
+#: (_TEXT_BLOCK, _JSON_BLOCK) settings that put block edges between rows:
+#: a cut after the first line break at least 5 characters on, and one line
+#: (or entry) per block
+SMALL_BLOCKS = {"few bytes": (5, 3), "one line": (0, 1)}
+
+
+@pytest.fixture(params=sorted(SMALL_BLOCKS))
+def small_blocks(request, monkeypatch):
+    text_block, json_block = SMALL_BLOCKS[request.param]
+    monkeypatch.setattr(cli, "_TEXT_BLOCK", text_block)
+    monkeypatch.setattr(cli, "_JSON_BLOCK", json_block)
+
+
+class TestLoaderBlocks:
+    """With block edges between any two rows, the readers still raise the
+    row loop's error or build its choice."""
+
+    @pytest.mark.parametrize("case", sorted(JSON_CASES))
+    def test_json(self, tmp_path, small_blocks, case):
+        path = tmp_path / "data.json"
+        path.write_text(JSON_CASES[case], encoding="utf-8")
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("case", sorted(TEXT_CASES))
+    def test_text(self, tmp_path, small_blocks, case):
+        path = tmp_path / "data.txt"
+        path.write_text(TEXT_CASES[case], encoding="utf-8")
+        assert_same_outcome(path)
+
+    def test_seeded_random_faults(self, tmp_path, small_blocks):
+        check_seeded_random_faults(tmp_path)
+
+    @pytest.mark.parametrize("blocks", ["default", "small"])
+    def test_no_header_labels_past_ten_bits(self, tmp_path, monkeypatch, blocks):
+        """Without a header, 12 labels first seen in an order unlike their
+        sorted one: the remap moves bits in both 10-bit tables."""
+        if blocks == "small":
+            monkeypatch.setattr(cli, "_TEXT_BLOCK", 300)
+        rng = np.random.default_rng(8)
+        labels = [f"L{i:02d}" for i in rng.permutation(12)]
+        choice = random_choice(rng, 12)
+        rows = []
+        for mask in rng.permutation(np.arange(1, 1 << 12)).tolist():
+            members = [labels[e] for e in rng.permutation(12).tolist() if (mask >> e) & 1]
+            rows.append(f"{','.join(members)} -> {labels[choice.pick_mask(mask)]}")
+        path = tmp_path / "data.txt"
+        path.write_text(text_rows(rows, header=None), encoding="utf-8")
+        assert_same_outcome(path)
+        ds = load_dataset(str(path))
+        assert ds.ground.labels == tuple(sorted(labels))
+
+    def test_move_bits_matches_bit_loop(self):
+        rng = np.random.default_rng(3)
+        to = rng.permutation(20)
+        masks = rng.integers(0, 1 << 20, size=500)
+        want = [sum(1 << int(to[b]) for b in range(20) if (m >> b) & 1) for m in masks.tolist()]
+        assert cli._move_bits(masks, to).tolist() == want
+
+
+@pytest.fixture(scope="module")
+def n16_files(tmp_path_factory):
+    """An n = 16 `uniform:12` dataset as text and as compact JSON."""
+    tmp = tmp_path_factory.mktemp("n16")
+    ds = LoadedDataset(
+        GroundSet(tuple(f"a{i}" for i in range(16))),
+        generate_harmful(LinearOrder(tuple(range(16))), UniformIndexPolicy(12), seed=7),
+    )
+    paths = {"text": tmp / "n16.txt", "json": tmp / "n16.json"}
+    paths["text"].write_text("\n".join(ds.to_text()) + "\n", encoding="utf-8")
+    paths["json"].write_text(json.dumps(ds.to_dict(), separators=(",", ":")), encoding="utf-8")
+    return {fmt: str(path) for fmt, path in paths.items()}
+
+
+class TestReaderMemory:
+    @pytest.mark.parametrize("fmt, bound_mb", [("text", 16), ("json", 45)])
+    def test_load_peak_is_bounded(self, n16_files, fmt, bound_mb):
+        """The traced peak of one n = 16 load (65,535 rows; 2.2 MB of text,
+        4.5 MB of JSON): the readers hold masks, picks and line numbers, and
+        one string per distinct label, not one per label written."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ds = load_dataset(n16_files[fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.ground.n == 16 and len(ds.choice.picks_array) == 1 << 16
+        assert peak < bound_mb * 2**20, f"{peak / 2**20:.1f} MB"
+
+    def test_json_entries_share_label_strings(self, tmp_path):
+        fresh = [{"menu": ["x" * 9 + "1", "y" * 9], "choice": "x" * 9 + "1"} for _ in range(3)]
+        decoded = cli._decode_json(json.dumps({"alternatives": [], "choices": fresh}))
+        first = decoded["choices"][0]
+        for entry in decoded["choices"]:
+            assert entry == fresh[0]
+            assert entry["menu"][0] is first["menu"][0] and entry["choice"] is first["menu"][0]
+            assert entry["menu"][1] is first["menu"][1]
+
+
+class TestReversalsCap:
+    def test_count_above_cap_exits_1_with_exact_count(self, capsys, monkeypatch, erratic4_file):
+        count = harmchoice.reversal_count(load_dataset(erratic4_file).choice)
+        monkeypatch.setattr(cli, "MAX_REVERSAL_ROWS", count)
+        assert main(["reversals", erratic4_file]) == 0
+        assert f"\nreversals: {count}\n" in capsys.readouterr().out
+        monkeypatch.setattr(cli, "MAX_REVERSAL_ROWS", count - 1)
+        for fmt in ("text", "json"):
+            assert main(["reversals", erratic4_file, "--format", fmt]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"the dataset has {count} reversals, more than the {count - 1}" in captured.err
+            assert "`analyze` reports the exact count" in captured.err
+
+    def test_n16_file_exits_1_without_listing(self, capsys, monkeypatch, n16_files):
+        """424 million reversals: the count refuses the file before any
+        Reversal is built."""
+
+        def listing(*args, **kwargs):
+            raise AssertionError("find_reversals called")
+
+        monkeypatch.setattr(cli, "find_reversals", listing)
+        start = time.perf_counter()
+        assert main(["reversals", n16_files["text"]]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        count = harmchoice.reversal_count(load_dataset(n16_files["text"]).choice)
+        assert count > 400_000_000 and f"has {count} reversals" in err
+
+
+class TestStreamedText:
+    def test_lines_are_written_as_made(self, monkeypatch):
+        written = []
+
+        class Recorder(io.StringIO):
+            def write(self, s):
+                written.append(s)
+                return super().write(s)
+
+        out = Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["generate", "--order", "a,b,c,d", "--policy", "uniform:2", "--format", "text"]) == 0
+        lines = out.getvalue().split("\n")
+        assert len(written) == 16 and lines[-1] == "" and written == [f"{line}\n" for line in lines[:-1]]
+
+    def test_empty_report_prints_one_line_break(self, capsys):
+        args = argparse.Namespace(format="text")
+        assert cli._emit(args, dict, list) == 0
+        assert capsys.readouterr().out == "\n"
+        assert cli._emit(args, dict, lambda: iter(["a", "b"])) == 0
+        assert capsys.readouterr().out == "a\nb\n"
 
 
 def items_writer(ds):
@@ -684,7 +885,7 @@ def test_generate_load_write_round_trip_n12(capsys, tmp_path):
         assert json.dumps(again.to_dict(), indent=2) + "\n" == written["json"]
         assert "\n".join(again.to_text()) + "\n" == written["text"]
     as_dict, lines = items_writer(ds)
-    assert ds.to_dict() == as_dict and ds.to_text() == lines
+    assert ds.to_dict() == as_dict and list(ds.to_text()) == lines
 
 
 def _cli_env():
