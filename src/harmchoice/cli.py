@@ -49,7 +49,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator
 
@@ -667,13 +667,23 @@ def _emit(
     fields may hold :class:`_Rows`, and the text lines may be a generator:
     both are written as they are made."""
     if args.format == "json":
-        sys.stdout.writelines(_json_chunks(to_dict()))
-        sys.stdout.write("\n")
+        _write(chain(_json_chunks(to_dict()), ("\n",)))
     else:  # print("\n".join(lines)), which writes "\n" for no lines too
         lines = iter(to_text())
         first = (next(lines, ""),)
-        sys.stdout.writelines(f"{line}\n" for line in chain(first, lines))
+        _write(f"{line}\n" for line in chain(first, lines))
     return 0
+
+
+#: Pieces of output joined into one write, so that an unbuffered stdout
+#: (``python -u``) makes one system call per group, not per line.
+_PIECES_PER_WRITE = 1024
+
+
+def _write(pieces: Iterable[str]) -> None:
+    pieces = iter(pieces)
+    while group := list(islice(pieces, _PIECES_PER_WRITE)):
+        sys.stdout.write("".join(group))
 
 
 def _emit_for(

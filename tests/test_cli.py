@@ -824,7 +824,7 @@ class TestReversalsCap:
 
 
 class TestStreamedText:
-    def test_lines_are_written_as_made(self, monkeypatch):
+    def test_lines_are_written_in_groups(self, monkeypatch):
         written = []
 
         class Recorder(io.StringIO):
@@ -834,9 +834,19 @@ class TestStreamedText:
 
         out = Recorder()
         monkeypatch.setattr(sys, "stdout", out)
-        assert main(["generate", "--order", "a,b,c,d", "--policy", "uniform:2", "--format", "text"]) == 0
-        lines = out.getvalue().split("\n")
-        assert len(written) == 16 and lines[-1] == "" and written == [f"{line}\n" for line in lines[:-1]]
+        monkeypatch.setattr(cli, "_PIECES_PER_WRITE", 5)
+        argv = ["generate", "--order", "a,b,c,d", "--policy", "uniform:2", "--seed", "4"]
+        for fmt in ("text", "json"):
+            written.clear()
+            out.seek(0)
+            out.truncate()
+            assert main(argv + ["--format", fmt]) == 0
+            assert len(written) > 1 and "".join(written) == out.getvalue()
+            if fmt == "text":  # 16 lines: the header and 15 menus, five to a write
+                assert [w.count("\n") for w in written] == [5, 5, 5, 1]
+        assert json.loads(out.getvalue()) == LoadedDataset(
+            GroundSet(tuple("abcd")), generate_harmful(LinearOrder((0, 1, 2, 3)), UniformIndexPolicy(2), seed=4)
+        ).to_dict()
 
     def test_empty_report_prints_one_line_break(self, capsys):
         args = argparse.Namespace(format="text")
