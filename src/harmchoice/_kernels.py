@@ -6,12 +6,12 @@ booleans or as n row bitmasks; an order is one ranking row, and pair
 coverage is a bitmask over the C(n,2) alternative pairs in lexicographic
 order.
 
-:func:`relation` computes the revealed relation of a batch of picks arrays
-at once: row p of a choice is the OR of the masks of the menus that pick p,
-one masked OR-reduce per block of choices over a broadcast view of the
-masks. The degree routes, exact census, elicitation and reversal listing all
-read it. The sampled census never holds picks arrays: it ORs each drawn
-menu into its packed rows and tests them with :func:`count_inconsistent`.
+:func:`pair_masks` tests each alternative pair of a batch of picks arrays
+directly: the menus holding both, one column gather per pair. The exact
+census reads it; a single choice's relation comes from the pick counts of
+:func:`harmchoice.axioms._pick_counts`. The sampled census never holds
+picks arrays: it ORs each drawn menu into its packed rows and tests them
+with :func:`count_inconsistent`.
 
 The central quantity is the minimal distortion index of a (menu, pick, order)
 triple: demoting the top block down to just past the lowest-ranked menu member
@@ -21,38 +21,12 @@ is 1 + max(position of members above the pick), or 0 when none are above.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 #: Pair bitmasks use a single int64, which caps packed-pair kernels.
 MAX_PAIR_MASK_N = 11
-
-
-# ---------------------------------------------------------------------------
-# the revealed relation
-
-
-def relation(picks_mat: np.ndarray, n: int) -> np.ndarray:
-    """Revealed relation of each choice in a batch: ``sel[c, p, q]`` is True
-    when choice c picks p from some menu containing q (p != q).
-
-    ``picks_mat[c, mask]`` is the pick from the menu with that bitmask. A
-    pick outside 0..n-1 (such as -1) joins no row, and entry 0, the empty
-    menu, adds no member.
-    """
-    C, size = picks_mat.shape
-    masks = np.arange(size, dtype=np.min_scalar_type((1 << n) - 1))
-    rows = np.zeros((C, n), dtype=masks.dtype)
-    step = max(1, (1 << 18) // size)  # choices per block: a bool temporary near 256 KiB
-    for start in range(0, C, step):
-        block, out = picks_mat[start : start + step], rows[start : start + step]
-        view = np.broadcast_to(masks, block.shape)
-        for p in range(n):
-            out[:, p] = np.bitwise_or.reduce(view, axis=1, where=block == p, initial=0)
-    sel = np.zeros((C, n, n), dtype=bool)
-    for q in range(n):
-        sel[:, :, q] = (rows >> q) & 1
-    sel[:, range(n), range(n)] = False
-    return sel
 
 
 # ---------------------------------------------------------------------------
@@ -81,17 +55,20 @@ def order_scores(sel: np.ndarray, orders: np.ndarray) -> np.ndarray:
 
 
 def pair_masks(picks_mat: np.ndarray, n: int) -> np.ndarray:
-    """Per choice: bitmask of the co-selected alternative pairs.
+    """Per choice: bitmask of the co-selected alternative pairs, bit t for
+    the t-th pair in lexicographic order.
 
     Pair {p, q} is co-selected when some menu containing both picks p and
     some menu containing both picks q.
     """
     if n > MAX_PAIR_MASK_N:
         raise ValueError(f"packed pair masks support n <= {MAX_PAIR_MASK_N}")
-    sel = relation(picks_mat, n)
-    iu, ju = np.triu_indices(n, 1)
-    mutual = sel[:, iu, ju] & sel[:, ju, iu]
-    return (mutual.astype(np.int64) << np.arange(iu.size)).sum(axis=1)
+    masks = np.arange(picks_mat.shape[1])
+    out = np.zeros(picks_mat.shape[0], dtype=np.int64)
+    for t, (p, q) in enumerate(combinations(range(n), 2)):
+        both = picks_mat[:, (masks >> p) & (masks >> q) & 1 == 1]
+        out |= ((both == p).any(axis=1) & (both == q).any(axis=1)).astype(np.int64) << t
+    return out
 
 
 def count_inconsistent(rows: np.ndarray, n: int) -> int:

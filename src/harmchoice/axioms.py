@@ -16,7 +16,6 @@ from typing import Iterable
 
 import numpy as np
 
-from . import _kernels
 from .core import ChoiceFunction, GroundSet, Menu, menu_order
 from .errors import InvalidJ
 
@@ -97,13 +96,32 @@ class CnsWitness:
 
 
 @lru_cache(maxsize=2048)
+def _pick_counts(c: ChoiceFunction) -> np.ndarray:
+    """N[p, q] is the number of menus that contain q and pick p.
+
+    This one count matrix holds the revealed relation and the reversal
+    count; it is cached per choice and returned read-only.
+    """
+    n = c.n
+    picks = c.picks_array[1:]
+    masks = np.arange(1, 1 << n, dtype=np.int64)
+    counts = np.empty((n, n), dtype=np.int64)
+    for q in range(n):
+        counts[:, q] = np.bincount(picks[(masks >> q) & 1 == 1], minlength=n)
+    counts.setflags(write=False)
+    return counts
+
+
+@lru_cache(maxsize=2048)
 def _selected_with(c: ChoiceFunction) -> np.ndarray:
-    """sel[p, q] is True when some menu containing q has pick p (p != q).
+    """sel[p, q] is True when some menu containing q has pick p (p != q):
+    ``N > 0`` off the diagonal, with N from :func:`_pick_counts`.
 
     This revealed relation is all that the degree depends on; it is cached
     per choice and returned read-only.
     """
-    sel = _kernels.relation(c.picks_array[None, :], c.n)[0]
+    sel = _pick_counts(c) > 0
+    np.fill_diagonal(sel, False)
     sel.setflags(write=False)
     return sel
 
@@ -139,16 +157,11 @@ def reversal_count(c: ChoiceFunction) -> int:
     """How many reversals :func:`find_reversals` would list, without listing
     them.
 
-    With N[p, q] the number of menus that contain q and pick p, the pair
-    {p, q} has N[p, q] * N[q, p] reversals: each menu that picks p with q in
-    it, matched with each menu that picks q with p in it.
+    With N[p, q] from :func:`_pick_counts`, the pair {p, q} has
+    N[p, q] * N[q, p] reversals: each menu that picks p with q in it,
+    matched with each menu that picks q with p in it.
     """
-    n = c.n
-    picks = c.picks_array[1:]
-    masks = np.arange(1, 1 << n, dtype=np.int64)
-    counts = np.empty((n, n), dtype=np.int64)
-    for q in range(n):
-        counts[:, q] = np.bincount(picks[(masks >> q) & 1 == 1], minlength=n)
+    counts = _pick_counts(c)
     return int(np.triu(counts * counts.T, 1).sum())
 
 

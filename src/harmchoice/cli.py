@@ -106,40 +106,25 @@ DATASET_VERSION = 1
 class LoadedDataset:
     """A dataset: ground set, validated choice, and the loader's warnings.
 
-    ``to_dict`` and ``to_text`` write the two formats that
+    ``json_fields`` and ``to_text`` write the two formats that
     :func:`load_dataset` reads; the warnings are not part of either.
-    ``json_fields`` are the fields of ``to_dict`` with the rows as
-    :class:`_Rows`, which :func:`_json_chunks` writes as ``json.dumps(...,
-    indent=2)`` would.
+    ``json_fields`` holds the rows as :class:`_Rows`, which
+    :func:`_json_chunks` writes as ``json.dumps(..., indent=2)`` would.
     """
 
     ground: GroundSet
     choice: ChoiceFunction
     warnings: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        labels = self.ground.labels
-        members = _member_labels(labels)
-        picks = self.choice.picks_array.tolist()
-        return {
-            "version": DATASET_VERSION,
-            "alternatives": list(labels),
-            "choices": [
-                {"menu": members[m], "choice": labels[picks[m]]}
-                for m in menu_order(len(labels)).tolist()
-            ],
-        }
-
     def json_fields(self) -> dict:
         labels = self.ground.labels
         quoted = [json.dumps(label) for label in labels]
-        members = _member_labels(quoted)
         picks = self.choice.picks_array.tolist()
-        sep = ",\n        "
+        order = menu_order(len(labels)).tolist()
         rows = (
-            f'{{\n      "menu": [\n        {sep.join(members[m])}\n      ],'
+            f'{{\n      "menu": [\n        {members}\n      ],'
             f'\n      "choice": {quoted[picks[m]]}\n    }}'
-            for m in menu_order(len(labels)).tolist()
+            for m, members in zip(order, _member_texts(quoted, ",\n        ", order))
         )
         return {"version": DATASET_VERSION, "alternatives": list(labels), "choices": _Rows(rows)}
 
@@ -160,22 +145,31 @@ class LoadedDataset:
                     " ',', '->' or a line break, start with '#', or have outer whitespace"
                     " (use --format json)"
                 )
-        members = _member_labels(labels)
         picks = self.choice.picks_array.tolist()
+        order = menu_order(len(labels)).tolist()
         rows = (
-            f"{','.join(members[m])} -> {labels[picks[m]]}" for m in menu_order(len(labels)).tolist()
+            f"{members} -> {labels[picks[m]]}"
+            for m, members in zip(order, _member_texts(labels, ",", order))
         )
         return chain((f"alternatives: {', '.join(labels)}",), rows)
 
 
-def _member_labels(labels: Iterable[str]) -> list[list[str]]:
-    """The member labels of every menu, indexed by bitmask (entry 0 is the
-    empty menu): the menus with highest bit e are those below 2**e plus
-    label e."""
-    table: list[list[str]] = [[]]
-    for label in labels:
-        table += [members + [label] for members in table]
-    return table
+def _member_texts(labels: Iterable[str], sep: str, masks: Iterable[int]) -> Iterator[str]:
+    """``sep.join`` of the member labels of each menu bitmask in ``masks``.
+
+    The members are looked up in one table for the low and one for the high
+    10 bits of a mask (below 2**20), each of at most 1,024 entries, in which
+    every label is led by ``sep``; the first ``sep`` of each menu is then
+    dropped.
+    """
+    low: list[str] = [""]
+    high: list[str] = [""]
+    for e, label in enumerate(labels):
+        table = low if e < 10 else high
+        table += [text + sep + label for text in table]
+    cut = len(sep)
+    for m in masks:
+        yield (low[m & 1023] + high[m >> 10])[cut:]
 
 
 # ---------------------------------------------------------------------------
@@ -897,7 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_distort, needs_parser=True)
 
     p = sub.add_parser("census", parents=[common, pool], help="exact census of choice space")
-    p.add_argument("--n", required=True, type=int, help="ground-set size (2..4)")
+    p.add_argument("--n", required=True, type=int, help=f"ground-set size (2..{MAX_EXACT_CENSUS_N})")
     p.set_defaults(func=_cmd_census, needs_parser=True)
 
     p = sub.add_parser(

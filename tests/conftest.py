@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from harmchoice import ChoiceFunction, GroundSet, Menu, validate_choice
+from harmchoice.core import menu_order
 
 
 def make_choice(labels, table):
@@ -50,6 +51,41 @@ def random_choice(rng, n):
         members = [e for e in range(n) if (m >> e) & 1]
         picks[m] = members[rng.integers(0, len(members))]
     return ChoiceFunction(n, picks)
+
+
+def loop_relation(picks_mat, n):
+    """Oracle for the revealed relation of a batch of picks arrays: menu by
+    menu, mark the pick as chosen over every member; a pick outside 0..n-1
+    marks nothing."""
+    C, size = picks_mat.shape
+    sel = np.zeros((C, n, n), np.bool_)
+    rows = np.arange(C)
+    for m in range(1, size):
+        p = picks_mat[:, m]
+        ok = (p >= 0) & (p < n)
+        members = [e for e in range(n) if (m >> e) & 1]
+        sel[rows[ok, None], p[ok, None], members] = True
+    diag = np.arange(n)
+    sel[:, diag, diag] = False
+    return sel
+
+
+def dataset_dict(ds):
+    """Oracle for ``LoadedDataset.json_fields``: the JSON dataset as a dict,
+    one menu at a time in canonical order."""
+    labels = ds.ground.labels
+    picks = ds.choice.picks_array
+    return {
+        "version": 1,
+        "alternatives": list(labels),
+        "choices": [
+            {
+                "menu": [label for e, label in enumerate(labels) if (m >> e) & 1],
+                "choice": labels[picks[m]],
+            }
+            for m in menu_order(len(labels)).tolist()
+        ],
+    }
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from harmchoice import (
+    GroundSet,
     LinearOrder,
     Menu,
     Reversal,
@@ -22,7 +23,8 @@ from harmchoice import (
     reversal_count,
     satisfies_warp,
 )
-from harmchoice.axioms import coselected_pairs, min_cover
+from harmchoice.axioms import _pick_counts, _selected_with, coselected_pairs, min_cover
+from harmchoice.cli import LoadedDataset, build_analysis
 from harmchoice.errors import InvalidJ
 from conftest import iter_all_choices, random_choice
 
@@ -137,6 +139,21 @@ class TestBoundedListing:
         for _ in range(25):
             c = random_choice(rng, int(rng.integers(1, 6)))
             assert reversal_count(c) == len(brute_reversals(c))
+
+
+def test_analysis_builds_the_pick_counts_once():
+    """analyze reads the relation and the reversal count from one cached
+    count matrix, built once per choice."""
+    n = 6
+    ds = LoadedDataset(
+        GroundSet(tuple(f"a{e}" for e in range(n))),
+        generate_harmful(LinearOrder(tuple(range(n))), UniformIndexPolicy(3), seed=31),
+    )
+    for cached in (_pick_counts, _selected_with, coselected_pairs):
+        cached.cache_clear()
+    build_analysis(ds, workers=1)
+    info = _pick_counts.cache_info()
+    assert info.misses == 1 and info.hits >= 1
 
 
 class TestWarp:

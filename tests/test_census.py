@@ -31,7 +31,7 @@ from harmchoice.core import ChoiceFunction, menu_order
 from harmchoice.rationalize import distortion_max_tables
 from harmchoice.cli import main
 from harmchoice.errors import GroundSetTooLarge, IndexOutOfRange
-from conftest import iter_all_choices
+from conftest import iter_all_choices, loop_relation
 
 
 def loop_menu_layout(n):
@@ -47,7 +47,7 @@ def loop_menu_layout(n):
 
 def full_matrix_hits(n, samples, seed):
     """Oracle for ``sample_census``: every chunk draws every menu into a
-    picks matrix, which the relation kernel and the all-pairs test read."""
+    picks matrix, which the menu-loop relation and the all-pairs test read."""
     masks, sizes, members = loop_menu_layout(n)
     chunk_size = _sample_chunk(n)
     iu, ju = np.triu_indices(n, 1)
@@ -60,7 +60,7 @@ def full_matrix_hits(n, samples, seed):
         for j, mask in enumerate(masks.tolist()):
             digits = rng.integers(0, sizes[j], size=count)
             picks_mat[:, mask] = members[j, digits]
-        sel = _kernels.relation(picks_mat, n)
+        sel = loop_relation(picks_mat, n)
         hits += int(np.all(sel[:, iu, ju] & sel[:, ju, iu], axis=1).sum())
     return hits
 

@@ -24,7 +24,7 @@ from harmchoice.census import _sample_chunk
 from harmchoice.cli import LoadedDataset, _alt, _menu_from_labels, load_dataset, main
 from harmchoice.core import menu_order
 from harmchoice.errors import GroundSetTooLarge, HarmchoiceError, ParseError, RowError
-from conftest import random_choice
+from conftest import dataset_dict, random_choice
 from test_core import rowwise_validate
 
 CYCLE3 = {
@@ -154,6 +154,12 @@ class TestGenerators:
         assert code == 0
         assert payload["total"] == 24
         assert payload["counts_by_sp"] == {"0": 6, "1": 18, "2": 0}
+
+    def test_census_help_names_the_cap(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--help"])
+        assert exc.value.code == 0
+        assert f"ground-set size (2..{cli.MAX_EXACT_CENSUS_N})" in capsys.readouterr().out
 
     def test_sample_census_deterministic(self, capsys):
         outputs = []
@@ -339,7 +345,7 @@ class TestTextLabels:
         ds = LoadedDataset(GroundSet((label, "c")), rational_choice(LinearOrder((0, 1))))
         with pytest.raises(ValueError, match="cannot be written as text"):
             ds.to_text()
-        assert ds.to_dict()["alternatives"] == [label, "c"]
+        assert json.loads("".join(cli._json_chunks(ds.json_fields())))["alternatives"] == [label, "c"]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -354,7 +360,7 @@ class TestTextLabels:
     def test_json_text_json_round_trip(self, tmp_path_factory, labels, seed):
         n = len(labels)
         choice = generate_harmful(LinearOrder(tuple(range(n))), UniformIndexPolicy(n - 1), seed=seed)
-        written = json.dumps(LoadedDataset(GroundSet(tuple(labels)), choice).to_dict(), indent=2)
+        written = json.dumps(dataset_dict(LoadedDataset(GroundSet(tuple(labels)), choice)), indent=2)
         tmp = tmp_path_factory.mktemp("labels")
         path = tmp / "out.json"
         path.write_text(written, encoding="utf-8")
@@ -364,7 +370,7 @@ class TestTextLabels:
         path.write_text("\n".join(first.to_text()) + "\n", encoding="utf-8")
         second = load_dataset(str(path))
         assert second.ground == first.ground and second.choice == choice
-        assert json.dumps(second.to_dict(), indent=2) == written
+        assert json.dumps(dataset_dict(second), indent=2) == written
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +769,7 @@ def n16_files(tmp_path_factory):
     )
     paths = {"text": tmp / "n16.txt", "json": tmp / "n16.json"}
     paths["text"].write_text("\n".join(ds.to_text()) + "\n", encoding="utf-8")
-    paths["json"].write_text(json.dumps(ds.to_dict(), separators=(",", ":")), encoding="utf-8")
+    paths["json"].write_text(json.dumps(dataset_dict(ds), separators=(",", ":")), encoding="utf-8")
     return {fmt: str(path) for fmt, path in paths.items()}
 
 
@@ -844,9 +850,9 @@ class TestStreamedText:
             assert len(written) > 1 and "".join(written) == out.getvalue()
             if fmt == "text":  # 16 lines: the header and 15 menus, five to a write
                 assert [w.count("\n") for w in written] == [5, 5, 5, 1]
-        assert json.loads(out.getvalue()) == LoadedDataset(
+        assert json.loads(out.getvalue()) == dataset_dict(LoadedDataset(
             GroundSet(tuple("abcd")), generate_harmful(LinearOrder((0, 1, 2, 3)), UniformIndexPolicy(2), seed=4)
-        ).to_dict()
+        ))
 
     def test_empty_report_prints_one_line_break(self, capsys):
         args = argparse.Namespace(format="text")
@@ -892,10 +898,10 @@ def test_generate_load_write_round_trip_n12(capsys, tmp_path):
     )
     for fmt in ("json", "text"):
         again = loaded[fmt]
-        assert json.dumps(again.to_dict(), indent=2) + "\n" == written["json"]
+        assert "".join(cli._json_chunks(again.json_fields())) + "\n" == written["json"]
         assert "\n".join(again.to_text()) + "\n" == written["text"]
     as_dict, lines = items_writer(ds)
-    assert ds.to_dict() == as_dict and list(ds.to_text()) == lines
+    assert json.loads(written["json"]) == as_dict and list(ds.to_text()) == lines
 
 
 def _cli_env():

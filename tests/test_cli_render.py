@@ -16,6 +16,7 @@ from harmchoice import (
 )
 from harmchoice import cli
 from harmchoice.cli import LoadedDataset, build_analysis, main
+from conftest import dataset_dict
 from test_cli import LABEL_CHARS
 from test_cli_golden import DATASETS, FORMATS, GOLDEN, argv_for, golden_path, write_inputs
 
@@ -40,7 +41,7 @@ ONE_RENDERING = [
     ("census", "json", "harmchoice.census.CensusReport.to_text"),
     ("sample-census", "text", "harmchoice.census.CensusReport.to_dict"),
     ("generate-uniform", "json", "harmchoice.cli.LoadedDataset.to_text"),
-    ("construct-inconsistent", "text", "harmchoice.cli.LoadedDataset.to_dict"),
+    ("construct-inconsistent", "text", "harmchoice.cli.LoadedDataset.json_fields"),
 ]
 
 
@@ -114,6 +115,6 @@ def test_rows_render_as_json_dumps(labels, seed):
     ground = GroundSet(tuple(labels))
     choice = generate_harmful(LinearOrder(tuple(range(n))), UniformIndexPolicy(n - 1), seed=seed)
     ds = LoadedDataset(ground, choice)
-    assert "".join(cli._json_chunks(ds.json_fields())) == json.dumps(ds.to_dict(), indent=2)
+    assert "".join(cli._json_chunks(ds.json_fields())) == json.dumps(dataset_dict(ds), indent=2)
     report = build_analysis(ds, workers=1).to_dict()
     assert "".join(cli._json_chunks(report)) == json.dumps(report, indent=2)

@@ -22,7 +22,6 @@ from harmchoice import (
     rational_choice,
     sp_axiomatic,
 )
-from harmchoice import _kernels
 from harmchoice.axioms import _selected_with, coselected_pairs, min_cover
 from harmchoice.errors import (
     CycleDetected,
@@ -30,7 +29,7 @@ from harmchoice.errors import (
     InvalidWitness,
     NotWeaklyHarmful,
 )
-from conftest import random_choice
+from conftest import loop_relation, random_choice
 
 
 def masked_weakly_harmful(c):
@@ -44,7 +43,7 @@ def masked_weakly_harmful(c):
     orders = []
     for star in sorted(witnesses):
         picks = np.where((masks >> star) & 1 == 1, -1, c.picks_array)
-        wins = _kernels.relation(picks[None, :], n)[0].sum(axis=1)
+        wins = loop_relation(picks[None, :], n)[0].sum(axis=1)
         tail = sorted((e for e in range(n) if e != star), key=lambda e: (-wins[e], e))
         assert [int(wins[e]) for e in tail] == list(range(n - 2, -1, -1))
         orders.append(LinearOrder((star, *tail)))

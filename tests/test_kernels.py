@@ -1,5 +1,5 @@
-"""The batched revealed-relation kernel and the census kernels that read it,
-against a menu-by-menu loop and the per-choice axioms."""
+"""The revealed relation from pick counts, and the census kernels, against
+a menu-by-menu loop and the per-choice axioms."""
 
 from itertools import combinations
 
@@ -7,25 +7,8 @@ import numpy as np
 import pytest
 
 from harmchoice import ChoiceFunction, _kernels, construct_inconsistent
-from harmchoice.axioms import coselected_pairs, is_inconsistent
-from conftest import random_choice
-
-
-def loop_relation(picks_mat, n):
-    """Oracle: menu by menu, mark the pick as chosen over every member; a
-    pick outside 0..n-1 marks nothing."""
-    C, size = picks_mat.shape
-    sel = np.zeros((C, n, n), np.bool_)
-    rows = np.arange(C)
-    for m in range(1, size):
-        p = picks_mat[:, m]
-        ok = (p >= 0) & (p < n)
-        for e in range(n):
-            if (m >> e) & 1:
-                sel[rows[ok], p[ok], e] = True
-    diag = np.arange(n)
-    sel[:, diag, diag] = False
-    return sel
+from harmchoice.axioms import _pick_counts, _selected_with, coselected_pairs, is_inconsistent
+from conftest import loop_relation, random_choice
 
 
 def choice_batch(n, seed):
@@ -38,20 +21,23 @@ def choice_batch(n, seed):
     return np.stack([c.picks_array for c in choices])
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+def loop_pick_counts(c):
+    """Oracle for ``_pick_counts``: menu by menu, count the pick once for
+    every member, itself included."""
+    counts = np.zeros((c.n, c.n), np.int64)
+    for menu, p in c.items():
+        counts[p, list(menu.members)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("n", range(1, 10))
 def test_relation_matches_menu_loop(n):
-    picks_mat = choice_batch(n, 100 + n)
-    np.testing.assert_array_equal(_kernels.relation(picks_mat, n), loop_relation(picks_mat, n))
-    # the census decoder leaves pick 0 on the empty menu at entry 0
-    decoded = picks_mat.copy()
-    decoded[:, 0] = 0
-    np.testing.assert_array_equal(_kernels.relation(decoded, n), loop_relation(picks_mat, n))
-    # menus whose pick is -1 join no row; 2**(20-n) rows span several of the
-    # kernel's blocks of choices
-    rng = np.random.default_rng(200 + n)
-    holes = np.resize(picks_mat, ((1 << (20 - n)) + 7, picks_mat.shape[1]))
-    holes[rng.random(holes.shape) < 0.3] = -1
-    np.testing.assert_array_equal(_kernels.relation(holes, n), loop_relation(holes, n))
+    for row in choice_batch(n, 100 + n):
+        c = ChoiceFunction(n, row)
+        counts, sel = _pick_counts(c), _selected_with(c)
+        np.testing.assert_array_equal(counts, loop_pick_counts(c))
+        np.testing.assert_array_equal(sel, loop_relation(c.picks_array[None, :], n)[0])
+        assert not counts.flags.writeable and not sel.flags.writeable
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -59,7 +45,7 @@ def test_count_inconsistent_matches_per_choice(n):
     picks_mat = choice_batch(n, 300 + n)
     expected = sum(is_inconsistent(ChoiceFunction(n, row)) for row in picks_mat)
     # the relation's rows packed as bitmasks, as the sampled census keeps them
-    rows = (_kernels.relation(picks_mat, n).astype(np.int64) << np.arange(n)).sum(axis=2)
+    rows = (loop_relation(picks_mat, n).astype(np.int64) << np.arange(n)).sum(axis=2)
     assert _kernels.count_inconsistent(rows.astype(np.uint16), n) == expected
     # the diagonal bit that a singleton menu sets is ignored
     assert _kernels.count_inconsistent(rows | (1 << np.arange(n)), n) == expected
@@ -73,3 +59,15 @@ def test_pair_masks_match_coselected_pairs(n):
         sum(bit[pair] for pair in coselected_pairs(ChoiceFunction(n, row))) for row in picks_mat
     ]
     assert _kernels.pair_masks(picks_mat, n).tolist() == expected
+    # the census decoder leaves pick 0 on the empty menu at entry 0
+    decoded = picks_mat.copy()
+    decoded[:, 0] = 0
+    assert _kernels.pair_masks(decoded, n).tolist() == expected
+    # menus whose pick is -1 take part in no pair
+    rng = np.random.default_rng(200 + n)
+    holes = np.resize(picks_mat, (500, picks_mat.shape[1]))
+    holes[rng.random(holes.shape) < 0.3] = -1
+    sel = loop_relation(holes, n)
+    iu, ju = np.triu_indices(n, 1)
+    mutual = (sel[:, iu, ju] & sel[:, ju, iu]).astype(np.int64) << np.arange(iu.size)
+    assert _kernels.pair_masks(holes, n).tolist() == mutual.sum(axis=1).tolist()
