@@ -345,7 +345,7 @@ class TestTextLabels:
         ds = LoadedDataset(GroundSet((label, "c")), rational_choice(LinearOrder((0, 1))))
         with pytest.raises(ValueError, match="cannot be written as text"):
             ds.to_text()
-        assert json.loads("".join(cli._json_chunks(ds.json_fields())))["alternatives"] == [label, "c"]
+        assert ds.json_fields()["alternatives"] == [label, "c"]
 
     @settings(max_examples=60, deadline=None)
     @given(
