@@ -8,10 +8,11 @@ order.
 
 :func:`pair_masks` tests each alternative pair of a batch of picks arrays
 directly: the menus holding both, one column gather per pair. The exact
-census reads it; a single choice's relation comes from the pick counts of
-:func:`harmchoice.axioms._pick_counts`. The sampled census never holds
-picks arrays: it ORs each drawn menu into its packed rows and tests them
-with :func:`count_inconsistent`.
+census reads it; a single choice's relation comes from the pick counts
+that the choice builds once and keeps,
+:attr:`harmchoice.core.ChoiceFunction.pick_counts`. The sampled census
+never holds picks arrays: it ORs each drawn menu into its packed rows and
+tests them with :func:`count_inconsistent`.
 
 The central quantity is the minimal distortion index of a (menu, pick, order)
 triple: demoting the top block down to just past the lowest-ranked menu member

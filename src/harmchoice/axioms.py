@@ -3,16 +3,15 @@
 A reversal is a pair of distinct menus whose distinct picks both lie in the
 menus' intersection; it is the atomic violation of the weak axiom of
 revealed preference (WARP). Every axiom here depends on the choice only
-through its co-selected pick pairs, which are computed once per choice and
-cached, with actual menu pairs materialized on demand.
+through its co-selected pick pairs, read off the revealed relation that the
+choice's pick counts hold, with actual menu pairs materialized on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -95,50 +94,38 @@ class CnsWitness:
         }
 
 
-@lru_cache(maxsize=2048)
-def _pick_counts(c: ChoiceFunction) -> np.ndarray:
-    """N[p, q] is the number of menus that contain q and pick p.
-
-    This one count matrix holds the revealed relation and the reversal
-    count; it is cached per choice and returned read-only.
-    """
-    n = c.n
-    picks = c.picks_array[1:]
-    masks = np.arange(1, 1 << n, dtype=np.int64)
-    counts = np.empty((n, n), dtype=np.int64)
-    for q in range(n):
-        counts[:, q] = np.bincount(picks[(masks >> q) & 1 == 1], minlength=n)
-    counts.setflags(write=False)
-    return counts
-
-
-@lru_cache(maxsize=2048)
-def _selected_with(c: ChoiceFunction) -> np.ndarray:
+def revealed_relation(c: ChoiceFunction) -> np.ndarray:
     """sel[p, q] is True when some menu containing q has pick p (p != q):
-    ``N > 0`` off the diagonal, with N from :func:`_pick_counts`.
+    ``N > 0`` off the diagonal, with N the choice's
+    :attr:`ChoiceFunction.pick_counts`.
 
-    This revealed relation is all that the degree depends on; it is cached
-    per choice and returned read-only.
+    This relation is all that the degree depends on.
     """
-    sel = _pick_counts(c) > 0
+    sel = c.pick_counts > 0
     np.fill_diagonal(sel, False)
-    sel.setflags(write=False)
     return sel
 
 
-@lru_cache(maxsize=2048)
 def coselected_pairs(c: ChoiceFunction) -> tuple[tuple[int, int], ...]:
     """Sorted pairs (p < q) co-selected by some reversal of the choice."""
-    sel = _selected_with(c)
+    sel = revealed_relation(c)
     p, q = np.nonzero(np.triu(sel & sel.T))
     return tuple(zip(p.tolist(), q.tolist()))
 
 
-def menu_positions(c: ChoiceFunction, p: int, q: int) -> np.ndarray:
-    """Canonical positions (indices into :func:`menu_order`) of the menus
-    that contain q and pick p, ascending."""
+def _menus_picking(c: ChoiceFunction) -> Callable[[int, int], np.ndarray]:
+    """``at(p, q)``: the canonical positions (indices into
+    :func:`menu_order`) of the menus that contain q and pick p, ascending.
+
+    One stable sort of the canonical picks gathers the menus that pick each
+    alternative, and their bitmasks, for every pair at once.
+    """
     order = menu_order(c.n)
-    return np.flatnonzero((c.picks_array[order] == p) & (((order >> q) & 1) == 1))
+    picks = c.picks_array[order]
+    ends = np.cumsum(np.bincount(picks, minlength=c.n))
+    positions = np.split(np.argsort(picks, kind="stable"), ends[:-1])
+    masks = [order[pos] for pos in positions]
+    return lambda p, q: positions[p][(masks[p] >> q) & 1 == 1]
 
 
 def _reversals(c: ChoiceFunction, rows: Iterable[tuple[int, int]]) -> list[Reversal]:
@@ -157,11 +144,11 @@ def reversal_count(c: ChoiceFunction) -> int:
     """How many reversals :func:`find_reversals` would list, without listing
     them.
 
-    With N[p, q] from :func:`_pick_counts`, the pair {p, q} has
-    N[p, q] * N[q, p] reversals: each menu that picks p with q in it,
-    matched with each menu that picks q with p in it.
+    With N the choice's :attr:`ChoiceFunction.pick_counts`, the pair
+    {p, q} has N[p, q] * N[q, p] reversals: each menu that picks p with q
+    in it, matched with each menu that picks q with p in it.
     """
-    counts = _pick_counts(c)
+    counts = c.pick_counts
     return int(np.triu(counts * counts.T, 1).sum())
 
 
@@ -178,22 +165,11 @@ def find_reversals(c: ChoiceFunction, limit: int | None = None) -> list[Reversal
     menu), and likewise for B. The candidate rows of every pair are ordered
     by one sort; without a limit they are all the rows.
     """
-    order = menu_order(c.n)
-    size = len(order)
-    picks = c.picks_array[order]
-    # the canonical positions of the menus that pick each alternative,
-    # ascending, and those menus' bitmasks: gathered once for every pair
-    ends = np.cumsum(np.bincount(picks, minlength=c.n))
-    positions = np.split(np.argsort(picks, kind="stable"), ends[:-1])
-    masks = [order[pos] for pos in positions]
-
-    def first(p: int, q: int) -> np.ndarray:
-        """``menu_positions(c, p, q)[:limit]``, from the gathered arrays."""
-        return positions[p][(masks[p] >> q) & 1 == 1][:limit]
-
+    size = (1 << c.n) - 1
+    at = _menus_picking(c)
     keys = [np.empty(0, dtype=np.int64)]
     for p, q in coselected_pairs(c):
-        at_p, at_q = first(p, q), first(q, p)
+        at_p, at_q = at(p, q)[:limit], at(q, p)[:limit]
         keys.append((np.minimum.outer(at_p, at_q) * size + np.maximum.outer(at_p, at_q)).ravel())
     keys = np.sort(np.concatenate(keys))[:limit]
     return _reversals(c, zip((keys // size).tolist(), (keys % size).tolist()))
@@ -304,9 +280,10 @@ def check_cns(c: ChoiceFunction, j: int) -> CnsWitness | None:
     if len(items) != j:
         return None
     sset = frozenset(items)
+    at = _menus_picking(c)
     rows = []
     for x in items:
         y = _outside_partner(pairs, x, sset)
         # the earliest menu of each side in canonical order
-        rows.append((int(menu_positions(c, x, y)[0]), int(menu_positions(c, y, x)[0])))
+        rows.append((int(at(x, y)[0]), int(at(y, x)[0])))
     return CnsWitness(items=items, paired_reversals=tuple(_reversals(c, rows)))

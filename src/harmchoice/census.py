@@ -1,11 +1,12 @@
 """Surveys of choice space and generators of self-punishing choices.
 
 The exact census classifies every choice function on a small ground set by
-its degree; the sampled census estimates how common the maximal degree is on
-larger ground sets. Both are chunked deterministically, so worker count
-never changes a report. Generators run the model forward: simulated choosers
-applying distortion policies, and an explicit family whose reversals touch
-every alternative pair.
+its degree, all of them in one batch; the sampled census estimates how
+common the maximal degree is on larger ground sets, in chunks that do not
+depend on the worker count, so worker count never changes a report.
+Generators run the model forward: simulated choosers applying distortion
+policies, and an explicit family whose reversals touch every alternative
+pair.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ MAX_SAMPLE_N = 16
 DEFAULT_SEED = 1729
 
 _Z95 = 1.96
-_CENSUS_CHUNK = 4096
 _MASK64 = (1 << 64) - 1
 
 
@@ -133,25 +133,20 @@ def _sp_table(n: int) -> np.ndarray:
 
 
 def enumerate_census(n: int, workers: int | None = None) -> CensusReport:
-    """Classify every choice function on n alternatives by its degree."""
+    """Classify every choice function on n alternatives by its degree, all
+    of them (at most 20,736) in one batch. ``workers`` is checked, then
+    ignored."""
     if n < 2:
         raise ValueError("the census needs at least two alternatives")
     if n > MAX_EXACT_CENSUS_N:
         raise GroundSetTooLarge(
             f"exact census is capped at n <= {MAX_EXACT_CENSUS_N}, got n = {n}"
         )
+    resolve_workers(workers)
     masks, sizes, members = _menu_layout(n)
     total = total_choice_functions(n)
-    table = _sp_table(n)
-
-    def work(chunk: tuple[int, int]) -> np.ndarray:
-        start, stop = chunk
-        picks_mat = _kernels.decode_choices(start, stop, sizes, members, masks, n)
-        pm = _kernels.pair_masks(picks_mat, n)
-        return np.bincount(table[pm], minlength=n)
-
-    chunks = index_chunks(total, _CENSUS_CHUNK)
-    counts = sum(map_chunks(work, chunks, resolve_workers(workers)))
+    picks_mat = _kernels.decode_choices(0, total, sizes, members, masks, n)
+    counts = np.bincount(_sp_table(n)[_kernels.pair_masks(picks_mat, n)], minlength=n)
     counts_by_sp = {i: int(counts[i]) for i in range(n)}
     assert sum(counts_by_sp.values()) == total
     return CensusReport(
@@ -308,7 +303,8 @@ def generate_harmful(
         raise TypeError(f"unsupported policy {policy!r}")
 
     picks = np.full(1 << n, -1, dtype=np.int16)
-    picks[masks] = distortion_max_tables(order)[indices, masks]
+    # uncached: a generator reads each order's table once; the cache serves rescans
+    picks[masks] = distortion_max_tables.__wrapped__(order)[indices, masks]
     return ChoiceFunction(n, picks)
 
 

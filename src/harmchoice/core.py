@@ -4,7 +4,8 @@ Alternatives carry dense integer ids 0..n-1 assigned in ground-set label
 order. A menu is a nonempty subset of ids, canonicalized to a sorted member
 tuple; it also has a bitmask form (bit ``e`` set iff id ``e`` is a member),
 which is how choice functions index their picks internally. All types are
-immutable values, safe to share across threads.
+immutable values, safe to share across threads; a choice function builds
+its pick counts on first read and keeps them.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ class ChoiceFunction:
     (entry 0 is unused). Exactly the 2**n - 1 nonempty menus are defined.
     """
 
-    __slots__ = ("_n", "_picks")
+    __slots__ = ("_n", "_picks", "_counts")
 
     def __init__(self, n: int, picks: np.ndarray | Iterable[int]):
         require_enumerable(n)
@@ -179,6 +180,7 @@ class ChoiceFunction:
         arr.setflags(write=False)
         self._n = n
         self._picks = arr
+        self._counts: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -188,6 +190,25 @@ class ChoiceFunction:
     def picks_array(self) -> np.ndarray:
         """Read-only picks indexed by menu bitmask; entry 0 is -1."""
         return self._picks
+
+    @property
+    def pick_counts(self) -> np.ndarray:
+        """Read-only N, where N[p, q] is the number of menus that contain q
+        and pick p; built on first read and kept.
+
+        It holds the revealed relation and the reversal count. Two threads
+        that race on the first read build equal arrays, and either is kept.
+        """
+        if self._counts is None:
+            n = self._n
+            picks = self._picks[1:]
+            masks = np.arange(1, 1 << n, dtype=np.int64)
+            counts = np.empty((n, n), dtype=np.int64)
+            for q in range(n):
+                counts[:, q] = np.bincount(picks[(masks >> q) & 1 == 1], minlength=n)
+            counts.setflags(write=False)
+            self._counts = counts
+        return self._counts
 
     def pick(self, menu: Menu) -> int:
         return int(self._picks[menu.mask])

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from ._parallel import resolve_workers
-from .axioms import CnsWitness, _selected_with, check_cns, coselected_pairs, min_cover
+from .axioms import CnsWitness, check_cns, coselected_pairs, min_cover, revealed_relation
 from .core import ChoiceFunction, GroundSet, LinearOrder
 from .errors import CrossCheckMismatch
 
@@ -133,7 +133,7 @@ def sp_bruteforce(c: ChoiceFunction, workers: int | None = None) -> SpReport:
     :class:`CrossCheckMismatch`. ``workers`` is checked, then ignored."""
     resolve_workers(workers)
     n = c.n
-    sel = _selected_with(c)
+    sel = revealed_relation(c)
     pred = (sel.astype(np.int64) << np.arange(n)[:, None]).sum(axis=0).tolist()
     t, largest_sets = _topological_counts(pred)
     degree = n - int(largest_sets[0]).bit_count()

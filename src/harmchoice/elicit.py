@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .axioms import _selected_with, constant_selection_witnesses, is_cns_witness_set
+from .axioms import constant_selection_witnesses, is_cns_witness_set, revealed_relation
 from .core import ChoiceFunction, GroundSet, LinearOrder, require_enumerable
 from .errors import CycleDetected, InvalidWitness, NotWeaklyHarmful
 
@@ -86,7 +86,7 @@ def _ranked(c: ChoiceFunction, head: Sequence[int]) -> LinearOrder:
     """``head`` in its given order, then the other alternatives by their wins
     in ``sel`` among themselves, smaller id first on ties."""
     rest = [e for e in range(c.n) if e not in head]
-    wins = _selected_with(c)[np.ix_(rest, rest)].sum(axis=1)
+    wins = revealed_relation(c)[np.ix_(rest, rest)].sum(axis=1)
     tail = np.argsort(-wins, kind="stable")
     if wins[tail].tolist() != list(range(len(rest) - 1, -1, -1)):
         raise RuntimeError("tail relation is not a linear order; this cannot happen")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from harmchoice import (
+    ChoiceFunction,
     GroundSet,
     LinearOrder,
     Menu,
@@ -23,7 +24,7 @@ from harmchoice import (
     reversal_count,
     satisfies_warp,
 )
-from harmchoice.axioms import _pick_counts, _selected_with, coselected_pairs, min_cover
+from harmchoice.axioms import coselected_pairs, min_cover
 from harmchoice.cli import LoadedDataset, build_analysis
 from harmchoice.errors import InvalidJ
 from conftest import iter_all_choices, random_choice
@@ -141,19 +142,29 @@ class TestBoundedListing:
             assert reversal_count(c) == len(brute_reversals(c))
 
 
-def test_analysis_builds_the_pick_counts_once():
-    """analyze reads the relation and the reversal count from one cached
-    count matrix, built once per choice."""
+def test_analysis_builds_the_pick_counts_once(monkeypatch):
+    """analyze reads the relation and the reversal count from the choice's
+    count matrix, which it builds once and reads again."""
+    reads, builds = [], []
+    read = ChoiceFunction.pick_counts.fget
+
+    def spy(c):
+        reads.append(c)
+        if c._counts is None:
+            builds.append(c)
+        return read(c)
+
+    monkeypatch.setattr(ChoiceFunction, "pick_counts", property(spy))
     n = 6
-    ds = LoadedDataset(
-        GroundSet(tuple(f"a{e}" for e in range(n))),
-        generate_harmful(LinearOrder(tuple(range(n))), UniformIndexPolicy(3), seed=31),
-    )
-    for cached in (_pick_counts, _selected_with, coselected_pairs):
-        cached.cache_clear()
-    build_analysis(ds, workers=1)
-    info = _pick_counts.cache_info()
-    assert info.misses == 1 and info.hits >= 1
+    for seed in (31, 32):
+        ds = LoadedDataset(
+            GroundSet(tuple(f"a{e}" for e in range(n))),
+            generate_harmful(LinearOrder(tuple(range(n))), UniformIndexPolicy(3), seed=seed),
+        )
+        reads.clear()
+        builds.clear()
+        build_analysis(ds, workers=1)
+        assert len(builds) == 1 and builds[0] is ds.choice and len(reads) >= 2
 
 
 class TestWarp:

@@ -22,7 +22,7 @@ from harmchoice import (
     sp_bruteforce,
 )
 from harmchoice._kernels import order_scores
-from harmchoice.axioms import _selected_with, coselected_pairs
+from harmchoice.axioms import coselected_pairs, revealed_relation
 from harmchoice.cli import main
 from conftest import iter_all_choices, random_choice
 
@@ -31,7 +31,7 @@ def scan(c):
     """The n! oracle: score every base order in lexicographic order and keep
     the best score, how many orders reach it and the first 100 of them."""
     orders = np.array(list(permutations(range(c.n))), dtype=np.int64)
-    scores = order_scores(_selected_with(c), orders)
+    scores = order_scores(revealed_relation(c), orders)
     best = int(scores.min())
     hits = np.flatnonzero(scores == best)
     return best, int(hits.size), [tuple(orders[i].tolist()) for i in hits[:100]]

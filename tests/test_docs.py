@@ -41,6 +41,46 @@ def test_readme_api_names_are_exported():
     assert used <= set(harmchoice.__all__)
 
 
+#: A Sphinx cross-reference in a docstring, such as :func:`find_reversals`.
+DOC_REFERENCE = re.compile(r":(?:func|data|class|meth|attr):`([\w.]+)`")
+
+
+def has_path(obj: object, dotted: str) -> bool:
+    for name in dotted.split("."):
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
+
+
+def test_docstring_references_resolve():
+    """Every cross-reference in a package docstring names something that
+    exists: in its own module's namespace, in a class defined there, or as a
+    dotted ``harmchoice.`` path."""
+    unresolved = []
+    for path in sorted((ROOT / "src" / "harmchoice").glob("*.py")):
+        name = "harmchoice" if path.stem == "__init__" else f"harmchoice.{path.stem}"
+        module = importlib.import_module(name)
+        classes = [
+            value
+            for value in vars(module).values()
+            if isinstance(value, type) and value.__module__ == name
+        ]
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                continue
+            for target in DOC_REFERENCE.findall(ast.get_docstring(node) or ""):
+                if not (
+                    has_path(module, target)
+                    or any(has_path(cls, target) for cls in classes)
+                    or target.startswith("harmchoice.")
+                    and has_path(harmchoice, target.removeprefix("harmchoice."))
+                ):
+                    unresolved.append(f"{name}: {target}")
+    assert unresolved == []
+
+
 def perfbench_value(module: str, name: str) -> ast.expr:
     """The expression assigned to ``name`` at the top of perfbench/<module>.py,
     read with ast; nothing from perfbench is imported."""

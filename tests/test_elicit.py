@@ -22,7 +22,7 @@ from harmchoice import (
     rational_choice,
     sp_axiomatic,
 )
-from harmchoice.axioms import _selected_with, coselected_pairs, min_cover
+from harmchoice.axioms import coselected_pairs, min_cover, revealed_relation
 from harmchoice.errors import (
     CycleDetected,
     GroundSetTooLarge,
@@ -56,7 +56,7 @@ def closed_partial(c, witness):
     n = c.n
     items = tuple(witness)
     others = [e for e in range(n) if e not in items]
-    sel = _selected_with(c)
+    sel = revealed_relation(c)
     rel = set(itertools.combinations(items, 2))
     rel.update((x, y) for x in items for y in others)
     rel.update((y, z) for y in others for z in others if sel[y, z])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from harmchoice import ChoiceFunction, _kernels, construct_inconsistent
-from harmchoice.axioms import _pick_counts, _selected_with, coselected_pairs, is_inconsistent
+from harmchoice.axioms import coselected_pairs, is_inconsistent, revealed_relation
 from conftest import loop_relation, random_choice
 
 
@@ -22,7 +22,7 @@ def choice_batch(n, seed):
 
 
 def loop_pick_counts(c):
-    """Oracle for ``_pick_counts``: menu by menu, count the pick once for
+    """Oracle for ``ChoiceFunction.pick_counts``: menu by menu, count the pick once for
     every member, itself included."""
     counts = np.zeros((c.n, c.n), np.int64)
     for menu, p in c.items():
@@ -34,10 +34,12 @@ def loop_pick_counts(c):
 def test_relation_matches_menu_loop(n):
     for row in choice_batch(n, 100 + n):
         c = ChoiceFunction(n, row)
-        counts, sel = _pick_counts(c), _selected_with(c)
+        counts = c.pick_counts
         np.testing.assert_array_equal(counts, loop_pick_counts(c))
-        np.testing.assert_array_equal(sel, loop_relation(c.picks_array[None, :], n)[0])
-        assert not counts.flags.writeable and not sel.flags.writeable
+        np.testing.assert_array_equal(
+            revealed_relation(c), loop_relation(c.picks_array[None, :], n)[0]
+        )
+        assert not counts.flags.writeable and c.pick_counts is counts
 
 
 @pytest.mark.parametrize("n", range(2, 9))

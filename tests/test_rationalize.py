@@ -17,7 +17,7 @@ from harmchoice import (
     validate_rationalization,
 )
 from harmchoice._kernels import order_scores
-from harmchoice.axioms import _selected_with
+from harmchoice.axioms import revealed_relation
 from conftest import random_choice
 
 
@@ -136,7 +136,7 @@ class TestMinMaxIndex:
         c = random_choice(rng, n)
         ranking = tuple(data.draw(st.permutations(range(n))))
         order = LinearOrder(ranking)
-        scores = order_scores(_selected_with(c), np.array([ranking], dtype=np.int64))
+        scores = order_scores(revealed_relation(c), np.array([ranking], dtype=np.int64))
         assert int(scores[0]) == min_max_index(c, order)
 
 
@@ -145,6 +145,6 @@ def test_kernel_agrees_exhaustively_n3():
     rng = np.random.default_rng(35)
     for _ in range(12):
         c = random_choice(rng, 3)
-        scores = order_scores(_selected_with(c), orders)
+        scores = order_scores(revealed_relation(c), orders)
         for k, ranking in enumerate(itertools.permutations(range(3))):
             assert int(scores[k]) == min_max_index(c, LinearOrder(ranking))
