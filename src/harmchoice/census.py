@@ -32,7 +32,6 @@ from .core import (
     require_enumerable,
 )
 from .errors import GroundSetTooLarge, IndexOutOfRange
-from .rationalize import distortion_max_tables
 
 #: Exact enumeration of all choice functions is gated at this size.
 MAX_EXACT_CENSUS_N = 4
@@ -302,9 +301,16 @@ def generate_harmful(
     else:
         raise TypeError(f"unsupported policy {policy!r}")
 
+    # each menu as the mask of its members' positions in the order, best at bit 0
+    at = np.zeros(len(masks), dtype=np.int64)
+    for p, e in enumerate(order.ranking):
+        at |= ((masks >> e) & 1) << p
+    # the i-th distortion ranks positions i.. first, best first, then the
+    # demoted top block worst first; frexp's exponent is the bit length
+    kept = at >> indices << indices
+    pos = np.where(kept != 0, np.frexp(kept & -kept)[1], np.frexp(at)[1]) - 1
     picks = np.full(1 << n, -1, dtype=np.int16)
-    # uncached: a generator reads each order's table once; the cache serves rescans
-    picks[masks] = distortion_max_tables.__wrapped__(order)[indices, masks]
+    picks[masks] = np.asarray(order.ranking, dtype=np.int16)[pos]
     return ChoiceFunction(n, picks)
 
 

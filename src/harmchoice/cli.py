@@ -38,6 +38,16 @@ objects a large dataset parses into. :func:`run`, the entry point of
 :func:`main`, flushes stdout and stderr and ends the process with
 ``os._exit``, skipping interpreter teardown, so ``atexit`` handlers do not
 run. Called in-process, :func:`main` returns its exit code as before.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS`` to ``1`` unless it is
+already set, before numpy loads; a value the user set is kept. No command
+calls BLAS, but OpenBLAS otherwise starts a worker thread when numpy loads,
+and that thread busy-waits for about 0.1 s of CPU in every process. The
+package's ``__init__`` imports no submodule, so the default is in place
+before numpy loads both for ``python -m harmchoice.cli`` and for the
+``harmchoice`` script. A program that imports only other parts of the
+package keeps its BLAS threads; one that loaded numpy before this module
+keeps them too, and only its child processes see the default.
 """
 
 from __future__ import annotations
@@ -52,6 +62,9 @@ from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator
+
+# read once, when numpy loads OpenBLAS; see the module docstring
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -315,9 +315,29 @@ class TestGenerate:
         with pytest.raises(IndexOutOfRange, match="policy index 5 outside 0..2"):
             generate_harmful(order, policy)
 
+    def test_matches_distortion_tables(self):
+        """Each menu's pick, worked out from its own index, is the table's
+        pick of that distortion: every fixed index and random per-menu
+        indices, over random orders at n = 1..12."""
+        rng = np.random.default_rng(64)
+        for n in range(1, 13):
+            masks = menu_order(n)
+            for trial in range(3):
+                order = LinearOrder(tuple(rng.permutation(n).tolist()))
+                tabs = distortion_max_tables(order)
+                for i in range(n):
+                    got = generate_harmful(order, FixedIndexPolicy(i)).picks_array
+                    assert np.array_equal(got, tabs[i])
+                key = np.array([trial, 0], dtype=np.uint64)
+                indices = np.random.Generator(np.random.Philox(key=key)).integers(
+                    0, n, size=len(masks)
+                )
+                got = generate_harmful(order, UniformIndexPolicy(n - 1), seed=trial)
+                assert np.array_equal(got.picks_array[masks], tabs[indices, masks])
+
     def test_matches_menu_loop(self):
-        """One gather over the distortion tables equals filling the picks
-        menu by menu."""
+        """Filling the picks menu by menu from the distortion tables gives
+        the same choice, for each kind of policy."""
         rng = np.random.default_rng(63)
         for n in range(1, 9):
             order = LinearOrder(tuple(int(x) for x in rng.permutation(n)))

@@ -911,10 +911,10 @@ def _cli_env():
     return dict(env, PYTHONPATH=str(Path(harmchoice.__file__).parents[1]))
 
 
-def _fresh_python(code, *args, **kwargs):
+def _fresh_python(code, *args, env=None, **kwargs):
     """Run ``code`` in a new interpreter that imports this package."""
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=_cli_env(), timeout=300, **kwargs
+        [sys.executable, "-c", code, *args], env=env or _cli_env(), timeout=300, **kwargs
     )
 
 
@@ -1079,6 +1079,36 @@ class TestBoundsAndImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_package_import_leaves_numpy_out(self):
+        proc = _fresh_python(
+            "import sys, harmchoice\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('harmchoice.')))",
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_cli_import_defaults_blas_to_one_thread(self, preset):
+        """Importing the CLI sets OPENBLAS_NUM_THREADS to 1 before numpy
+        loads, so no BLAS worker thread starts; a value already set is kept."""
+        env = {k: v for k, v in _cli_env().items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = _fresh_python(
+            "import os, harmchoice.cli\n"
+            "status = '/proc/self/status'\n"
+            "lines = open(status).read().splitlines() if os.path.exists(status) else []\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "print(next((l.split()[1] for l in lines if l.startswith('Threads:')), ''))",
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        value, threads = proc.stdout.split("\n")[:2]
+        assert value == (preset or "1")
+        if preset is None and sys.platform == "linux":
+            assert threads == "1"
 
     def test_sample_census_workers_2_starts_2_threads(self, capsys, monkeypatch):
         started = []

@@ -11,7 +11,7 @@ import pytest
 
 import harmchoice
 import harmchoice.cli
-from test_cli import CYCLE3, ERRATIC4
+from test_cli import CYCLE3, ERRATIC4, _fresh_python
 from test_cli_golden import subcommands
 
 ROOT = Path(__file__).parent.parent
@@ -33,6 +33,33 @@ def test_readme_command_lines_match_parser():
 def test_every_exported_name_resolves():
     missing = [name for name in harmchoice.__all__ if not hasattr(harmchoice, name)]
     assert missing == []
+
+
+def test_exported_names_are_their_modules_objects():
+    """The lazy namespace hands out each public name's object from the
+    submodule that defines it."""
+    for name in harmchoice.__all__:
+        value = getattr(harmchoice, name)
+        home = harmchoice._SOURCE.get(name)
+        module = importlib.import_module(f"harmchoice.{home}") if home else harmchoice
+        assert getattr(module, name) is value, name
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+
+
+def test_dir_lists_names_not_yet_read():
+    """In a fresh interpreter, where no public name has been read yet."""
+    proc = _fresh_python(
+        "import harmchoice\nprint(set(harmchoice.__all__) - set(dir(harmchoice)))",
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "set()"
+
+
+def test_unknown_name_is_attribute_error():
+    assert not hasattr(harmchoice, "no_such_name")
+    with pytest.raises(AttributeError, match="'harmchoice' has no attribute 'no_such_name'"):
+        harmchoice.no_such_name
 
 
 def test_readme_api_names_are_exported():
