@@ -13,11 +13,6 @@ that the choice builds once and keeps,
 :attr:`harmchoice.core.ChoiceFunction.pick_counts`. The sampled census
 never holds picks arrays: it ORs each drawn menu into its packed rows and
 tests them with :func:`count_inconsistent`.
-
-The central quantity is the minimal distortion index of a (menu, pick, order)
-triple: demoting the top block down to just past the lowest-ranked menu member
-sitting above the pick is both necessary and sufficient, so the minimal index
-is 1 + max(position of members above the pick), or 0 when none are above.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from .core import (
     GroundSet,
     LinearOrder,
     Menu,
-    fill_best,
+    distortion_picks,
     menu_order,
     require_enumerable,
 )
@@ -276,7 +276,6 @@ def generate_harmful(
     """
     n = order.n
     require_enumerable(n)
-    masks = menu_order(n)
 
     def check(i: int) -> int:
         if not 0 <= i <= n - 1:
@@ -289,29 +288,18 @@ def generate_harmful(
         check(policy.cap)
         key = np.array([seed & _MASK64, 0], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        indices = rng.integers(0, policy.cap + 1, size=len(masks))
+        indices = np.zeros(1 << n, dtype=np.int64)
+        indices[menu_order(n)] = rng.integers(0, policy.cap + 1, size=(1 << n) - 1)
     elif isinstance(policy, ExplicitIndexPolicy):
         lookup = policy.lookup()
         if any(not 0 < mask < 1 << n for mask in lookup):
             raise ValueError("policy assigns an index to a menu outside the ground set")
-        by_mask = np.zeros(1 << n, dtype=np.int64)
+        indices = np.zeros(1 << n, dtype=np.int64)
         for mask in sorted(lookup, key=lambda m: Menu.from_mask(m).sort_key):
-            by_mask[mask] = check(lookup[mask])
-        indices = by_mask[masks]
+            indices[mask] = check(lookup[mask])
     else:
         raise TypeError(f"unsupported policy {policy!r}")
-
-    # each menu as the mask of its members' positions in the order, best at bit 0
-    at = np.zeros(len(masks), dtype=np.int64)
-    for p, e in enumerate(order.ranking):
-        at |= ((masks >> e) & 1) << p
-    # the i-th distortion ranks positions i.. first, best first, then the
-    # demoted top block worst first; frexp's exponent is the bit length
-    kept = at >> indices << indices
-    pos = np.where(kept != 0, np.frexp(kept & -kept)[1], np.frexp(at)[1]) - 1
-    picks = np.full(1 << n, -1, dtype=np.int16)
-    picks[masks] = np.asarray(order.ranking, dtype=np.int16)[pos]
-    return ChoiceFunction(n, picks)
+    return ChoiceFunction(n, distortion_picks(order, indices))
 
 
 def inconsistent_ground_set(k: int) -> GroundSet:
@@ -333,18 +321,17 @@ def construct_inconsistent(k: int) -> ChoiceFunction:
         raise ValueError("the construction needs k >= 2")
     n = 2 * k
     require_enumerable(n)
-    size = 1 << n
-    full = size - 1
+    full = (1 << n) - 1
 
     def wrap(j: int) -> int:
         # cycle over 1..2k-1
         return (j - 1) % (n - 1) + 1
 
-    picks = np.full(size, -1, dtype=np.int16)
+    picks = distortion_picks(LinearOrder(tuple(range(n))), 0)
     picks[full] = 0
     for e in range(1, n):
         picks[full ^ (1 << e)] = wrap(e - 1)
     tail = full ^ 1
     for e in range(1, n):
         picks[tail ^ (1 << e)] = wrap(e + 1)
-    return ChoiceFunction(n, fill_best(picks, range(n)))
+    return ChoiceFunction(n, picks)

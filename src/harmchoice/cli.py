@@ -97,6 +97,7 @@ from .core import (
     LinearOrder,
     Menu,
     menu_order,
+    move_bits,
     require_enumerable,
     validate_choice,
 )
@@ -429,14 +430,9 @@ def _parse_json_dataset(obj: object) -> _Parsed:
             shaped = {list}.issuperset(map(type, menus))
         except (KeyError, TypeError):  # an entry that is not an object or lacks a key
             shaped = False
-        if not shaped:
-            # a malformed entry counts as an empty menu, which flags its row
-            shaped = [
-                isinstance(e, dict) and "menu" in e and "choice" in e and isinstance(e["menu"], list)
-                for e in block
-            ]
-            menus = [e["menu"] if ok else [] for e, ok in zip(block, shaped)]
-            pick_labels = [e["choice"] if ok else None for e, ok in zip(block, shaped)]
+        if not shaped:  # some entry is malformed: raise the block's first error
+            for i, entry in enumerate(block, start):
+                _check_json_row(ground, entry, name(i))
         lengths = np.fromiter(map(len, menus), np.int64, len(menus))
         flat = list(chain.from_iterable(menus))
         masks, picks, flagged = _label_rows(ground, flat, lengths, pick_labels)
@@ -523,7 +519,7 @@ def _parse_text_dataset(text: str) -> _Parsed:
     if header is None:  # provisional ids to sorted ones
         rank = {label: e for e, label in enumerate(ground.labels)}
         final = np.fromiter(map(rank.__getitem__, seen_labels), np.int64, ground.n)
-        masks, picks = _move_bits(masks, final), final[picks]
+        masks, picks = move_bits(masks, final), final[picks]
 
     def name(i: int) -> str:
         return f"line {linenos[i]}"
@@ -572,17 +568,6 @@ def _mask_ground(labels: Collection[str]) -> GroundSet | None:
         return GroundSet(tuple(labels))
     except ValueError:
         return None
-
-
-def _move_bits(masks: np.ndarray, to: np.ndarray) -> np.ndarray:
-    """``masks`` (below 2**20) with each bit ``b`` moved to bit ``to[b]``,
-    looked up in one table for the low and one for the high 10 bits."""
-    half = np.arange(1 << 10)
-    low, high = np.zeros((2, 1 << 10), dtype=np.int64)
-    for b, e in enumerate(to.tolist()):
-        table = low if b < 10 else high
-        table[(half >> (b % 10)) & 1 == 1] |= 1 << e
-    return low[masks & 1023] | high[masks >> 10]
 
 
 def _label_rows(
@@ -846,8 +831,11 @@ def _parse_policy_spec(
             raise ParseError("policy map must be a JSON object of 'a,b,c' -> index")
         mapping = {}
         for key, value in obj.items():
-            menu = _menu_from_labels(ground, [s.strip() for s in key.split(",")], f"policy key {key!r}")
-            mapping[menu] = int(value)
+            ref = f"policy key {key!r}"
+            menu = _menu_from_labels(ground, [s.strip() for s in key.split(",")], ref)
+            if type(value) is not int:
+                raise ParseError(f"{ref}: index must be a JSON integer, got {json.dumps(value)}")
+            mapping[menu] = value
         return ExplicitIndexPolicy.from_menus(mapping)
     parser.error("--policy must be fixed:<i>, uniform:<cap>, or map:<file.json>")
 

@@ -242,14 +242,9 @@ def menu_order(n: int) -> np.ndarray:
     cached and read-only."""
     require_enumerable(n)
     masks = np.arange(1, 1 << n, dtype=np.int64)
-    size = np.zeros_like(masks)
-    reversed_bits = np.zeros_like(masks)
-    for e in range(n):
-        bit = (masks >> e) & 1
-        size += bit
-        reversed_bits |= bit << (n - 1 - e)
     # among menus of one size, the smaller member tuple has the larger reversed mask
-    order = masks[np.lexsort((-reversed_bits, size))]
+    key = (np.bitwise_count(masks).astype(np.int64) << n) - move_bits(masks, np.arange(n)[::-1])
+    order = masks[np.argsort(key)]
     order.setflags(write=False)
     return order
 
@@ -259,12 +254,35 @@ def all_menu_masks(n: int) -> tuple[int, ...]:
     return tuple(menu_order(n).tolist())
 
 
-def fill_best(picks: np.ndarray, ranking: Iterable[int]) -> np.ndarray:
-    """Give every menu whose pick is still -1 its best member under
-    ``ranking`` (best first), in place; the empty menu at entry 0 stays -1."""
-    masks = np.arange(picks.shape[0], dtype=np.int64)
-    for e in ranking:
-        picks[(picks == -1) & (((masks >> e) & 1) == 1)] = e
+def move_bits(masks: np.ndarray, to: Iterable[int]) -> np.ndarray:
+    """``masks`` (below 2**20) with each bit ``b`` moved to bit ``to[b]``,
+    looked up in one table for the low and one for the high 10 bits."""
+    half = np.arange(1 << 10)
+    low, high = np.zeros((2, 1 << 10), dtype=np.int64)
+    for b, e in enumerate(to):
+        table = low if b < 10 else high
+        table[(half >> (b % 10)) & 1 == 1] |= 1 << int(e)
+    return low[masks & 1023] | high[masks >> 10]
+
+
+def distortion_picks(order: LinearOrder, indices: int | np.ndarray) -> np.ndarray:
+    """Picks indexed by menu bitmask (entry 0 is -1) of a chooser who, in
+    each menu, maximizes the ``indices``-th harmful distortion of ``order``;
+    ``indices`` is one index in 0..n-1, or one per bitmask.
+
+    Each menu becomes the mask of its members' positions in the order, best
+    at bit 0. The i-th distortion ranks positions i.. first, best first,
+    then the demoted top block worst first; frexp's exponent is the bit
+    length.
+    """
+    n = order.n
+    require_enumerable(n)
+    ranking = np.asarray(order.ranking, dtype=np.int16)
+    at = move_bits(np.arange(1 << n), np.argsort(ranking))
+    kept = at >> indices << indices
+    pos = np.where(kept != 0, np.frexp(kept & -kept)[1], np.frexp(at)[1]) - 1
+    picks = ranking[pos]
+    picks[0] = -1
     return picks
 
 
@@ -279,9 +297,7 @@ def max_of(menu: Menu, order: LinearOrder) -> int:
 
 def rational_choice(order: LinearOrder) -> ChoiceFunction:
     """The choice a maximizer of ``order`` makes from every menu."""
-    n = order.n
-    require_enumerable(n)
-    return ChoiceFunction(n, fill_best(np.full(1 << n, -1, dtype=np.int16), order.ranking))
+    return ChoiceFunction(order.n, distortion_picks(order, 0))
 
 
 def validate_choice(

@@ -4,29 +4,29 @@ An explanation assigns to every menu a distortion index of the base order
 whose maximizer reproduces the observed pick. The canonical assignment
 (count of alternatives globally above the pick) always works, which is why
 the per-order minimal worst index is well defined.
+
+The central quantity is the minimal distortion index of a (menu, pick, order)
+triple: demoting the top block down to just past the lowest-ranked menu member
+sitting above the pick is both necessary and sufficient, so the minimal index
+is 1 + max(position of members above the pick), or 0 when none are above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .core import ChoiceFunction, LinearOrder, Menu, fill_best
-from .distortion import harmful_distortion
+from .core import ChoiceFunction, LinearOrder, Menu, distortion_picks, move_bits
 
 
-@lru_cache(maxsize=4096)
 def distortion_max_tables(order: LinearOrder) -> np.ndarray:
     """tab[i, mask]: the pick a maximizer of the i-th distortion makes.
 
-    Column 0 (the empty menu) stays -1. The result is cached and read-only.
+    Column 0 (the empty menu) stays -1. Each call builds a fresh read-only
+    table.
     """
-    n = order.n
-    tabs = np.full((n, 1 << n), -1, dtype=np.int16)
-    for i in range(n):
-        fill_best(tabs[i], harmful_distortion(order, i).ranking)
+    tabs = np.stack([distortion_picks(order, i) for i in range(order.n)])
     tabs.setflags(write=False)
     return tabs
 
@@ -80,23 +80,21 @@ def validate_rationalization(c: ChoiceFunction, r: SelfPunishmentRationalization
     """True when every menu's pick maximizes its assigned distortion."""
     if c.n != r.base.n:
         return False
-    tabs = distortion_max_tables(r.base)
-    idx = np.asarray(r.indices, dtype=np.int64)
-    masks = np.arange(1, 1 << c.n, dtype=np.int64)
-    return bool(np.array_equal(tabs[idx, masks], c.picks_array[1:]))
+    indices = np.array((0,) + r.indices, dtype=np.int64)
+    return bool(np.array_equal(distortion_picks(r.base, indices), c.picks_array))
 
 
 def min_max_index(c: ChoiceFunction, order: LinearOrder) -> int:
     """Worst menu's smallest feasible distortion index for this base order.
 
-    Menus are independent, so evaluating all n distortions per menu and
-    taking the smallest feasible index each time realizes the minimum over
-    whole assignments of the largest index used.
+    Menus are independent, so taking each menu's smallest feasible index
+    realizes the minimum over whole assignments of the largest index used.
+    That index is the bit length of the menu's position mask (bit k for a
+    member at position k of the order) cut below the pick's position.
     """
     if c.n != order.n:
         raise ValueError("choice and order live on different ground sets")
-    tabs = distortion_max_tables(order)
-    feasible = tabs[:, 1:] == c.picks_array[None, 1:]
-    if not feasible.any(axis=0).all():
-        raise RuntimeError("some menu has no feasible distortion; this cannot happen")
-    return int(np.argmax(feasible, axis=0).max())
+    pos = np.argsort(np.asarray(order.ranking))
+    at = move_bits(np.arange(1, 1 << c.n), pos)
+    above = at & ((1 << pos[c.picks_array[1:]]) - 1)
+    return int(np.frexp(above)[1].max())

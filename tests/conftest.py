@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from harmchoice import ChoiceFunction, GroundSet, Menu, validate_choice
+from harmchoice import ChoiceFunction, GroundSet, Menu, harmful_distortion, validate_choice
 from harmchoice.core import menu_order
 
 
@@ -68,6 +68,39 @@ def loop_relation(picks_mat, n):
     diag = np.arange(n)
     sel[:, diag, diag] = False
     return sel
+
+
+def lexsort_menu_order(n):
+    """Oracle for ``menu_order``: sizes and reversed masks built one bit at
+    a time, then one lexsort."""
+    masks = np.arange(1, 1 << n, dtype=np.int64)
+    size = np.zeros_like(masks)
+    reversed_bits = np.zeros_like(masks)
+    for e in range(n):
+        bit = (masks >> e) & 1
+        size += bit
+        reversed_bits |= bit << (n - 1 - e)
+    return masks[np.lexsort((-reversed_bits, size))]
+
+
+def fill_best(picks, ranking):
+    """Give every menu whose pick is still -1 its best member under
+    ``ranking`` (best first), in place; the empty menu at entry 0 stays -1."""
+    masks = np.arange(picks.shape[0], dtype=np.int64)
+    for e in ranking:
+        picks[(picks == -1) & (((masks >> e) & 1) == 1)] = e
+    return picks
+
+
+def loop_distortion_tables(order):
+    """Oracle for ``distortion_max_tables``: tab[i, mask] is the best member
+    of the menu under the i-th distortion, one masked scan per alternative
+    and index; column 0 stays -1."""
+    n = order.n
+    tabs = np.full((n, 1 << n), -1, dtype=np.int16)
+    for i in range(n):
+        fill_best(tabs[i], harmful_distortion(order, i).ranking)
+    return tabs
 
 
 def dataset_dict(ds):

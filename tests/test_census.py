@@ -30,10 +30,9 @@ from harmchoice import (
 from harmchoice import _kernels
 from harmchoice.census import _menu_layout, _sample_chunk
 from harmchoice.core import ChoiceFunction, menu_order
-from harmchoice.rationalize import distortion_max_tables
 from harmchoice.cli import main
 from harmchoice.errors import GroundSetTooLarge, IndexOutOfRange
-from conftest import iter_all_choices, loop_relation
+from conftest import iter_all_choices, loop_distortion_tables, loop_relation
 
 
 def loop_menu_layout(n):
@@ -324,7 +323,7 @@ class TestGenerate:
             masks = menu_order(n)
             for trial in range(3):
                 order = LinearOrder(tuple(rng.permutation(n).tolist()))
-                tabs = distortion_max_tables(order)
+                tabs = loop_distortion_tables(order)
                 for i in range(n):
                     got = generate_harmful(order, FixedIndexPolicy(i)).picks_array
                     assert np.array_equal(got, tabs[i])
@@ -354,7 +353,7 @@ class TestGenerate:
                     key = np.array([11, 0], dtype=np.uint64)
                     draw = np.random.Generator(np.random.Philox(key=key))
                     indices = draw.integers(0, n, size=len(masks)).tolist()
-                tabs = distortion_max_tables(order)
+                tabs = loop_distortion_tables(order)
                 picks = np.full(1 << n, -1, dtype=np.int16)
                 for mask, i in zip(masks, indices):
                     picks[mask] = tabs[i, mask]

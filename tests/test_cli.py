@@ -22,7 +22,7 @@ from harmchoice import GroundSet, LinearOrder, UniformIndexPolicy, generate_harm
 from harmchoice import cli
 from harmchoice.census import _sample_chunk
 from harmchoice.cli import LoadedDataset, _alt, _menu_from_labels, load_dataset, main
-from harmchoice.core import menu_order
+from harmchoice.core import menu_order, move_bits
 from harmchoice.errors import GroundSetTooLarge, HarmchoiceError, ParseError, RowError
 from conftest import dataset_dict, random_choice
 from test_core import rowwise_validate
@@ -196,6 +196,17 @@ class TestGenerators:
         rows = {tuple(c["menu"]): c["choice"] for c in payload["choices"]}
         assert rows[("0", "5")] == "5"
         assert rows[("0", "5", "20")] == "0"
+
+    @pytest.mark.parametrize("value", [None, 1.7, True, "1", [1]])
+    def test_generate_map_policy_rejects_non_integer_index(self, capsys, tmp_path, value):
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"0,5": 1, "5,20": value}))
+        code = main(["generate", "--order", "0,5,20", "--policy", f"map:{policy}"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "policy key '5,20': index must be a JSON integer" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_construct_inconsistent_pipes(self, capsys, tmp_path):
         code = main(["construct-inconsistent", "--k", "2", "--format", "json"])
@@ -756,7 +767,7 @@ class TestLoaderBlocks:
         to = rng.permutation(20)
         masks = rng.integers(0, 1 << 20, size=500)
         want = [sum(1 << int(to[b]) for b in range(20) if (m >> b) & 1) for m in masks.tolist()]
-        assert cli._move_bits(masks, to).tolist() == want
+        assert move_bits(masks, to).tolist() == want
 
 
 @pytest.fixture(scope="module")

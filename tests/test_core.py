@@ -23,8 +23,8 @@ from harmchoice.errors import (
     MissingMenu,
     PickNotInMenu,
 )
-from harmchoice.core import menu_order, require_enumerable
-from conftest import random_choice
+from harmchoice.core import distortion_picks, menu_order, require_enumerable
+from conftest import lexsort_menu_order, loop_distortion_tables, random_choice
 
 
 def rowwise_validate(rows, ground):
@@ -398,6 +398,29 @@ def test_rational_choice_matches_max_of():
         c = rational_choice(order)
         for mask in all_menu_masks(n):
             assert c.pick_mask(mask) == max_of(Menu.from_mask(mask), order)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_menu_order_matches_lexsort(n):
+    order = menu_order(n)
+    assert np.array_equal(order, lexsort_menu_order(n))
+    assert not order.flags.writeable
+
+
+def test_distortion_picks_match_tables():
+    """Every fixed index, and random indices per bitmask, against the
+    menu-scan tables, over random orders at n = 1..12."""
+    rng = np.random.default_rng(65)
+    for n in range(1, 13):
+        for _ in range(3):
+            order = LinearOrder(tuple(rng.permutation(n).tolist()))
+            tabs = loop_distortion_tables(order)
+            for i in range(n):
+                assert np.array_equal(distortion_picks(order, i), tabs[i])
+            indices = rng.integers(0, n, size=1 << n)
+            got = distortion_picks(order, indices)
+            assert got[0] == -1
+            assert np.array_equal(got[1:], tabs[indices, np.arange(1 << n)][1:])
 
 
 def test_rational_choice_satisfies_warp():

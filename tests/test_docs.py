@@ -62,6 +62,13 @@ def test_unknown_name_is_attribute_error():
         harmchoice.no_such_name
 
 
+def test_declared_numpy_floor_has_bitwise_count():
+    """The package calls np.bitwise_count, which came with NumPy 2.0."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    (floor,) = re.findall(r'"numpy>=([\d.]+)"', pyproject)
+    assert tuple(map(int, floor.split("."))) >= (2, 0)
+
+
 def test_readme_api_names_are_exported():
     used = set(re.findall(r"\bhc\.(\w+)", first_code_block("Python API")))
     assert used

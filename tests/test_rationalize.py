@@ -1,6 +1,8 @@
 """Rationalization construction, validation, and the per-order minimal bound."""
 
+import gc
 import itertools
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from harmchoice import (
     Menu,
     SelfPunishmentRationalization,
     canonical_rationalization,
+    distortion_max_tables,
     harmful_distortion,
     max_of,
     min_max_index,
@@ -18,7 +21,7 @@ from harmchoice import (
 )
 from harmchoice._kernels import order_scores
 from harmchoice.axioms import revealed_relation
-from conftest import random_choice
+from conftest import loop_distortion_tables, random_choice
 
 
 def indices_by_menu(n, mapping, default=0):
@@ -127,6 +130,38 @@ class TestMinMaxIndex:
             r = SelfPunishmentRationalization(order, tuple(indices))
             assert validate_rationalization(c, r)
             assert r.max_index == bound
+
+    def test_matches_distortion_tables(self):
+        """The worst menu's smallest feasible index, read off the
+        menu-scan tables, for random choices and orders at n = 1..10."""
+        rng = np.random.default_rng(36)
+        for n in range(1, 11):
+            for _ in range(4):
+                c = random_choice(rng, n)
+                order = LinearOrder(tuple(rng.permutation(n).tolist()))
+                feasible = loop_distortion_tables(order)[:, 1:] == c.picks_array[None, 1:]
+                assert min_max_index(c, order) == int(np.argmax(feasible, axis=0).max())
+
+    def test_many_orders_leave_nothing_behind(self):
+        """Bounding, validating and tabulating against many base orders
+        keeps no per-order tables once the results are dropped. The bound lies above
+        the 1.4 KB that stays here and below the 18 MB that 40 cached n = 14
+        tables would hold."""
+        n = 14
+        rng = np.random.default_rng(37)
+        c = random_choice(rng, n)
+        orders = [LinearOrder(tuple(rng.permutation(n).tolist())) for _ in range(40)]
+        tracemalloc.start()
+        try:
+            for order in orders:
+                min_max_index(c, order)
+                validate_rationalization(c, canonical_rationalization(c, order))
+                distortion_max_tables(order)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1_000_000
 
     @settings(max_examples=60)
     @given(st.integers(2, 6), st.data())
