@@ -242,9 +242,11 @@ def menu_order(n: int) -> np.ndarray:
     cached and read-only."""
     require_enumerable(n)
     masks = np.arange(1, 1 << n, dtype=np.int64)
-    # among menus of one size, the smaller member tuple has the larger reversed mask
+    # among menus of one size, the smaller member tuple has the larger reversed
+    # mask; the keys are distinct, and the stable sort is as fast on their
+    # sorted runs as the default one and maps less of numpy's sort code
     key = (np.bitwise_count(masks).astype(np.int64) << n) - move_bits(masks, np.arange(n)[::-1])
-    order = masks[np.argsort(key)]
+    order = masks[np.argsort(key, kind="stable")]
     order.setflags(write=False)
     return order
 
