@@ -133,20 +133,23 @@ class TestMinMaxIndex:
 
     def test_matches_distortion_tables(self):
         """The worst menu's smallest feasible index, read off the
-        menu-scan tables, for random choices and orders at n = 1..10."""
+        menu-scan tables, for random choices and orders at n = 1..10; the
+        package's tables equal them."""
         rng = np.random.default_rng(36)
         for n in range(1, 11):
             for _ in range(4):
                 c = random_choice(rng, n)
                 order = LinearOrder(tuple(rng.permutation(n).tolist()))
-                feasible = loop_distortion_tables(order)[:, 1:] == c.picks_array[None, 1:]
+                tabs = loop_distortion_tables(order)
+                assert np.array_equal(distortion_max_tables(order), tabs)
+                feasible = tabs[:, 1:] == c.picks_array[None, 1:]
                 assert min_max_index(c, order) == int(np.argmax(feasible, axis=0).max())
 
     def test_many_orders_leave_nothing_behind(self):
         """Bounding, validating and tabulating against many base orders
-        keeps no per-order tables once the results are dropped. The bound lies above
-        the 1.4 KB that stays here and below the 18 MB that 40 cached n = 14
-        tables would hold."""
+        keeps no per-order tables once the results are dropped. The bound
+        lies above the 1.4 KB that stays here and below the 18 MB that 40
+        cached n = 14 tables would hold."""
         n = 14
         rng = np.random.default_rng(37)
         c = random_choice(rng, n)
