@@ -40,26 +40,19 @@ class Reversal:
         if not (self.pick_a in a and self.pick_a in b and self.pick_b in a and self.pick_b in b):
             raise ValueError("both picks must lie in the menus' intersection")
 
-    def to_dict(self, ground: GroundSet | None = None) -> dict:
-        if ground is not None:
-            return {
-                "menu_a": self.menu_a.label_list(ground),
-                "pick_a": ground.label(self.pick_a),
-                "menu_b": self.menu_b.label_list(ground),
-                "pick_b": ground.label(self.pick_b),
-            }
+    def to_dict(self, ground: GroundSet) -> dict:
         return {
-            "menu_a": list(self.menu_a.members),
-            "pick_a": self.pick_a,
-            "menu_b": list(self.menu_b.members),
-            "pick_b": self.pick_b,
+            "menu_a": self.menu_a.label_list(ground),
+            "pick_a": ground.label(self.pick_a),
+            "menu_b": self.menu_b.label_list(ground),
+            "pick_b": ground.label(self.pick_b),
         }
 
     def to_text(self, ground: GroundSet) -> str:
         """One line: ``{a, b} -> b  |  {a, b, c} -> a``."""
         return (
-            f"{{{', '.join(self.menu_a.label_list(ground))}}} -> {ground.label(self.pick_a)}"
-            f"  |  {{{', '.join(self.menu_b.label_list(ground))}}} -> {ground.label(self.pick_b)}"
+            f"{self.menu_a.to_text(ground)} -> {ground.label(self.pick_a)}"
+            f"  |  {self.menu_b.to_text(ground)} -> {ground.label(self.pick_b)}"
         )
 
 
@@ -84,12 +77,9 @@ class CnsWitness:
             if x not in picks or picks <= set(self.items):
                 raise ValueError("each pairing needs its item plus an outside pick")
 
-    def to_dict(self, ground: GroundSet | None = None) -> dict:
-        items = (
-            [ground.label(e) for e in self.items] if ground is not None else list(self.items)
-        )
+    def to_dict(self, ground: GroundSet) -> dict:
         return {
-            "items": items,
+            "items": [ground.label(e) for e in self.items],
             "paired_reversals": [r.to_dict(ground) for r in self.paired_reversals],
         }
 

@@ -345,6 +345,7 @@ def load_dataset(path: str) -> LoadedDataset:
         text = sys.stdin.read()
     else:
         text = Path(path).read_text(encoding="utf-8")
+    text = text.removeprefix("\ufeff")  # the byte-order mark some editors write
     if text.lstrip().startswith("{"):
         obj = _decode_json(text)
         del text  # the entries hold one shared string per distinct label
@@ -399,7 +400,7 @@ def _decode_json(text: str) -> object:
 
     try:
         return json.loads(text, object_hook=entry)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise ParseError(f"invalid JSON: {exc}") from None
 
 
@@ -825,7 +826,7 @@ def _parse_policy_spec(
     if kind == "map" and sep:
         try:
             obj = json.loads(Path(rest).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"invalid policy map JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise ParseError("policy map must be a JSON object of 'a,b,c' -> index")

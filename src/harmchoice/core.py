@@ -111,6 +111,10 @@ class Menu:
     def label_list(self, ground: GroundSet) -> list[str]:
         return [ground.label(e) for e in self.members]
 
+    def to_text(self, ground: GroundSet) -> str:
+        """Members in id order: ``{a, b}``."""
+        return "{" + ", ".join(self.label_list(ground)) + "}"
+
     def __len__(self) -> int:
         return len(self.members)
 
@@ -351,9 +355,9 @@ def validate_choice(
         menu, pick = rows[row]
         mask = _check_row(row, menu, pick, ground)
         first = int(order[np.searchsorted(sorted_masks, mask)])
-        labels = ", ".join(Menu.from_mask(mask).label_list(ground))
+        shown = Menu.from_mask(mask).to_text(ground)
         raise DuplicateMenu(
-            (first, row), lambda at, again: f"menu {{{labels}}} appears at both {at} and {again}"
+            (first, row), lambda at, again: f"menu {shown} appears at both {at} and {again}"
         )
     filled = np.full(size, -1, dtype=np.int16)
     filled[masks] = picks
@@ -362,7 +366,8 @@ def validate_choice(
             filled[1 << e] = e
             warnings.warn(
                 DatasetWarning(
-                    f"singleton menu {{{ground.label(e)}}} was absent; its forced pick was filled in"
+                    f"singleton menu {Menu((e,)).to_text(ground)} was absent;"
+                    " its forced pick was filled in"
                 ),
                 stacklevel=2,
             )

@@ -42,14 +42,11 @@ class SpReport:
     minimizing_order_count: int | None = None
     cns_witness: CnsWitness | None = None
 
-    def to_dict(self, ground: GroundSet | None = None) -> dict:
+    def to_dict(self, ground: GroundSet) -> dict:
         out: dict = {"sp": self.sp, "method": self.method}
         if self.minimizing_orders is not None:
             out["minimizing_order_count"] = self.minimizing_order_count
-            out["minimizing_orders"] = [
-                order.label_list(ground) if ground is not None else list(order.ranking)
-                for order in self.minimizing_orders
-            ]
+            out["minimizing_orders"] = [o.label_list(ground) for o in self.minimizing_orders]
         if self.cns_witness is not None:
             out["cns_witness"] = self.cns_witness.to_dict(ground)
         return out

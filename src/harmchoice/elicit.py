@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .axioms import constant_selection_witnesses, is_cns_witness_set, revealed_relation
-from .core import ChoiceFunction, GroundSet, LinearOrder, require_enumerable
+from .core import ChoiceFunction, LinearOrder, require_enumerable
 from .errors import CycleDetected, InvalidWitness, NotWeaklyHarmful
 
 
@@ -52,18 +52,8 @@ class StrictPartialOrder:
         """Build from any generating pairs, closing under transitivity."""
         return cls(n, _transitive_closure(n, frozenset(pairs)))
 
-    def before(self, a: int, b: int) -> bool:
-        return (a, b) in self.pairs
-
     def sorted_pairs(self) -> list[tuple[int, int]]:
         return sorted(self.pairs)
-
-    def to_dict(self, ground: GroundSet | None = None) -> dict:
-        if ground is not None:
-            pairs = [[ground.label(a), ground.label(b)] for a, b in self.sorted_pairs()]
-        else:
-            pairs = [list(p) for p in self.sorted_pairs()]
-        return {"n": self.n, "pairs": pairs}
 
 
 def _transitive_closure(n: int, pairs: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:

@@ -22,7 +22,7 @@ class MissingMenu(DatasetError):
     def __init__(self, menus, total, ground):
         self.menus = list(menus)
         self.total = total
-        shown = ", ".join("{" + ", ".join(m.label_list(ground)) + "}" for m in self.menus)
+        shown = ", ".join(m.to_text(ground) for m in self.menus)
         suffix = "" if total == len(self.menus) else f" (and {total - len(self.menus)} more)"
         super().__init__(f"dataset is missing {total} menu(s): {shown}{suffix}")
 

@@ -302,7 +302,7 @@ def test_criterion_10_worker_determinism(projects_choice, erratic4_choice):
         blobs.append(
             json.dumps(
                 {
-                    "sp": sp_bruteforce(projects_choice[1], workers=w).to_dict(),
+                    "sp": sp_bruteforce(projects_choice[1], workers=w).to_dict(projects_choice[0]),
                     "census": enumerate_census(4, workers=w).to_dict(),
                     "sample": sample_census(5, 100_000, seed=SEED, workers=w).to_dict(),
                     "analysis": analysis.to_dict(),

@@ -6,6 +6,8 @@ import json
 import re
 import sys
 import tracemalloc
+from fractions import Fraction
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -128,6 +130,38 @@ class TestEnumerate:
         assert reports[0] == reports[1] == reports[2]
 
 
+def strongly_harmful_bracket(n):
+    """Exact bounds on the fraction of choice functions on n alternatives
+    that co-select every pair.
+
+    A uniform choice draws each menu's pick independently, so a given pair
+    {p, q} fails to be co-selected with probability
+    pi_n = 2 * prod over s = 2..n of ((s - 1) / s) ** C(n - 2, s - 2): the
+    menus that hold both must all avoid one of the two, and the menu {p, q}
+    itself picks one of them. One pair and the union bound over all C(n, 2)
+    pairs give [max(0, 1 - C(n, 2) * pi_n), 1 - pi_n].
+    """
+    pi = 2 * prod(Fraction(s - 1, s) ** comb(n - 2, s - 2) for s in range(2, n + 1))
+    return max(Fraction(0), 1 - comb(n, 2) * pi), 1 - pi
+
+
+#: Exact strongly harmful fractions: n = 5 from its degree counts, n = 6 to
+#: ten digits from the signed sum over relations.
+EXACT_FRACTIONS = {5: Fraction(113_300_802_720, 309_586_821_120), 6: Fraction("0.8419944718")}
+
+
+def test_bracket_values():
+    assert strongly_harmful_bracket(2) == (0, 0)
+    assert strongly_harmful_bracket(3) == (0, Fraction(1, 3))
+    assert strongly_harmful_bracket(4) == (0, Fraction(2, 3))
+    assert strongly_harmful_bracket(6) == (Fraction(41, 50), Fraction(247, 250))
+    exact = {n: Fraction(enumerate_census(n).counts_by_sp.get(n - 1, 0), total_choice_functions(n))
+             for n in (2, 3, 4)}
+    for n, fraction in {**exact, **EXACT_FRACTIONS}.items():
+        lo, hi = strongly_harmful_bracket(n)
+        assert lo <= fraction <= hi
+
+
 class TestSample:
     def test_deterministic_same_seed(self):
         a = sample_census(4, 5000, seed=99)
@@ -142,6 +176,20 @@ class TestSample:
         exact = enumerate_census(4).strongly_harmful_fraction
         est = sample_census(4, 100_000, seed=7)
         assert abs(est.strongly_harmful_fraction - exact) <= est.half_width
+
+    @pytest.mark.parametrize("n", range(5, MAX_SAMPLE_N + 1))
+    def test_estimate_within_certified_bracket(self, n):
+        """The sampled fraction lies within three half-widths of the exact
+        bracket, and of the exact fraction where it is known. A run in which
+        every sample qualifies has half-width 0 and counts as 1 / samples."""
+        samples = 100_000 if n <= 7 else 20_000 if n == 8 else 2_048
+        rep = sample_census(n, samples, seed=4099 + n)
+        fraction = Fraction(rep.strongly_harmful_fraction)
+        slack = 3 * (Fraction(rep.half_width) or Fraction(1, samples))
+        lo, hi = strongly_harmful_bracket(n)
+        assert lo - slack <= fraction <= hi + slack
+        if n in EXACT_FRACTIONS:
+            assert abs(fraction - EXACT_FRACTIONS[n]) <= slack
 
     def test_fraction_and_width_ranges(self):
         rep = sample_census(5, 2000, seed=3)

@@ -208,6 +208,16 @@ class TestGenerators:
         assert "policy key '5,20': index must be a JSON integer" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_generate_map_policy_nested_too_deep_is_exit_1(self, capsys, tmp_path):
+        policy = tmp_path / "policy.json"
+        policy.write_text('{"0,5":' + "[" * 200_000)
+        code = main(["generate", "--order", "0,5,20", "--policy", f"map:{policy}"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: invalid policy map JSON: maximum recursion depth")
+
     def test_construct_inconsistent_pipes(self, capsys, tmp_path):
         code = main(["construct-inconsistent", "--k", "2", "--format", "json"])
         assert code == 0
@@ -289,6 +299,35 @@ class TestDatasetHandling:
         code = main(["warp", str(path)])
         assert code == 1
         assert "missing" in capsys.readouterr().err
+
+    def test_json_nested_too_deep_is_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"alternatives": ["a", "b"], "choices": ' + "[" * 200_000)
+        assert main(["sp", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: invalid JSON: maximum recursion depth")
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("cycle3.json", json.dumps(CYCLE3)),
+            ("cycle3.txt", "x,y,z -> x\nx,y -> y\ny,z -> z\nx,z -> x\n"),
+        ],
+        ids=["json", "text"],
+    )
+    def test_byte_order_mark_is_dropped(self, monkeypatch, tmp_path, name, text):
+        """A leading UTF-8 byte-order mark, as some editors write, is not
+        part of the dataset, in a file or on stdin."""
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        expected = load_dataset(str(plain))
+        assert load_dataset(str(marked)) == expected
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + text))
+        assert load_dataset("-") == expected
 
     def test_usage_errors_are_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

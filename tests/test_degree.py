@@ -117,9 +117,9 @@ class TestBruteforce:
         assert len(rep.minimizing_orders) == 100
 
     def test_worker_count_never_changes_report(self, projects_choice):
-        _, c = projects_choice
+        ground, c = projects_choice
         dicts = [
-            json.dumps(sp_bruteforce(c, workers=w).to_dict()) for w in (1, 2, 8)
+            json.dumps(sp_bruteforce(c, workers=w).to_dict(ground)) for w in (1, 2, 8)
         ]
         assert dicts[0] == dicts[1] == dicts[2]
 

@@ -3,8 +3,10 @@ in step with the code."""
 
 import ast
 import importlib
+import inspect
 import json
 import re
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -85,6 +87,23 @@ def has_path(obj: object, dotted: str) -> bool:
             return False
         obj = getattr(obj, name)
     return True
+
+
+def test_removed_names_stay_removed():
+    """README's "Removed public names" paragraph names each removed name as
+    a dotted path that no longer resolves on ``harmchoice``; a method listed
+    as a call, ``Class.method()``, no longer runs without its ground set."""
+    paragraph = README.split("Removed public names:", 1)[1].split("\n\n", 1)[0]
+    names = re.findall(r"`([\w.]+)`", paragraph)
+    calls = re.findall(r"`([\w.]+)\(\)`", paragraph)
+    removed = {"extend_linear", "Menu.of", "StrictPartialOrder.to_dict", "StrictPartialOrder.before"}
+    assert removed <= set(names)
+    assert [name for name in names if has_path(harmchoice, name)] == []
+    assert calls
+    for call in calls:
+        method = reduce(getattr, call.split("."), harmchoice)
+        ground = inspect.signature(method).parameters["ground"]
+        assert ground.default is inspect.Parameter.empty, call
 
 
 def test_docstring_references_resolve():
