@@ -36,6 +36,7 @@ _EXPORTS = {
         "DEFAULT_SEED",
         "MAX_EXACT_CENSUS_N",
         "MAX_SAMPLE_N",
+        "MAX_SAMPLE_DRAWS",
         "CensusReport",
         "ExplicitIndexPolicy",
         "FixedIndexPolicy",

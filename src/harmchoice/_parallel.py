@@ -2,9 +2,10 @@
 
 Work is split into chunks whose boundaries never depend on the worker count,
 and results are combined in chunk order, so any worker count produces the
-same output bytes. Workers are threads. The thread pool is imported only
-when more than one thread will run, so a single-threaded command never
-loads ``concurrent.futures`` or the ``logging`` module it pulls in.
+same output bytes. Workers are threads, as many as ``workers`` asks for
+or one per CPU. The thread pool is imported only when more than one thread
+will run, so a single-threaded command never loads ``concurrent.futures``
+or the ``logging`` module it pulls in.
 """
 
 from __future__ import annotations
@@ -12,24 +13,13 @@ from __future__ import annotations
 import os
 from typing import Callable, Sequence, TypeVar
 
-ENV_WORKERS = "HARMCHOICE_WORKERS"
-
 T = TypeVar("T")
 R = TypeVar("R")
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: HARMCHOICE_WORKERS beats the argument beats cpu count."""
-    env = os.environ.get(ENV_WORKERS, "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_WORKERS} must be an integer, got {env!r}") from None
-    elif requested is not None:
-        value = int(requested)
-    else:
-        value = os.cpu_count() or 1
+    """Worker count: the argument, else the cpu count."""
+    value = (os.cpu_count() or 1) if requested is None else int(requested)
     if value < 1:
         raise ValueError("worker count must be at least 1")
     return value

@@ -41,6 +41,9 @@ MAX_EXACT_CENSUS_N = 4
 #: ``_sample_chunk(n)`` x n relation-row bitmasks.
 MAX_SAMPLE_N = 16
 
+#: The sampled census draws at most this many menu picks, samples x (2**n - 1).
+MAX_SAMPLE_DRAWS = 1 << 30
+
 #: Seed used by randomized operations when none is given.
 DEFAULT_SEED = 1729
 
@@ -189,6 +192,11 @@ def sample_census(
         raise ValueError("sampling needs at least two alternatives")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    draws = samples * ((1 << n) - 1)
+    if draws > MAX_SAMPLE_DRAWS:
+        raise ValueError(
+            f"sampled census would draw {draws} menu picks, past its cap of {MAX_SAMPLE_DRAWS}"
+        )
     masks, sizes, members = _menu_layout(n)
     masks = masks.astype(np.min_scalar_type(masks[-1]))
     # canonical order runs by size: each size class starts where the size steps up

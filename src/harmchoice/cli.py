@@ -15,9 +15,10 @@ the file text, and turns 4,096 entries at a time into masks. A faulty
 dataset reports the error that a row-by-row reader would meet first, naming
 the row as `choices[i]` or `line N`.
 
-JSON holds any label. The text writer refuses a label that its reader would
-read back differently: one containing `,`, `->` or a line break, starting
-with `#`, or with leading or trailing whitespace.
+Files and stdin are read as bytes and decoded as UTF-8 without a leading
+byte-order mark. JSON holds any label. The text writer refuses a label that
+its reader would read back differently: one containing `,`, `->` or a line
+break, starting with `#`, or with leading or trailing whitespace.
 
 Each report renders only the format that `--format` asks for. JSON is
 written as `json.dumps(..., indent=2)` would write it, but the rows of a
@@ -68,7 +69,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from ._parallel import ENV_WORKERS
 from .axioms import (
     REVERSAL_CAP,
     Reversal,
@@ -105,9 +105,6 @@ from .degree import SpReport, sp, sp_axiomatic, sp_bruteforce
 from .distortion import harmful_distortion
 from .elicit import all_extensions, elicit_partial, elicit_weakly_harmful
 from .errors import HarmchoiceError, ParseError, ReportTooLarge, RowError
-
-#: Reports keep at most this many elicited orders (the count stays exact).
-ELICITED_ORDER_CAP = 100
 
 #: ``reversals`` refuses a dataset with more reversals than this (about 7 MB
 #: of text); ``analyze`` still reports their exact count.
@@ -226,21 +223,20 @@ def _json_chunks(fields: dict) -> Iterator[str]:
 class Elicitation:
     """Base orders that explain a choice within its degree.
 
-    ``orders`` is truncated to :data:`ELICITED_ORDER_CAP` with the exact
-    total in ``count``. For degree >= 1, ``partial_pairs`` holds the strict
-    partial order (better, worse) that the degree report's witness, in its
-    order, identifies. It is total: at degree >= 2 its one ranking is the
-    one elicited order, at degree 1 it is the first elicited order.
+    For degree >= 1, ``partial_pairs`` holds the strict partial order
+    (better, worse) that the degree report's witness, in its order,
+    identifies. It is total, and ``orders`` lists every elicited order: at
+    degree >= 2 its one ranking, at degree 1 one per constantly selected
+    item (at most two), the first of which is its ranking.
     """
 
     orders: tuple[LinearOrder, ...] = ()
-    count: int = 0
     partial_pairs: tuple[tuple[int, int], ...] | None = None
 
     def to_dict(self, ground: GroundSet) -> dict:
         return {
             "elicited_orders": [o.label_list(ground) for o in self.orders],
-            "elicited_order_count": self.count,
+            "elicited_order_count": len(self.orders),
             "partial_order": (
                 None
                 if self.partial_pairs is None
@@ -251,7 +247,7 @@ class Elicitation:
     def to_text(self, ground: GroundSet) -> list[str]:
         lines = []
         if self.orders:
-            lines.append(f"elicited orders (total {self.count}):")
+            lines.append(f"elicited orders (total {len(self.orders)}):")
             lines.extend(f"  {o.to_text(ground)}" for o in self.orders)
         if self.partial_pairs is not None:
             pairs = ", ".join(f"{ground.label(a)} > {ground.label(b)}" for a, b in self.partial_pairs)
@@ -341,11 +337,7 @@ _NO_ROWS = np.zeros(0, dtype=np.int64)
 
 def load_dataset(path: str) -> LoadedDataset:
     """Read, parse, and validate a dataset file ('-' reads stdin)."""
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    text = text.removeprefix("\ufeff")  # the byte-order mark some editors write
+    text = (sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()).decode("utf-8-sig")
     if text.lstrip().startswith("{"):
         obj = _decode_json(text)
         del text  # the entries hold one shared string per distinct label
@@ -408,8 +400,8 @@ def _parse_json_dataset(obj: object) -> _Parsed:
     if not isinstance(obj, dict):
         raise ParseError("dataset must be a JSON object")
     version = obj.get("version", DATASET_VERSION)
-    if version != DATASET_VERSION:
-        raise ParseError(f"unsupported dataset version {version!r}")
+    if type(version) is not int or version != DATASET_VERSION:  # not true or 1.0
+        raise ParseError(f"unsupported dataset version {_shown(repr(version))}")
     labels = obj.get("alternatives")
     if not isinstance(labels, list) or not labels:
         raise ParseError('dataset needs a nonempty "alternatives" list')
@@ -610,7 +602,12 @@ def _alt(ground: GroundSet, label: object, ref: str) -> int:
     try:
         return ground.index(str(label))
     except KeyError:
-        raise ParseError(f"{ref}: unknown alternative {label!r}") from None
+        raise ParseError(f"{ref}: unknown alternative {_shown(repr(label))}") from None
+
+
+def _shown(text: str) -> str:
+    """``text`` cut to 80 characters: an error message echoes no megabytes."""
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def _menu_from_labels(ground: GroundSet, labels: list, ref: str) -> Menu:
@@ -631,11 +628,9 @@ def build_elicitation(choice: ChoiceFunction, report: SpReport) -> Elicitation:
     partial = elicit_partial(choice, report.cns_witness.items)
     if report.sp == 1:
         orders = tuple(elicit_weakly_harmful(choice))
-        count = len(orders)
-    else:
-        ext = all_extensions(partial, ELICITED_ORDER_CAP)
-        orders, count = ext.orders, ext.total
-    return Elicitation(orders, count, tuple(partial.sorted_pairs()))
+    else:  # the partial order is total: its one extension
+        orders = all_extensions(partial, 1).orders
+    return Elicitation(orders, tuple(partial.sorted_pairs()))
 
 
 def build_analysis(ds: LoadedDataset, workers: int | None = None) -> AnalysisReport:
@@ -697,18 +692,18 @@ def _emit_for(
 # subcommands
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     rep = build_analysis(load_dataset(args.dataset), workers=args.workers)
     return _emit(args, rep.to_dict, rep.to_text)
 
 
-def _cmd_warp(args: argparse.Namespace) -> int:
+def _cmd_warp(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     ds = load_dataset(args.dataset)
     ok = satisfies_warp(ds.choice)
     return _emit_for(args, ds, lambda: {"warp": ok}, lambda: [_warp_text(ok)])
 
 
-def _cmd_reversals(args: argparse.Namespace) -> int:
+def _cmd_reversals(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     ds = load_dataset(args.dataset)
     count = reversal_count(ds.choice)
     if count > MAX_REVERSAL_ROWS:
@@ -725,7 +720,7 @@ def _cmd_reversals(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_sp(args: argparse.Namespace) -> int:
+def _cmd_sp(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     ds = load_dataset(args.dataset)
     if args.brute:
         report = sp_bruteforce(ds.choice, workers=args.workers)
@@ -738,7 +733,7 @@ def _cmd_sp(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_elicit(args: argparse.Namespace) -> int:
+def _cmd_elicit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     ds = load_dataset(args.dataset)
     report = sp(ds.choice, workers=args.workers)
     found = build_elicitation(ds.choice, report)
@@ -825,19 +820,24 @@ def _parse_policy_spec(
             parser.error("uniform policy needs an integer cap, e.g. uniform:2")
     if kind == "map" and sep:
         try:
-            obj = json.loads(Path(rest).read_text(encoding="utf-8"))
+            obj = json.loads(Path(rest).read_bytes().decode("utf-8-sig"))
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"invalid policy map JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise ParseError("policy map must be a JSON object of 'a,b,c' -> index")
-        mapping = {}
+        named: dict[Menu, str] = {}  # the key that names each menu
         for key, value in obj.items():
-            ref = f"policy key {key!r}"
+            shown = _shown(repr(key))
+            ref = f"policy key {shown}"
             menu = _menu_from_labels(ground, [s.strip() for s in key.split(",")], ref)
             if type(value) is not int:
-                raise ParseError(f"{ref}: index must be a JSON integer, got {json.dumps(value)}")
-            mapping[menu] = value
-        return ExplicitIndexPolicy.from_menus(mapping)
+                got = _shown(json.dumps(value))
+                raise ParseError(f"{ref}: index must be a JSON integer, got {got}")
+            if menu in named:
+                first = _shown(repr(named[menu]))
+                raise ParseError(f"policy keys {first} and {shown} name the same menu")
+            named[menu] = key
+        return ExplicitIndexPolicy.from_menus({menu: obj[key] for menu, key in named.items()})
     parser.error("--policy must be fixed:<i>, uniform:<cap>, or map:<file.json>")
 
 
@@ -861,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help=f"worker threads (default: available cpus; {ENV_WORKERS} overrides)",
+        help="worker threads (default: available cpus)",
     )
 
     p = sub.add_parser("analyze", parents=[common, pool], help="full report for a dataset")
@@ -890,11 +890,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distort", parents=[common], help="apply one distortion to an order")
     p.add_argument("--order", required=True, help="comma-separated labels, best first")
     p.add_argument("--index", required=True, type=int, help="how many top items to demote")
-    p.set_defaults(func=_cmd_distort, needs_parser=True)
+    p.set_defaults(func=_cmd_distort)
 
     p = sub.add_parser("census", parents=[common, pool], help="exact census of choice space")
     p.add_argument("--n", required=True, type=int, help=f"ground-set size (2..{MAX_EXACT_CENSUS_N})")
-    p.set_defaults(func=_cmd_census, needs_parser=True)
+    p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser(
         "sample-census", parents=[common, pool], help="sampled census of choice space"
@@ -902,13 +902,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--samples", required=True, type=int)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=_cmd_sample_census, needs_parser=True)
+    p.set_defaults(func=_cmd_sample_census)
 
     p = sub.add_parser("generate", parents=[common], help="simulate a self-punishing chooser")
     p.add_argument("--order", required=True, help="comma-separated labels, best first")
     p.add_argument("--policy", required=True, help="fixed:<i> | uniform:<cap> | map:<file.json>")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=_cmd_generate, needs_parser=True)
+    p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser(
         "construct-inconsistent",
@@ -916,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="explicit choice whose reversals touch every pair",
     )
     p.add_argument("--k", required=True, type=int, help="half the ground-set size (>= 2)")
-    p.set_defaults(func=_cmd_construct_inconsistent, needs_parser=True)
+    p.set_defaults(func=_cmd_construct_inconsistent)
 
     return parser
 
@@ -927,7 +927,7 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        code = args.func(args, parser) if getattr(args, "needs_parser", False) else args.func(args)
+        code = args.func(args, parser)
         sys.stdout.flush()  # a closed pipe shows here, not in the exit flush
         return code
     except BrokenPipeError:  # the reader left: what stays buffered goes to devnull

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from harmchoice import (
+    MAX_SAMPLE_DRAWS,
     MAX_SAMPLE_N,
     ExplicitIndexPolicy,
     FixedIndexPolicy,
@@ -29,7 +30,7 @@ from harmchoice import (
     sp,
     total_choice_functions,
 )
-from harmchoice import _kernels
+from harmchoice import _kernels, census
 from harmchoice.census import _menu_layout, _sample_chunk
 from harmchoice.core import ChoiceFunction, menu_order
 from harmchoice.cli import main
@@ -205,6 +206,22 @@ class TestSample:
         monkeypatch.setattr(np, "zeros", refuse)
         with pytest.raises(GroundSetTooLarge, match=f"capped at n <= {MAX_SAMPLE_N}, got n = {n}"):
             sample_census(n, 1, seed=0)
+
+    @pytest.mark.parametrize("n", [2, 8, MAX_SAMPLE_N])
+    def test_draw_cap_refuses_before_chunking(self, monkeypatch, n):
+        """samples x (2**n - 1) picks up to the cap go on to be chunked;
+        one sample more is refused before any chunk is built."""
+
+        def stop(*args):
+            raise InterruptedError("chunking reached")
+
+        monkeypatch.setattr(census, "index_chunks", stop)
+        at_cap = MAX_SAMPLE_DRAWS // ((1 << n) - 1)
+        with pytest.raises(InterruptedError):
+            sample_census(n, at_cap, seed=0)
+        draws = (at_cap + 1) * ((1 << n) - 1)
+        with pytest.raises(ValueError, match=f"draw {draws} menu picks, past its cap of {MAX_SAMPLE_DRAWS}$"):
+            sample_census(n, at_cap + 1, seed=0)
 
     def test_cap_allows_n_at_cap(self):
         rep = sample_census(MAX_SAMPLE_N, 2, seed=0)

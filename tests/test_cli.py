@@ -3,6 +3,7 @@
 import argparse
 import gc
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -18,8 +19,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import harmchoice
-from harmchoice import GroundSet, LinearOrder, UniformIndexPolicy, generate_harmful, rational_choice
-from harmchoice import cli
+from harmchoice import (
+    FixedIndexPolicy,
+    GroundSet,
+    LinearOrder,
+    UniformIndexPolicy,
+    generate_harmful,
+    rational_choice,
+    sp,
+)
+from harmchoice import census, cli
 from harmchoice.census import _sample_chunk
 from harmchoice.cli import LoadedDataset, _alt, _menu_from_labels, load_dataset, main
 from harmchoice.core import menu_order, move_bits
@@ -67,6 +76,11 @@ def erratic4_file(tmp_path):
     path = tmp_path / "erratic4.json"
     path.write_text(json.dumps(ERRATIC4))
     return str(path)
+
+
+def _stdin(data: bytes, **text_settings) -> io.TextIOWrapper:
+    """A stand-in for ``sys.stdin`` whose text layer reads ``data``."""
+    return io.TextIOWrapper(io.BytesIO(data), **text_settings)
 
 
 def run_json(capsys, argv):
@@ -124,6 +138,27 @@ class TestAnalysis:
         assert code == 0
         assert payload["elicited_orders"] == [["x", "z", "y"], ["y", "x", "z"]]
         assert payload["partial_order"] == [["x", "y"], ["x", "z"], ["z", "y"]]
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_elicitation_lists_every_order(self, n):
+        """At degree 1 there is one order per constantly selected item, at
+        most two; at degree >= 2 the partial order is total, so exactly one.
+        The reported count is the length of the list."""
+        order = LinearOrder(tuple(range(n)))
+        ground = GroundSet(tuple(map(str, range(n))))
+        for policy in [FixedIndexPolicy(k) for k in range(n)] + [UniformIndexPolicy(k) for k in range(n)]:
+            for seed in range(4):
+                choice = generate_harmful(order, policy, seed=seed)
+                report = sp(choice)
+                found = cli.build_elicitation(choice, report)
+                if report.sp == 0:
+                    assert found.orders == ()
+                elif report.sp == 1:
+                    assert 1 <= len(found.orders) <= 2
+                else:
+                    (only,) = found.orders
+                    assert set(found.partial_pairs) == set(itertools.combinations(only.ranking, 2))
+                assert found.to_dict(ground)["elicited_order_count"] == len(found.orders)
 
     def test_warp_and_reversals(self, capsys, cycle3_file):
         code, payload = run_json(capsys, ["warp", cycle3_file])
@@ -207,6 +242,39 @@ class TestGenerators:
         assert captured.out == ""
         assert "policy key '5,20': index must be a JSON integer" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_generate_map_policy_byte_order_mark(self, capsys, tmp_path):
+        plain, marked = tmp_path / "policy.json", tmp_path / "bom-policy.json"
+        text = json.dumps({"0,5": 1, "0,5,20": 2})
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        outputs = []
+        for path in (plain, marked):
+            assert main(["generate", "--order", "0,5,20", "--policy", f"map:{path}"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("keys", [("a,b", "b,a"), ("b,a", " a , b ")])
+    def test_generate_map_policy_rejects_a_menu_named_twice(self, capsys, tmp_path, keys):
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({keys[0]: 1, "a,c": 0, keys[1]: 0}))
+        assert main(["generate", "--order", "a,b,c", "--policy", f"map:{policy}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: policy keys {keys[0]!r} and {keys[1]!r} name the same menu\n"
+
+    def test_sample_census_draw_cap_is_exit_1(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("chunks were built")
+
+        monkeypatch.setattr(census, "index_chunks", refuse)
+        assert main(["sample-census", "--n", "16", "--samples", str(10**12)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: sampled census would draw {10**12 * 65535} menu picks,"
+            f" past its cap of {census.MAX_SAMPLE_DRAWS}\n"
+        )
 
     def test_generate_map_policy_nested_too_deep_is_exit_1(self, capsys, tmp_path):
         policy = tmp_path / "policy.json"
@@ -326,7 +394,7 @@ class TestDatasetHandling:
         assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
         expected = load_dataset(str(plain))
         assert load_dataset(str(marked)) == expected
-        monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + text))
+        monkeypatch.setattr(sys, "stdin", _stdin(marked.read_bytes()))
         assert load_dataset("-") == expected
 
     def test_usage_errors_are_exit_2(self, capsys):
@@ -351,15 +419,62 @@ class TestDatasetHandling:
         assert exc.value.code == 2
         assert "--order must be a comma-separated list" in capsys.readouterr().err
 
-    def test_workers_env_overrides_flag(self, capsys, monkeypatch, cycle3_file):
-        monkeypatch.setenv("HARMCHOICE_WORKERS", "2")
-        code, payload = run_json(capsys, ["sp", cycle3_file, "--workers", "1"])
-        assert code == 0 and payload["sp"]["sp"] == 1
+    def test_stdin_is_read_as_utf8(self, monkeypatch, tmp_path):
+        """stdin is decoded from its bytes as UTF-8, whatever encoding its
+        text layer was set up with, so it loads as the same file does."""
+        path = tmp_path / "accents.txt"
+        path.write_text("b,\u00e9 -> \u00e9\n", encoding="utf-8")
+        expected = load_dataset(str(path))
+        assert expected.ground.labels == ("b", "\u00e9")
+        monkeypatch.setattr(sys, "stdin", _stdin(path.read_bytes(), encoding="latin-1"))
+        assert load_dataset("-") == expected
 
-    def test_bad_workers_env_is_exit_1(self, capsys, monkeypatch, cycle3_file):
-        monkeypatch.setenv("HARMCHOICE_WORKERS", "many")
-        assert main(["sp", cycle3_file]) == 1
-        assert "HARMCHOICE_WORKERS" in capsys.readouterr().err
+    @pytest.mark.parametrize("name", ["bad.txt", "bad.json"])
+    def test_invalid_utf8_on_stdin_is_the_file_error(self, capsys, monkeypatch, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(
+            b"a,b -> \xff\n" if name.endswith(".txt")
+            else b'{"alternatives": ["a", "b"], "choices": [{"menu": ["a", "b"], "choice": "\xff"}]}'
+        )
+        assert main(["warp", str(path)]) == 1
+        from_file = capsys.readouterr()
+        assert from_file.out == ""
+        assert from_file.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        # a stdin in the C locale turns the byte into a lone surrogate
+        monkeypatch.setattr(sys, "stdin", _stdin(path.read_bytes(), errors="surrogateescape"))
+        assert main(["warp", "-"]) == 1
+        assert capsys.readouterr() == from_file
+
+    @pytest.mark.parametrize("version", ["true", "1.0", '"1"', "2"])
+    def test_version_must_be_the_integer_1(self, capsys, tmp_path, version):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(CYCLE3)[:-1] + f', "version": {version}}}')
+        assert main(["warp", str(path)]) == 1
+        shown = repr(json.loads(version))
+        assert capsys.readouterr().err == f"error: unsupported dataset version {shown}\n"
+
+    @pytest.mark.parametrize("where", ["pick", "version", "policy value", "policy key"])
+    def test_echoed_values_are_cut_short(self, capsys, tmp_path, where):
+        """An error message shows about 80 characters of a huge input value,
+        not megabytes."""
+        big = list(range(300_000))
+        path = tmp_path / "input.json"
+        if where.startswith("policy"):
+            policy = {"a,b": big} if where == "policy value" else {",".join(map(str, big)): 0}
+            path.write_text(json.dumps(policy))
+            argv = ["generate", "--order", "a,b", "--policy", f"map:{path}"]
+        else:
+            entry = {"menu": ["a", "b"], "choice": big if where == "pick" else "a"}
+            data = {"alternatives": ["a", "b"], "choices": [entry]}
+            if where == "version":
+                data["version"] = big
+            path.write_text(json.dumps(data))
+            argv = ["warp", str(path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert len(captured.err.encode()) < 1024 and "..." in captured.err
 
 
 def text_writable(label):
@@ -1168,7 +1283,6 @@ class TestBoundsAndImports:
             started.append(thread.name)
             start(thread)
 
-        monkeypatch.delenv("HARMCHOICE_WORKERS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(threading.Thread, "start", spy)
         argv = ["sample-census", "--n", "10", "--samples", str(4 * _sample_chunk(10)), "--seed", "7"]

@@ -5,7 +5,7 @@ import concurrent.futures
 import pytest
 
 from harmchoice import _parallel
-from harmchoice._parallel import ENV_WORKERS, index_chunks, map_chunks, resolve_workers
+from harmchoice._parallel import index_chunks, map_chunks, resolve_workers
 
 
 def test_index_chunks_cover_range():
@@ -54,19 +54,12 @@ def test_map_chunks_caps_threads_at_chunks_and_cpus(monkeypatch):
     assert sizes == [4, 3, 2]
 
 
-def test_resolve_workers_env_overrides_argument(monkeypatch):
-    monkeypatch.setenv(ENV_WORKERS, "3")
-    assert resolve_workers(8) == 3
-    monkeypatch.delenv(ENV_WORKERS)
-    assert resolve_workers(8) == 8
-
-
 def test_resolve_workers_validation(monkeypatch):
-    monkeypatch.setenv(ENV_WORKERS, "zero")
-    with pytest.raises(ValueError):
-        resolve_workers()
-    monkeypatch.setenv(ENV_WORKERS, "0")
-    with pytest.raises(ValueError):
-        resolve_workers()
-    monkeypatch.delenv(ENV_WORKERS)
-    assert resolve_workers() >= 1
+    assert resolve_workers(8) == 8
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            resolve_workers(bad)
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 3)
+    assert resolve_workers() == 3
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: None)
+    assert resolve_workers() == 1
