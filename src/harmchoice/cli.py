@@ -10,10 +10,11 @@ may be omitted; their forced picks are filled in with a warning.
 Both readers work in blocks of rows and keep only one menu bitmask and one
 pick id per row (and, for text, its line number), not the rows' labels. The
 text reader parses about 64 K characters of lines at a time. The JSON
-reader decodes the file with one shared string per distinct label, drops
+reader decodes the file with one interned string per distinct label, drops
 the file text, and turns 4,096 entries at a time into masks. A faulty
 dataset reports the error that a row-by-row reader would meet first, naming
-the row as `choices[i]` or `line N`.
+the row as `choices[i]` or `line N`. A key repeated in one JSON object, in
+a dataset or a ``map:`` policy file, is an error.
 
 Files and stdin are read as bytes and decoded as UTF-8 without a leading
 byte-order mark. JSON holds any label. The text writer refuses a label that
@@ -25,8 +26,8 @@ written as `json.dumps(..., indent=2)` would write it, but the rows of a
 written dataset are rendered from per-label fragments and written as they
 are made.
 
-`analyze`, `sp` and `elicit` check `--workers` but ignore its value: their
-degree route runs on one thread.
+`analyze`, `sp`, `elicit` and `census` check `--workers` but ignore its
+value: they run on one thread.
 
 Exit codes: 0 on success, 1 on dataset or analysis errors and (silently)
 when the reader closes stdout early, as `| head` does, 2 on usage errors.
@@ -104,7 +105,7 @@ from .core import (
 from .degree import SpReport, sp, sp_axiomatic, sp_bruteforce
 from .distortion import harmful_distortion
 from .elicit import all_extensions, elicit_partial, elicit_weakly_harmful
-from .errors import HarmchoiceError, ParseError, ReportTooLarge, RowError
+from .errors import HarmchoiceError, ParseError, ReportTooLarge, RowError, _shown
 
 #: ``reversals`` refuses a dataset with more reversals than this (about 7 MB
 #: of text); ``analyze`` still reports their exact count.
@@ -152,9 +153,9 @@ class LoadedDataset:
                 or label.strip() != label
             ):
                 raise ValueError(
-                    f"label {label!r} cannot be written as text: a text label may not contain"
-                    " ',', '->' or a line break, start with '#', or have outer whitespace"
-                    " (use --format json)"
+                    f"label {_shown(repr(label))} cannot be written as text: a text label may"
+                    " not contain ',', '->' or a line break, start with '#', or have outer"
+                    " whitespace (use --format json)"
                 )
         picks = self.choice.picks_array.tolist()
         order = menu_order(len(labels)).tolist()
@@ -360,40 +361,36 @@ def load_dataset(path: str) -> LoadedDataset:
 _Parsed = tuple[GroundSet, np.ndarray, np.ndarray, Callable[[int], str]]
 
 
-class _SharedLabels(dict):
-    """One object per distinct string label: ``shared[label]`` returns the
-    first string equal to ``label``, and raises TypeError for a label that
-    is not a string, which is then kept as it is."""
+def _decode_json(text: str, what: str = "JSON") -> object:
+    """``json.loads(text)``, except that a key repeated in one object raises
+    a ParseError naming ``what`` and the first key met twice, and that the
+    string labels of each entry's ``menu`` list and its string ``choice``
+    are interned: the strings decoded for an entry die as it is built."""
 
-    def __missing__(self, label: object) -> str:
-        if type(label) is not str:
-            raise TypeError(label)
-        self[label] = label
-        return label
-
-
-def _decode_json(text: str) -> object:
-    """``json.loads(text)``, except that the string labels of each entry's
-    ``menu`` list and its string ``choice`` are one shared object per
-    distinct label: the strings decoded for an entry die as it is built."""
-    share = _SharedLabels().__getitem__
-
-    def entry(obj: dict) -> dict:
+    def entry(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen: set[str] = set()
+            for key, _ in pairs:
+                if key in seen:
+                    shown = _shown(repr(key))
+                    raise ParseError(f"invalid {what}: key {shown} appears twice in one object")
+                seen.add(key)
         menu = obj.get("menu")
         if type(menu) is list:
             try:
-                obj["menu"] = list(map(share, menu))
+                obj["menu"] = list(map(sys.intern, menu))
             except TypeError:  # a number or list among the labels
                 pass
         pick = obj.get("choice")
         if type(pick) is str:
-            obj["choice"] = share(pick)
+            obj["choice"] = sys.intern(pick)
         return obj
 
     try:
-        return json.loads(text, object_hook=entry)
+        return json.loads(text, object_pairs_hook=entry)
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
-        raise ParseError(f"invalid JSON: {exc}") from None
+        raise ParseError(f"invalid {what}: {exc}") from None
 
 
 def _parse_json_dataset(obj: object) -> _Parsed:
@@ -605,11 +602,6 @@ def _alt(ground: GroundSet, label: object, ref: str) -> int:
         raise ParseError(f"{ref}: unknown alternative {_shown(repr(label))}") from None
 
 
-def _shown(text: str) -> str:
-    """``text`` cut to 80 characters: an error message echoes no megabytes."""
-    return text if len(text) <= 80 else text[:77] + "..."
-
-
 def _menu_from_labels(ground: GroundSet, labels: list, ref: str) -> Menu:
     ids = [_alt(ground, lab, ref) for lab in labels]
     if len(set(ids)) != len(ids):
@@ -819,10 +811,7 @@ def _parse_policy_spec(
         except ValueError:
             parser.error("uniform policy needs an integer cap, e.g. uniform:2")
     if kind == "map" and sep:
-        try:
-            obj = json.loads(Path(rest).read_bytes().decode("utf-8-sig"))
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError(f"invalid policy map JSON: {exc}") from None
+        obj = _decode_json(Path(rest).read_bytes().decode("utf-8-sig"), "policy map JSON")
         if not isinstance(obj, dict):
             raise ParseError("policy map must be a JSON object of 'a,b,c' -> index")
         named: dict[Menu, str] = {}  # the key that names each menu

@@ -10,6 +10,7 @@ its pick counts on first read and keeps them.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,6 +24,7 @@ from .errors import (
     GroundSetTooLarge,
     MissingMenu,
     PickNotInMenu,
+    _shown,
 )
 
 #: Menu-enumerating operations refuse ground sets above this size.
@@ -63,7 +65,7 @@ class GroundSet:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise KeyError(f"unknown alternative {label!r}") from None
+            raise KeyError(f"unknown alternative {_shown(repr(label))}") from None
 
     def label(self, alt: int) -> str:
         return self.labels[alt]
@@ -326,6 +328,8 @@ def validate_choice(
     Raises:
         ValueError: a menu is empty, repeats an id or lies outside the
             ground set.
+        TypeError: a pick is not an integer, such as 1.7, "1" or None
+            (numpy integers and bools are integers).
         DuplicateMenu: a menu occurs twice.
         PickNotInMenu: a pick is not a member of its menu.
         MissingMenu: a non-singleton menu is absent.
@@ -355,7 +359,7 @@ def validate_choice(
         menu, pick = rows[row]
         mask = _check_row(row, menu, pick, ground)
         first = int(order[np.searchsorted(sorted_masks, mask)])
-        shown = Menu.from_mask(mask).to_text(ground)
+        shown = _shown(Menu.from_mask(mask).to_text(ground))
         raise DuplicateMenu(
             (first, row), lambda at, again: f"menu {shown} appears at both {at} and {again}"
         )
@@ -396,8 +400,8 @@ def _pick_id(pick: object, n: int) -> int:
     """A row pick as an alternative id, or -1 if it is none."""
     if type(pick) is not int:
         try:
-            pick = int(pick)
-        except (TypeError, ValueError):
+            pick = operator.index(pick)
+        except TypeError:
             return -1
     return pick if 0 <= pick < n else -1
 
@@ -413,9 +417,9 @@ def _check_row(
     elif not isinstance(menu, Menu):
         menu = Menu(tuple(menu))
     if menu.members[-1] >= n:
-        raise ValueError(f"menu {menu.members} lies outside the ground set (n = {n})")
-    pick = int(pick)
+        raise ValueError(f"menu {_shown(str(menu.members))} lies outside the ground set (n = {n})")
+    pick = operator.index(pick)  # a float, string or None raises TypeError
     if pick not in menu:
-        shown = ground.label(pick) if 0 <= pick < n else pick
-        raise PickNotInMenu((row,), lambda at: f"{at}: pick {shown!r} is not a member of its menu")
+        shown = _shown(repr(ground.label(pick) if 0 <= pick < n else pick))
+        raise PickNotInMenu((row,), lambda at: f"{at}: pick {shown} is not a member of its menu")
     return menu.mask

@@ -1,4 +1,10 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the cut that
+every error message applies to a value it echoes from the input."""
+
+
+def _shown(text: str) -> str:
+    """``text`` cut to 80 characters: an error message echoes no megabytes."""
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 class HarmchoiceError(Exception):
@@ -22,7 +28,7 @@ class MissingMenu(DatasetError):
     def __init__(self, menus, total, ground):
         self.menus = list(menus)
         self.total = total
-        shown = ", ".join(m.to_text(ground) for m in self.menus)
+        shown = ", ".join(_shown(m.to_text(ground)) for m in self.menus)
         suffix = "" if total == len(self.menus) else f" (and {total - len(self.menus)} more)"
         super().__init__(f"dataset is missing {total} menu(s): {shown}{suffix}")
 

@@ -476,6 +476,56 @@ class TestDatasetHandling:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert len(captured.err.encode()) < 1024 and "..." in captured.err
 
+    @pytest.mark.parametrize("where", ["pick", "duplicate menu", "missing menus", "text writer"])
+    def test_long_labels_are_cut_short(self, capsys, tmp_path, where):
+        """An error message that names a menu or a pick shows about 80
+        characters of a huge label, not the whole label."""
+        label = "x" * 300_000
+        rows = {
+            "pick": [(["b"], label)],
+            "duplicate menu": [([label, "b"], label), (["b", label], "b")],
+            "missing menus": [(["b", "c"], "b"), ([label, "b", "c"], "b")],
+        }
+        if where == "text writer":
+            argv = ["generate", "--order", f"#{label[:99_999]},b", "--policy", "fixed:0"]
+        else:
+            alternatives = [label, "b", "c"] if where == "missing menus" else [label, "b"]
+            path = tmp_path / "data.json"
+            path.write_text(json_rows(rows[where], alternatives))
+            argv = ["warp", str(path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        expected = {
+            "pick": "error: choices[0]: pick 'xxx",
+            "duplicate menu": "error: menu {xxx",
+            "missing menus": "error: dataset is missing 2 menu(s): {xxx",
+            "text writer": "error: label '#xxx",
+        }[where]
+        assert captured.err.startswith(expected) and captured.err.count("\n") == 1
+        assert len(captured.err.encode()) < 1024 and "..." in captured.err
+
+    @pytest.mark.parametrize("where", ["choices", "choice", "policy map"])
+    def test_repeated_key_is_exit_1(self, capsys, tmp_path, where):
+        """A key repeated in one JSON object is refused, not read as its
+        last value."""
+        path = tmp_path / "input.json"
+        if where == "policy map":
+            path.write_text('{"a,b": 1, "a,b": 0}')
+            argv = ["generate", "--order", "a,b", "--policy", f"map:{path}"]
+            expected = "error: invalid policy map JSON: key 'a,b' appears twice in one object\n"
+        else:
+            text = json.dumps(CYCLE3)
+            if where == "choices":
+                text = '{"choices": [], ' + text[1:]
+            else:
+                text = text.replace('"choice": "y"', '"choice": "x", "choice": "y"', 1)
+            path.write_text(text)
+            argv = ["warp", str(path)]
+            expected = f"error: invalid JSON: key {where!r} appears twice in one object\n"
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", expected)
+
 
 def text_writable(label):
     """Labels that the text reader reads back unchanged."""
@@ -559,8 +609,17 @@ def rowwise_load(path):
     return LoadedDataset(ground, choice, tuple(str(w.message) for w in caught))
 
 
+def refuse_repeated_keys(pairs):
+    """Oracle hook: the object of ``pairs``, or the error for the first key
+    that appears a second time."""
+    for i, (key, _) in enumerate(pairs):
+        if key in [k for k, _ in pairs[:i]]:
+            raise ParseError(f"invalid JSON: key {key!r} appears twice in one object")
+    return dict(pairs)
+
+
 def rowwise_parse_json(text):
-    obj = json.loads(text)
+    obj = json.loads(text, object_pairs_hook=refuse_repeated_keys)
     labels = obj.get("alternatives")
     try:
         ground = GroundSet(tuple(str(lab) for lab in labels))

@@ -1,5 +1,6 @@
 """Core primitives: ground sets, menus, orders, choice validation."""
 
+import operator
 import warnings
 
 import numpy as np
@@ -43,7 +44,7 @@ def rowwise_validate(rows, ground):
             menu = Menu(tuple(menu))
         if menu.members[-1] >= n:
             raise ValueError(f"menu {menu.members} lies outside the ground set (n = {n})")
-        pick = int(pick)
+        pick = operator.index(pick)
         if pick not in menu:
             shown = ground.label(pick) if 0 <= pick < n else pick
             raise PickNotInMenu(
@@ -221,6 +222,21 @@ class TestValidateChoice:
             validate_choice([(Menu((0, 1, 2)), 0), (Menu((0, 1)), 2)], g)
         assert exc.value.rows == (1,)
         assert str(exc.value) == "row 1: pick 'z' is not a member of its menu"
+
+    @pytest.mark.parametrize("pick", [1.7, 0.9, "1", None])
+    def test_pick_that_is_no_integer_is_refused(self, pick):
+        """A pick is an alternative id: a float, a string or None is refused,
+        not rounded or parsed."""
+        g = GroundSet(("x", "y"))
+        rows = [(Menu((0, 1)), pick), (Menu((0,)), 0), (Menu((1,)), 1)]
+        with pytest.raises(TypeError):
+            validate_choice(rows, g)
+
+    @pytest.mark.parametrize("pick", [np.int64(1), np.uint8(1), True])
+    def test_integer_picks_are_read(self, pick):
+        g = GroundSet(("x", "y"))
+        choice = validate_choice([(Menu((0, 1)), pick), (Menu((0,)), 0), (Menu((1,)), 1)], g)
+        assert choice.pick(Menu((0, 1))) == 1
 
     def test_missing_menu_message_uses_labels(self):
         g = GroundSet(("x", "y", "z"))
