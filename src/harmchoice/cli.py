@@ -7,14 +7,20 @@ menu, optionally preceded by `alternatives: a,b,c` to pin the label order
 (otherwise the sorted union of mentioned labels is used). Singleton menus
 may be omitted; their forced picks are filled in with a warning.
 
-Both readers work in blocks of rows and keep only one menu bitmask and one
-pick id per row (and, for text, its line number), not the rows' labels. The
-text reader parses about 64 K characters of lines at a time. The JSON
-reader decodes the file with one interned string per distinct label, drops
-the file text, and turns 4,096 entries at a time into masks. A faulty
-dataset reports the error that a row-by-row reader would meet first, naming
-the row as `choices[i]` or `line N`. A key repeated in one JSON object, in
-a dataset or a ``map:`` policy file, is an error.
+Both readers keep only one menu bitmask and one pick id per row (and, for
+text, its line number), not the rows' labels. The text reader parses about
+64 K characters of lines at a time. The JSON reader packs each entry that
+is exactly {"menu": [distinct strings], "choice": string} into a mask and
+a pick as the decoder builds it, so no object per entry is kept; label ids
+are given in order of first appearance and moved to the header's order at
+the end. A file with any other entry, with a label outside "alternatives"
+or with such an object outside "choices" is decoded again, with one
+interned string per distinct label, and its entries are turned into masks
+4,096 at a time: only this reader reads number labels and malformed
+entries. A faulty dataset reports the error that a row-by-row reader would
+meet first, naming the row as `choices[i]` or `line N`. A key repeated in
+one JSON object, in a dataset or a ``map:`` policy file, is an error, and
+so is an integer literal longer than Python reads.
 
 Files and stdin are read as bytes and decoded as UTF-8 without a leading
 byte-order mark. JSON holds any label. The text writer refuses a label that
@@ -60,6 +66,7 @@ import json
 import os
 import sys
 import warnings
+from array import array
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -339,14 +346,14 @@ _NO_ROWS = np.zeros(0, dtype=np.int64)
 def load_dataset(path: str) -> LoadedDataset:
     """Read, parse, and validate a dataset file ('-' reads stdin)."""
     text = (sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()).decode("utf-8-sig")
-    if text.lstrip().startswith("{"):
-        obj = _decode_json(text)
-        del text  # the entries hold one shared string per distinct label
-        ground, masks, picks, name = _parse_json_dataset(obj)
+    if not text.lstrip().startswith("{"):
+        parsed = _parse_text_dataset(text)
+    elif (parsed := _parse_packed_json(text)) is None:  # a file only the entry reader reads
+        obj, text = _decode_json(text), None  # the entries share one string per distinct label
+        parsed = _parse_json_dataset(obj)
         del obj
-    else:
-        ground, masks, picks, name = _parse_text_dataset(text)
-        del text
+    del text
+    ground, masks, picks, name = parsed
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -361,11 +368,32 @@ def load_dataset(path: str) -> LoadedDataset:
 _Parsed = tuple[GroundSet, np.ndarray, np.ndarray, Callable[[int], str]]
 
 
-def _decode_json(text: str, what: str = "JSON") -> object:
+class _PackedEntries:
+    """The ``choices`` entries that :func:`_decode_json` packed, in file
+    order: each one's menu bitmask and the bit of its pick, over provisional
+    label bits given in order of first appearance."""
+
+    def __init__(self) -> None:
+        self.bits: dict[str, int] = {}  # label -> its provisional bit
+        self.masks = array("q")
+        self.picks = array("q")
+
+
+#: What :func:`_decode_json` returns in place of an entry that it packed.
+_PACKED = object()
+
+
+def _decode_json(text: str, what: str = "JSON", packed: _PackedEntries | None = None) -> object:
     """``json.loads(text)``, except that a key repeated in one object raises
     a ParseError naming ``what`` and the first key met twice, and that the
     string labels of each entry's ``menu`` list and its string ``choice``
-    are interned: the strings decoded for an entry die as it is built."""
+    are interned: the strings decoded for an entry die as it is built.
+
+    With ``packed``, an object whose keys are exactly ``menu`` and
+    ``choice``, whose menu is a nonempty list of distinct strings and whose
+    pick is a string, is added to ``packed`` and decodes as
+    :data:`_PACKED`; once :data:`MAX_ENUM_N` labels have bits, an object
+    with a further label stays a dict."""
 
     def entry(pairs: list[tuple[str, object]]) -> dict:
         obj = dict(pairs)
@@ -387,13 +415,75 @@ def _decode_json(text: str, what: str = "JSON") -> object:
             obj["choice"] = sys.intern(pick)
         return obj
 
+    hook = entry
+    if packed is not None:
+        bits, masks, picks = packed.bits, packed.masks, packed.picks
+        bit_of = bits.get
+
+        def new_bit(label: object) -> int:
+            """The bit of a label met for the first time; 0 for a value that
+            is not a string, or once MAX_ENUM_N labels have bits."""
+            if type(label) is not str or len(bits) == MAX_ENUM_N:
+                return 0
+            bit = bits[label] = 1 << len(bits)
+            return bit
+
+        def hook(pairs: list[tuple[str, object]]) -> object:
+            if len(pairs) == 2:
+                (key, menu), (other, pick) = pairs
+                if key == "choice":
+                    key, menu, other, pick = other, pick, key, menu
+                if key == "menu" and other == "choice" and type(menu) is list and menu and type(pick) is str:
+                    mask = 0
+                    try:
+                        for label in menu:
+                            mask |= bit_of(label) or new_bit(label)
+                    except TypeError:  # an unhashable label
+                        mask = 0
+                    pick_bit = bit_of(pick) or new_bit(pick)
+                    if pick_bit and mask.bit_count() == len(menu):  # every label a distinct bit
+                        masks.append(mask)
+                        picks.append(pick_bit)
+                        return _PACKED
+            return entry(pairs)
+
     try:
-        return json.loads(text, object_pairs_hook=entry)
+        return json.loads(text, object_pairs_hook=hook)
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise ParseError(f"invalid {what}: {exc}") from None
+    except ValueError:  # an integer literal longer than int() reads
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"invalid {what}: an integer has more than {limit} digits") from None
 
 
-def _parse_json_dataset(obj: object) -> _Parsed:
+def _parse_packed_json(text: str) -> _Parsed | None:
+    """Parse a JSON dataset whose entries all pack, or return None for a
+    file that :func:`_parse_json_dataset` has to read: one with an entry
+    left unpacked, a packed object outside ``choices``, or a label outside
+    ``alternatives``. The header is checked as that reader checks it; the
+    provisional label bits are then moved to the header's order."""
+    packed = _PackedEntries()
+    obj = _decode_json(text, packed=packed)
+    choices = obj.get("choices") if isinstance(obj, dict) else None
+    if (
+        not isinstance(choices, list)
+        or len(choices) != len(packed.masks)
+        or choices.count(_PACKED) != len(choices)  # so no packed object lies elsewhere
+    ):
+        return None
+    ground, _ = _json_header(obj)
+    rank = {label: e for e, label in enumerate(ground.labels)}
+    final = np.fromiter(map(rank.get, packed.bits, repeat(-1)), np.int64, len(packed.bits))
+    if (final < 0).any():
+        return None
+    masks = move_bits(np.frombuffer(packed.masks, np.int64), final)
+    picks = final[np.bitwise_count(np.frombuffer(packed.picks, np.int64) - 1)]
+    return ground, masks, picks, "choices[{}]".format
+
+
+def _json_header(obj: object) -> tuple[GroundSet, list]:
+    """The ground set and the ``choices`` list of a decoded JSON dataset,
+    after the checks of its version, its alternatives and its size."""
     if not isinstance(obj, dict):
         raise ParseError("dataset must be a JSON object")
     version = obj.get("version", DATASET_VERSION)
@@ -410,6 +500,11 @@ def _parse_json_dataset(obj: object) -> _Parsed:
     if not isinstance(choices, list):
         raise ParseError('dataset needs a "choices" list')
     require_enumerable(ground.n)
+    return ground, choices
+
+
+def _parse_json_dataset(obj: object) -> _Parsed:
+    ground, choices = _json_header(obj)
     name = "choices[{}]".format
     mask_blocks, pick_blocks = [_NO_ROWS], [_NO_ROWS]
     for start in range(0, len(choices), _JSON_BLOCK):

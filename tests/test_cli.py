@@ -526,6 +526,45 @@ class TestDatasetHandling:
         assert main(argv) == 1
         assert capsys.readouterr() == ("", expected)
 
+    @pytest.mark.parametrize("header, expected", [
+        ({"menu": ["x"], "choice": "x"}, 'dataset needs a nonempty "alternatives" list'),
+        ({"version": 2, "alternatives": ["x"]}, "unsupported dataset version 2"),
+        ({}, 'dataset needs a nonempty "alternatives" list'),
+        ({"alternatives": ["x", "x"]}, "labels must be pairwise distinct"),
+        ({"alternatives": ["x"], "choices": {"menu": ["x"], "choice": "x"}}, 'dataset needs a "choices" list'),
+        ({"alternatives": [f"a{i}" for i in range(21)]}, "capped at n <= 20, got n = 21"),
+    ])
+    def test_header_faults_come_before_rows(self, capsys, tmp_path, header, expected):
+        """Header faults are raised in their order, before any row is read,
+        also when every entry is one that the packed reader reads."""
+        if "menu" not in header:  # else the file is the header
+            header = {"choices": [{"menu": ["x", "q"], "choice": "q"}]} | header
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(header))
+        assert main(["warp", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert expected in captured.err
+
+    @pytest.mark.parametrize("where", ["choice", "policy map"])
+    def test_integer_past_the_digit_limit_is_invalid_json(self, capsys, tmp_path, where):
+        """A 5,000-digit integer literal is refused as invalid JSON, without
+        the interpreter's advice to raise its digit limit."""
+        digits = "9" * 5_000
+        path = tmp_path / "input.json"
+        if where == "policy map":
+            path.write_text('{"a,b": ' + digits + "}")
+            argv = ["generate", "--order", "a,b", "--policy", f"map:{path}"]
+            what = "invalid policy map JSON"
+        else:
+            path.write_text(json.dumps(CYCLE3).replace('"choice": "y"', '"choice": ' + digits, 1))
+            argv = ["warp", str(path)]
+            what = "invalid JSON"
+        assert main(argv) == 1
+        limit = sys.get_int_max_str_digits()
+        expected = f"error: {what}: an integer has more than {limit} digits\n"
+        assert capsys.readouterr() == ("", expected)
+
 
 def text_writable(label):
     """Labels that the text reader reads back unchanged."""
@@ -757,6 +796,59 @@ JSON_CASES = {
         '{"alternatives": ["q"], "alternatives": ["x", "y"], "choices": ['
         '{"menu": ["x"], "menu": ["x", "y"], "choice": "y", "choice": "x"}, {"menu": ["y"], "choice": "y"}]}'
     ),
+    # the edges of the packed reader, which reads only {"menu": [str, ...], "choice": str}
+    "choice before menu": json.dumps({
+        "alternatives": ["x", "y", "z"],
+        "choices": [{"choice": p, "menu": m} for m, p in GOOD],
+    }),
+    "choice before menu, pick outside menu": json.dumps({
+        "alternatives": ["x", "y", "z"],
+        "choices": [{"choice": p, "menu": m} for m, p in [GOOD[0], (["x", "y"], "z"), *GOOD[2:]]],
+    }),
+    "entry with a third key": json_rows([GOOD[0], {"menu": ["x", "y"], "choice": "y", "note": 1}, *GOOD[2:]]),
+    "packable object as the pick": json_rows([GOOD[0], (["x", "y"], {"menu": ["x"], "choice": "x"}), *GOOD[2:]]),
+    "packable object as an extra field": json.dumps({
+        "alternatives": ["x", "y", "z"],
+        "extra": {"menu": ["x", "y"], "choice": "x"},
+        "choices": [{"menu": m, "choice": p} for m, p in GOOD],
+    }),
+    "packable object as an extra field, an entry with a third key": json.dumps({
+        "alternatives": ["x", "y", "z"],
+        "extra": {"menu": ["x", "y"], "choice": "x"},
+        "choices": [{"menu": m, "choice": p} for m, p in GOOD[:1]]
+        + [{"menu": ["x", "y"], "choice": "y", "note": 1}]
+        + [{"menu": m, "choice": p} for m, p in GOOD[2:]],
+    }),
+    "packable object among the alternatives": json.dumps({
+        "alternatives": ["x", "y", {"menu": ["x"], "choice": "x"}],
+        "choices": [{"menu": m, "choice": p} for m, p in GOOD],
+    }),
+    "numeric alternatives, string labels": json.dumps({
+        "alternatives": [1, 2],
+        "choices": [{"menu": ["1", "2"], "choice": "2"}, {"menu": ["1"], "choice": "1"}, {"menu": ["2"], "choice": "2"}],
+    }),
+    "numeric labels only": json.dumps({
+        "alternatives": [1, 2],
+        "choices": [{"menu": [1, 2], "choice": 2}, {"menu": [1], "choice": 1}, {"menu": [2], "choice": 2}],
+    }),
+    "21 labels under a 20-label header": json_rows(
+        [([f"a{i}", f"a{i + 1}"], f"a{i}") for i in range(20)], [f"a{i}" for i in range(20)]
+    ),
+    "a 21st label as a pick under a 20-label header": json_rows(
+        [([f"a{i}", f"a{i + 1}"], f"a{i}") for i in range(19)] + [(["a0", "a2"], "a20")],
+        [f"a{i}" for i in range(20)],
+    ),
+    "70 labels in one menu under a 20-label header": json_rows(
+        [([f"a{i}" for i in range(70)], "a0")], [f"a{i}" for i in range(20)]
+    ),
+    "22 labels under a 20-label header, a malformed entry last": json_rows(
+        [([f"a{i}", f"a{i + 1}"], f"a{i + 1}") for i in range(21)] + [{"menu": []}],
+        [f"a{i}" for i in range(20)],
+    ),
+    "unknown label before a malformed entry": json_rows([GOOD[0], (["x", "q"], "x"), {"menu": "xy"}, GOOD[3]]),
+    "unknown label after a malformed entry": json_rows([GOOD[0], {"menu": "xy"}, (["x", "q"], "x"), GOOD[3]]),
+    "unknown pick label only": json_rows([GOOD[0], (["x", "y"], "q"), *GOOD[2:]]),
+    "empty string label": json_rows([GOOD[0], (["x", ""], "x"), *GOOD[2:]]),
 }
 
 TEXT_CASES = {
@@ -807,8 +899,12 @@ TEXT_CASES = {
 }
 
 
-def assert_same_outcome(path):
-    got = load_outcome(load_dataset, path)
+def assert_same_outcome(path, monkeypatch=None):
+    """load_dataset and the row loop agree on ``path``; with ``monkeypatch``,
+    load_dataset reads the file's bytes from stdin."""
+    if monkeypatch is not None:
+        monkeypatch.setattr(sys, "stdin", _stdin(Path(path).read_bytes()))
+    got = load_outcome(load_dataset, "-" if monkeypatch is not None else path)
     want = load_outcome(rowwise_load, path)
     assert got[0] == want[0], (got, want)
     if got[0] == "ok":
@@ -826,6 +922,12 @@ class TestLoaderMatchesRowLoop:
         path = tmp_path / "data.json"
         path.write_text(JSON_CASES[case], encoding="utf-8")
         assert_same_outcome(path)
+
+    @pytest.mark.parametrize("case", sorted(JSON_CASES))
+    def test_json_from_stdin(self, tmp_path, monkeypatch, case):
+        path = tmp_path / "data.json"
+        path.write_text(JSON_CASES[case], encoding="utf-8")
+        assert_same_outcome(path, monkeypatch)
 
     @pytest.mark.parametrize("case", sorted(TEXT_CASES))
     def test_text(self, tmp_path, case):
@@ -947,6 +1049,12 @@ class TestLoaderBlocks:
         path.write_text(JSON_CASES[case], encoding="utf-8")
         assert_same_outcome(path)
 
+    @pytest.mark.parametrize("case", sorted(JSON_CASES))
+    def test_json_from_stdin(self, tmp_path, monkeypatch, small_blocks, case):
+        path = tmp_path / "data.json"
+        path.write_text(JSON_CASES[case], encoding="utf-8")
+        assert_same_outcome(path, monkeypatch)
+
     @pytest.mark.parametrize("case", sorted(TEXT_CASES))
     def test_text(self, tmp_path, small_blocks, case):
         path = tmp_path / "data.txt"
@@ -998,11 +1106,13 @@ def n16_files(tmp_path_factory):
 
 
 class TestReaderMemory:
-    @pytest.mark.parametrize("fmt, bound_mb", [("text", 16), ("json", 45)])
+    @pytest.mark.parametrize("fmt, bound_mb", [("text", 16), ("json", 12)])
     def test_load_peak_is_bounded(self, n16_files, fmt, bound_mb):
         """The traced peak of one n = 16 load (65,535 rows; 2.2 MB of text,
         4.5 MB of JSON): the readers hold masks, picks and line numbers, and
-        one string per distinct label, not one per label written."""
+        one string per distinct label, not one per label written; the JSON
+        reader keeps no object per entry, so the file's bytes and text set
+        its peak."""
         gc.collect()
         tracemalloc.start()
         try:
@@ -1013,12 +1123,30 @@ class TestReaderMemory:
         assert ds.ground.n == 16 and len(ds.choice.picks_array) == 1 << 16
         assert peak < bound_mb * 2**20, f"{peak / 2**20:.1f} MB"
 
+    @pytest.mark.parametrize("case, packs", [
+        ("valid", True),
+        ("choice before menu", True),
+        ("numeric alternatives, string labels", True),
+        ("choice before menu, pick outside menu", True),  # validate_choice refuses it
+        ("entry with a third key", False),
+        ("packable object as an extra field", False),
+        ("unknown menu label", False),
+        ("number labels", False),
+    ])
+    def test_packed_reader_takes_only_its_entries(self, case, packs):
+        assert (cli._parse_packed_json(JSON_CASES[case]) is not None) == packs
+
     def test_json_entries_share_label_strings(self, tmp_path):
-        fresh = [{"menu": ["x" * 9 + "1", "y" * 9], "choice": "x" * 9 + "1"} for _ in range(3)]
-        decoded = cli._decode_json(json.dumps({"alternatives": [], "choices": fresh}))
+        """A file that the packed reader leaves to the entry reader, here for
+        a third key in its entries, is decoded with one string per distinct
+        label."""
+        fresh = [{"menu": ["x" * 9 + "1", "y" * 9], "choice": "x" * 9 + "1", "note": i} for i in range(3)]
+        text = json.dumps({"alternatives": ["x" * 9 + "1", "y" * 9], "choices": fresh})
+        assert cli._parse_packed_json(text) is None
+        decoded = cli._decode_json(text)
         first = decoded["choices"][0]
-        for entry in decoded["choices"]:
-            assert entry == fresh[0]
+        for entry, want in zip(decoded["choices"], fresh, strict=True):
+            assert entry == want
             assert entry["menu"][0] is first["menu"][0] and entry["choice"] is first["menu"][0]
             assert entry["menu"][1] is first["menu"][1]
 
