@@ -4,19 +4,23 @@ Datasets come in two formats. JSON: an object with "alternatives" (label
 list, defining id order) and "choices" (list of {"menu": [labels],
 "choice": label}), optional "version": 1. Text: one `a,b,c -> a` line per
 menu, optionally preceded by `alternatives: a,b,c` to pin the label order
-(otherwise the sorted union of mentioned labels is used). Singleton menus
-may be omitted; their forced picks are filled in with a warning.
+(otherwise the sorted union of mentioned labels is used). A dataset is
+JSON exactly when its first non-whitespace character is `{`; any other
+file, a JSON array among them, is read as text. Singleton menus may be
+omitted; their forced picks are filled in with a warning.
 
 Both readers keep only one menu bitmask and one pick id per row (and, for
-text, its line number), not the rows' labels. The text reader parses about
-64 K characters of lines at a time. The JSON reader packs each entry that
-is exactly {"menu": [distinct strings], "choice": string} into a mask and
-a pick as the decoder builds it, so no object per entry is kept; label ids
-are given in order of first appearance and moved to the header's order at
-the end. A file with any other entry, with a label outside "alternatives"
-or with such an object outside "choices" is decoded again, with one
-interned string per distinct label, and its entries are turned into masks
-4,096 at a time: only this reader reads number labels and malformed
+text, its line number), not the rows' labels. One row packer turns the
+labels of every row, in both formats, into bits. The text reader splits
+about 64 K characters into lines at a time and packs each line as it is
+read. The JSON reader packs each entry that is exactly {"menu": [distinct
+strings], "choice": string} as the decoder builds it, so no object per
+entry is kept. Without a header to give them, label bits are given in
+order of first appearance and moved to the final label order at the end.
+A JSON file with any other entry, with a label outside "alternatives" or
+with such an object outside "choices" is decoded again, with one interned
+string per distinct label, and its entries are packed one at a time over
+the header's bits: only this reader reads number labels and malformed
 entries. A faulty dataset reports the error that a row-by-row reader would
 meet first, naming the row as `choices[i]` or `line N`. A key repeated in
 one JSON object, in a dataset or a ``map:`` policy file, is an error, and
@@ -68,9 +72,9 @@ import sys
 import warnings
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 # read once, when numpy loads OpenBLAS; see the module docstring
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -333,14 +337,10 @@ def _reversals_text(reversals, ground: GroundSet, count: int) -> list[str]:
 # dataset loading
 
 
-#: Characters of dataset text that the text reader parses at a time. Only
-#: the menu bitmasks, picks and line numbers of its rows outlive a block.
+#: Characters of dataset text that the text reader splits into lines at a
+#: time. Only the menu bitmasks, picks and line numbers of its rows outlive
+#: a block.
 _TEXT_BLOCK = 1 << 16
-
-#: ``choices`` entries of a JSON dataset turned into masks at a time.
-_JSON_BLOCK = 1 << 12
-
-_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
 def load_dataset(path: str) -> LoadedDataset:
@@ -368,32 +368,77 @@ def load_dataset(path: str) -> LoadedDataset:
 _Parsed = tuple[GroundSet, np.ndarray, np.ndarray, Callable[[int], str]]
 
 
-class _PackedEntries:
-    """The ``choices`` entries that :func:`_decode_json` packed, in file
-    order: each one's menu bitmask and the bit of its pick, over provisional
-    label bits given in order of first appearance."""
+class _RowPacker(dict):
+    """Label rows packed one at a time into a menu bitmask and a pick bit
+    each, kept in row order in the ``array('q')`` buffers ``masks`` and
+    ``picks``.
 
-    def __init__(self) -> None:
-        self.bits: dict[str, int] = {}  # label -> its provisional bit
+    The packer maps each label to its bit. Built from ``labels`` (a header),
+    it gives the first :data:`MAX_ENUM_N` of them their bits in order and
+    no other label a bit, and it matches a label that is not a string by
+    ``str(label)``, as :func:`_alt` does. Built from nothing, it gives a
+    string label the next bit when the label is first met (provisional
+    bits) and any other value no bit; once MAX_ENUM_N labels have bits, a
+    further string label is kept with bit 0, so that ``len(packer)`` still
+    counts every label met. The empty string, which no ground set holds,
+    never has a bit.
+    """
+
+    __slots__ = ("grows", "masks", "picks")
+
+    def __init__(self, labels: Iterable[str] | None = None) -> None:
+        super().__init__(
+            (label, 1 << e) for e, label in enumerate(islice(labels or (), MAX_ENUM_N)) if label
+        )
+        self.grows = labels is None
         self.masks = array("q")
         self.picks = array("q")
+
+    def __missing__(self, label: object) -> int:
+        if type(label) is not str:
+            return 0 if self.grows else self[str(label)]
+        if not self.grows or not label:
+            return 0
+        bit = self[label] = 1 << len(self) if len(self) < MAX_ENUM_N else 0
+        return bit
+
+    def add(self, labels: list, pick: object) -> bool:
+        """Pack one row of menu labels and a pick; False, packing nothing,
+        if a label or the pick has no bit or if a label is repeated."""
+        try:
+            # as bits are summed, a repeated one carries, so fewer bits are set
+            mask = sum(map(self.__getitem__, labels))
+            pick_bit = self[pick]
+        except TypeError:  # a JSON list or object, which only a header's packer matches
+            return not self.grows and self.add(list(map(str, labels)), str(pick))
+        if not pick_bit or mask.bit_count() != len(labels):
+            return False
+        self.masks.append(mask)
+        self.picks.append(pick_bit)
+        return True
+
+    def rows(self, labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The packed masks and pick ids with each label's bit moved to its
+        position in ``labels``; KeyError if a label with a bit is not there."""
+        rank = {label: e for e, label in enumerate(labels)}
+        to = np.fromiter(map(rank.__getitem__, self), np.int64, len(self))
+        masks = move_bits(np.frombuffer(self.masks, np.int64), to)
+        return masks, to[np.bitwise_count(np.frombuffer(self.picks, np.int64) - 1)]
 
 
 #: What :func:`_decode_json` returns in place of an entry that it packed.
 _PACKED = object()
 
 
-def _decode_json(text: str, what: str = "JSON", packed: _PackedEntries | None = None) -> object:
+def _decode_json(text: str, what: str = "JSON", packer: _RowPacker | None = None) -> object:
     """``json.loads(text)``, except that a key repeated in one object raises
     a ParseError naming ``what`` and the first key met twice, and that the
     string labels of each entry's ``menu`` list and its string ``choice``
     are interned: the strings decoded for an entry die as it is built.
 
-    With ``packed``, an object whose keys are exactly ``menu`` and
-    ``choice``, whose menu is a nonempty list of distinct strings and whose
-    pick is a string, is added to ``packed`` and decodes as
-    :data:`_PACKED`; once :data:`MAX_ENUM_N` labels have bits, an object
-    with a further label stays a dict."""
+    With ``packer``, an object whose keys are exactly ``menu`` and
+    ``choice``, whose menu is a nonempty list and which ``packer`` packs
+    decodes as :data:`_PACKED`."""
 
     def entry(pairs: list[tuple[str, object]]) -> dict:
         obj = dict(pairs)
@@ -416,34 +461,15 @@ def _decode_json(text: str, what: str = "JSON", packed: _PackedEntries | None = 
         return obj
 
     hook = entry
-    if packed is not None:
-        bits, masks, picks = packed.bits, packed.masks, packed.picks
-        bit_of = bits.get
-
-        def new_bit(label: object) -> int:
-            """The bit of a label met for the first time; 0 for a value that
-            is not a string, or once MAX_ENUM_N labels have bits."""
-            if type(label) is not str or len(bits) == MAX_ENUM_N:
-                return 0
-            bit = bits[label] = 1 << len(bits)
-            return bit
+    if packer is not None:
 
         def hook(pairs: list[tuple[str, object]]) -> object:
             if len(pairs) == 2:
                 (key, menu), (other, pick) = pairs
                 if key == "choice":
                     key, menu, other, pick = other, pick, key, menu
-                if key == "menu" and other == "choice" and type(menu) is list and menu and type(pick) is str:
-                    mask = 0
-                    try:
-                        for label in menu:
-                            mask |= bit_of(label) or new_bit(label)
-                    except TypeError:  # an unhashable label
-                        mask = 0
-                    pick_bit = bit_of(pick) or new_bit(pick)
-                    if pick_bit and mask.bit_count() == len(menu):  # every label a distinct bit
-                        masks.append(mask)
-                        picks.append(pick_bit)
+                if key == "menu" and other == "choice" and type(menu) is list and menu:
+                    if packer.add(menu, pick):
                         return _PACKED
             return entry(pairs)
 
@@ -462,30 +488,26 @@ def _parse_packed_json(text: str) -> _Parsed | None:
     left unpacked, a packed object outside ``choices``, or a label outside
     ``alternatives``. The header is checked as that reader checks it; the
     provisional label bits are then moved to the header's order."""
-    packed = _PackedEntries()
-    obj = _decode_json(text, packed=packed)
-    choices = obj.get("choices") if isinstance(obj, dict) else None
+    packer = _RowPacker()
+    obj = _decode_json(text, packer=packer)
+    choices = obj.get("choices") if isinstance(obj, dict) else None  # else: the file packed whole
     if (
         not isinstance(choices, list)
-        or len(choices) != len(packed.masks)
+        or len(choices) != len(packer.masks)
         or choices.count(_PACKED) != len(choices)  # so no packed object lies elsewhere
     ):
         return None
     ground, _ = _json_header(obj)
-    rank = {label: e for e, label in enumerate(ground.labels)}
-    final = np.fromiter(map(rank.get, packed.bits, repeat(-1)), np.int64, len(packed.bits))
-    if (final < 0).any():
+    try:
+        masks, picks = packer.rows(ground.labels)
+    except KeyError:  # a label outside "alternatives"
         return None
-    masks = move_bits(np.frombuffer(packed.masks, np.int64), final)
-    picks = final[np.bitwise_count(np.frombuffer(packed.picks, np.int64) - 1)]
     return ground, masks, picks, "choices[{}]".format
 
 
-def _json_header(obj: object) -> tuple[GroundSet, list]:
+def _json_header(obj: dict) -> tuple[GroundSet, list]:
     """The ground set and the ``choices`` list of a decoded JSON dataset,
     after the checks of its version, its alternatives and its size."""
-    if not isinstance(obj, dict):
-        raise ParseError("dataset must be a JSON object")
     version = obj.get("version", DATASET_VERSION)
     if type(version) is not int or version != DATASET_VERSION:  # not true or 1.0
         raise ParseError(f"unsupported dataset version {_shown(repr(version))}")
@@ -503,30 +525,20 @@ def _json_header(obj: object) -> tuple[GroundSet, list]:
     return ground, choices
 
 
-def _parse_json_dataset(obj: object) -> _Parsed:
+def _parse_json_dataset(obj: dict) -> _Parsed:
+    """Pack the ``choices`` entries one at a time over the header's label
+    bits; the first malformed or refused entry raises its error."""
     ground, choices = _json_header(obj)
     name = "choices[{}]".format
-    mask_blocks, pick_blocks = [_NO_ROWS], [_NO_ROWS]
-    for start in range(0, len(choices), _JSON_BLOCK):
-        block = choices[start : start + _JSON_BLOCK]
+    packer = _RowPacker(ground.labels)
+    for i, entry in enumerate(choices):
         try:
-            menus = [e["menu"] for e in block]
-            pick_labels = [e["choice"] for e in block]
-            shaped = {list}.issuperset(map(type, menus))
+            menu, pick = entry["menu"], entry["choice"]
         except (KeyError, TypeError):  # an entry that is not an object or lacks a key
-            shaped = False
-        if not shaped:  # some entry is malformed: raise the block's first error
-            for i, entry in enumerate(block, start):
-                _check_json_row(ground, entry, name(i))
-        lengths = np.fromiter(map(len, menus), np.int64, len(menus))
-        flat = list(chain.from_iterable(menus))
-        masks, picks, flagged = _label_rows(ground, flat, lengths, pick_labels)
-        if flagged.any():
-            i = start + int(flagged.argmax())
-            _check_json_row(ground, choices[i], name(i))
-        mask_blocks.append(masks)
-        pick_blocks.append(picks)
-    return ground, np.concatenate(mask_blocks), np.concatenate(pick_blocks), name
+            menu = pick = None
+        if type(menu) is not list or not menu or not packer.add(menu, pick):
+            _check_json_row(ground, entry, name(i))
+    return ground, *packer.rows(ground.labels), name
 
 
 def _check_json_row(ground: GroundSet, entry: object, ref: str) -> None:
@@ -541,57 +553,50 @@ def _check_json_row(ground: GroundSet, entry: object, ref: str) -> None:
 
 
 def _parse_text_dataset(text: str) -> _Parsed:
-    """Parse a text dataset one block of lines at a time.
+    """Parse a text dataset one line at a time.
 
-    The first syntax error is raised when its block is read, since it comes
-    before every other error. Masks are built per block from the header's
-    labels or, without a header, from provisional ids in order of first
-    appearance, which are remapped to the sorted labels at the end. The
-    first row that :func:`_label_rows` flags stops the mask building; its
-    error is raised once the whole ground set has passed its checks.
+    The first syntax error is raised when its line is read, since it comes
+    before every other error. Rows are packed over the header's label bits
+    or, without a header, over provisional bits, which are moved to the
+    sorted labels at the end. The first row that the packer refuses is
+    kept; its error is raised once the whole ground set has passed its
+    checks.
     """
+    packer: _RowPacker | None = None  # made at the first content line
     header: tuple[str, ...] | None = None
-    seen_labels: dict[str, None] = {}  # without a header: labels in provisional id order
-    ground: GroundSet | None = None  # the labels the masks are built from
-    fault: tuple[int, list[str], str] | None = None  # line, menu and pick of a flagged row
-    mask_blocks, pick_blocks, lineno_blocks = [_NO_ROWS], [_NO_ROWS], [_NO_ROWS]
-    rows = seen = 0  # choice rows so far, lines in the blocks before this one
+    fault: tuple[int, list[str], str] | None = None  # line, menu and pick of a refused row
+    linenos = array("q")  # of the packed rows
+    seen = 0  # lines in the blocks before this one
     for block in _text_blocks(text):
         raw = block.splitlines()
-        lines = [
-            (lineno, line)
-            for lineno, line in enumerate(map(str.strip, raw), seen + 1)
-            if line and not line.startswith("#")
-        ]
+        for lineno, line in enumerate(map(str.strip, raw), seen + 1):
+            if not line or line[0] == "#":
+                continue
+            if packer is None:
+                if line.lower().startswith("alternatives:"):
+                    header = tuple(s.strip() for s in line.split(":", 1)[1].split(","))
+                    packer = _RowPacker(header)
+                    continue
+                packer = _RowPacker()
+            left, arrow, pick = line.partition("->")
+            if not arrow:
+                raise ParseError(f"line {lineno}: expected 'a,b,c -> a'")
+            left = left.rstrip()
+            labels = left.split(",")
+            if " " in left or not left.isprintable():  # whitespace is " " or unprintable
+                labels = list(map(str.strip, labels))
+            pick = pick.strip()
+            if packer.add(labels, pick):
+                linenos.append(lineno)
+            elif not pick or "" in labels:  # the packer gives "" no bit
+                raise ParseError(f"line {lineno}: empty label")
+            elif fault is None:
+                fault = (lineno, labels, pick)
         seen += len(raw)
-        if lines and header is None and not rows:  # the first content line
-            if lines[0][1].lower().startswith("alternatives:"):
-                header = tuple(s.strip() for s in lines.pop(0)[1].split(":", 1)[1].split(","))
-                ground = _mask_ground(header)
-        if not lines:
-            continue
-        linenos, flat, lengths, pick_labels = _split_rows(lines)
-        rows += len(linenos)
-        if header is None:
-            new = set(flat).union(pick_labels).difference(seen_labels)
-            if new:
-                seen_labels.update(dict.fromkeys(sorted(new)))
-                ground = _mask_ground(seen_labels)
-        if ground is None or fault is not None:
-            continue  # only syntax errors can still be met
-        masks, picks, flagged = _label_rows(ground, flat, lengths, pick_labels)
-        if flagged.any():
-            i = int(flagged.argmax())
-            end = int(lengths[: i + 1].sum())
-            fault = (linenos[i], flat[end - int(lengths[i]) : end], pick_labels[i])
-            continue
-        mask_blocks.append(masks)
-        pick_blocks.append(picks)
-        lineno_blocks.append(np.array(linenos, dtype=np.int64))
-    if not rows:
+    if not linenos and fault is None:
         raise ParseError("dataset contains no choice rows")
     try:
-        ground = GroundSet(header if header is not None else tuple(sorted(seen_labels)))
+        ground = GroundSet(header if header is not None else tuple(sorted(packer)))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     require_enumerable(ground.n)
@@ -599,12 +604,7 @@ def _parse_text_dataset(text: str) -> _Parsed:
         lineno, menu_labels, pick_label = fault
         _menu_from_labels(ground, menu_labels, f"line {lineno}")
         _alt(ground, pick_label, f"line {lineno}")
-    masks, picks = np.concatenate(mask_blocks), np.concatenate(pick_blocks)
-    linenos = np.concatenate(lineno_blocks)
-    if header is None:  # provisional ids to sorted ones
-        rank = {label: e for e, label in enumerate(ground.labels)}
-        final = np.fromiter(map(rank.__getitem__, seen_labels), np.int64, ground.n)
-        masks, picks = move_bits(masks, final), final[picks]
+    masks, picks = packer.rows(ground.labels)
 
     def name(i: int) -> str:
         return f"line {linenos[i]}"
@@ -620,74 +620,6 @@ def _text_blocks(text: str) -> Iterator[str]:
         end = text.find("\n", start + _TEXT_BLOCK) + 1 or len(text)
         yield text[start:end]
         start = end
-
-
-def _split_rows(lines: list[tuple[int, str]]) -> tuple[list[int], list[str], np.ndarray, list[str]]:
-    """Line numbers, chained menu labels, menu sizes and pick labels of
-    ``(line number, stripped line)`` rows; raises the syntax error of the
-    first row without "->", with an empty pick or with an empty menu label."""
-    linenos = [lineno for lineno, _ in lines]
-    split = [line.partition("->") for _, line in lines]
-    arrows = [bool(sep) for _, sep, _ in split]
-    lefts = [left for left, _, _ in split]
-    pick_labels = [right.strip() for _, _, right in split]
-    lengths = np.fromiter((left.count(",") + 1 for left in lefts), np.int64, len(lefts))
-    flat = list(map(str.strip, ",".join(lefts).split(",")))
-    malformed = [not arrow or not pick for arrow, pick in zip(arrows, pick_labels)]
-    first = malformed.index(True) if True in malformed else len(linenos)
-    if "" in flat:
-        first = min(first, int(np.searchsorted(np.cumsum(lengths), flat.index(""), side="right")))
-    if first < len(linenos):
-        if not arrows[first]:
-            raise ParseError(f"line {linenos[first]}: expected 'a,b,c -> a'")
-        raise ParseError(f"line {linenos[first]}: empty label")
-    return linenos, flat, lengths, pick_labels
-
-
-def _mask_ground(labels: Collection[str]) -> GroundSet | None:
-    """The ground set that masks are built from, or None if ``labels`` is
-    not one or is too large for int64 masks."""
-    if len(labels) > MAX_ENUM_N:
-        return None
-    try:
-        return GroundSet(tuple(labels))
-    except ValueError:
-        return None
-
-
-def _label_rows(
-    ground: GroundSet, flat: list, lengths: np.ndarray, pick_labels: list
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Menu bitmasks and pick ids of label rows, in bulk, and a flag for each
-    row that :func:`_menu_from_labels` or :func:`_alt` would refuse: an
-    empty menu, an unknown label or pick, or a label that its menu repeats.
-
-    ``flat`` chains the rows' menu labels, ``lengths[i]`` of them for row i.
-    The ground set must satisfy n <= MAX_ENUM_N, so that masks fit in int64.
-    """
-    ids = {label: e for e, label in enumerate(ground.labels)}
-    flat_ids = _label_ids(ids, flat)
-    picks = _label_ids(ids, pick_labels)
-    # an unknown label adds no bit; the trailing 0 keeps every start in range
-    bits = np.zeros(flat_ids.size + 1, dtype=np.int64)
-    np.left_shift(1, flat_ids, out=bits[:-1], where=flat_ids >= 0)
-    masks = np.bitwise_or.reduceat(bits, np.cumsum(lengths) - lengths)
-    flagged = (lengths == 0) | (np.bitwise_count(masks) != lengths) | (picks < 0)
-    return masks, picks, flagged
-
-
-def _label_ids(ids: dict[str, int], labels: list) -> np.ndarray:
-    """The id of each label, matched by ``str(label)`` as in :func:`_alt`;
-    -1 for an unknown one."""
-    count = len(labels)
-    try:
-        found = np.fromiter(map(ids.get, labels, repeat(-1)), np.int64, count)
-    except TypeError:  # an unhashable JSON value, such as a list
-        found = np.full(count, -1, dtype=np.int64)
-    # a JSON value that is not a string can still match as text
-    for i in np.flatnonzero(found < 0).tolist():
-        found[i] = ids.get(str(labels[i]), -1)
-    return found
 
 
 def _alt(ground: GroundSet, label: object, ref: str) -> int:

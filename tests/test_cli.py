@@ -850,6 +850,10 @@ JSON_CASES = {
     "unknown label before a malformed entry": json_rows([GOOD[0], (["x", "q"], "x"), {"menu": "xy"}, GOOD[3]]),
     "unknown label after a malformed entry": json_rows([GOOD[0], {"menu": "xy"}, (["x", "q"], "x"), GOOD[3]]),
     "empty string label": json_rows([GOOD[0], (["x", ""], "x"), *GOOD[2:]]),
+    "list labels that match an alternative as text": json.dumps({
+        "alternatives": ["x", "['y']"],
+        "choices": [{"menu": ["x", ["y"]], "choice": ["y"]}, {"menu": ["x"], "choice": "x"}, {"menu": [["y"]], "choice": "['y']"}],
+    }),
 }
 
 TEXT_CASES = {
@@ -897,6 +901,19 @@ TEXT_CASES = {
     "line breaks other than \\n, then a syntax fault": (
         "alternatives: x, y, z\r\nx,y,z -> x\x0cx,y -> y\u2028\x0b\ny,z\rx,z -> x\n"
     ),
+    # a dataset is JSON exactly when its first non-whitespace character is "{"
+    "a JSON array": '[{"menu": ["x"], "choice": "x"}]',
+    # the edges of the row packer: its 20-bit cap and a label outside the header
+    "a 21-label header": text_rows(
+        [f"a{i},a{i + 1} -> a{i}" for i in range(20)], header=", ".join(f"a{i}" for i in range(21))
+    ),
+    "no header, the 21st label only as a pick": text_rows(
+        [f"a{i},a{i + 1} -> a{i}" for i in range(19)] + ["a0,a2 -> a20"], header=None
+    ),
+    "header, a label outside it on the last line": text_rows([*GOOD_TEXT[:3], "x,q -> x"]),
+    "no header, empty label": text_rows(["x,y -> x", "x,,y -> y"], header=None),
+    "no header, empty pick": text_rows(["x,y -> x", "y -> "], header=None),
+    "empty header label, then an empty label": text_rows([GOOD_TEXT[0], "x,,y -> x"], header="x, , y, z"),
 }
 
 
@@ -980,6 +997,20 @@ class TestLoaderMatchesRowLoop:
         with pytest.raises(ParseError, match="unknown alternative 'q'"):
             rowwise_load(str(path))
 
+    @pytest.mark.parametrize("text_block", [cli._TEXT_BLOCK, 5, 0])
+    def test_size_cap_comes_before_rows_in_text(self, tmp_path, monkeypatch, text_block):
+        """The same difference in a text file without a header: a label met
+        after a refused row (here, one that repeats a label) still counts
+        towards n, whatever the block size."""
+        monkeypatch.setattr(cli, "_TEXT_BLOCK", text_block)
+        lines = [f"a{i},a{i + 1} -> a{i}" for i in range(10)] + ["a0,a0 -> a0"]
+        path = tmp_path / "big.txt"
+        path.write_text(text_rows(lines + [f"a{i},a{i + 1} -> a{i}" for i in range(10, 20)], header=None), encoding="utf-8")
+        with pytest.raises(GroundSetTooLarge, match="capped at n <= 20, got n = 21"):
+            load_dataset(str(path))
+        with pytest.raises(ParseError, match="line 11: menu repeats an alternative"):
+            rowwise_load(str(path))
+
     def test_seeded_random_faults(self, tmp_path):
         check_seeded_random_faults(tmp_path)
 
@@ -1027,17 +1058,14 @@ def check_seeded_random_faults(tmp_path):
         assert_same_outcome(text_path)
 
 
-#: (_TEXT_BLOCK, _JSON_BLOCK) settings that put block edges between rows:
-#: a cut after the first line break at least 5 characters on, and one line
-#: (or entry) per block
-SMALL_BLOCKS = {"few bytes": (5, 3), "one line": (0, 1)}
+#: _TEXT_BLOCK settings that put block edges between rows: a cut after the
+#: first line break at least 5 characters on, and one line per block
+SMALL_BLOCKS = {"few bytes": 5, "one line": 0}
 
 
 @pytest.fixture(params=sorted(SMALL_BLOCKS))
 def small_blocks(request, monkeypatch):
-    text_block, json_block = SMALL_BLOCKS[request.param]
-    monkeypatch.setattr(cli, "_TEXT_BLOCK", text_block)
-    monkeypatch.setattr(cli, "_JSON_BLOCK", json_block)
+    monkeypatch.setattr(cli, "_TEXT_BLOCK", SMALL_BLOCKS[request.param])
 
 
 class TestLoaderBlocks:
