@@ -852,7 +852,11 @@ JSON_CASES = {
     "empty string label": json_rows([GOOD[0], (["x", ""], "x"), *GOOD[2:]]),
     "list labels that match an alternative as text": json.dumps({
         "alternatives": ["x", "['y']"],
-        "choices": [{"menu": ["x", ["y"]], "choice": ["y"]}, {"menu": ["x"], "choice": "x"}, {"menu": [["y"]], "choice": "['y']"}],
+        "choices": [
+            {"menu": ["x", ["y"]], "choice": ["y"]},
+            {"menu": ["x"], "choice": "x"},
+            {"menu": [["y"]], "choice": "['y']"},
+        ],
     }),
 }
 
@@ -1003,9 +1007,10 @@ class TestLoaderMatchesRowLoop:
         after a refused row (here, one that repeats a label) still counts
         towards n, whatever the block size."""
         monkeypatch.setattr(cli, "_TEXT_BLOCK", text_block)
-        lines = [f"a{i},a{i + 1} -> a{i}" for i in range(10)] + ["a0,a0 -> a0"]
+        lines = [f"a{i},a{i + 1} -> a{i}" for i in range(20)]
+        lines.insert(10, "a0,a0 -> a0")
         path = tmp_path / "big.txt"
-        path.write_text(text_rows(lines + [f"a{i},a{i + 1} -> a{i}" for i in range(10, 20)], header=None), encoding="utf-8")
+        path.write_text(text_rows(lines, header=None), encoding="utf-8")
         with pytest.raises(GroundSetTooLarge, match="capped at n <= 20, got n = 21"):
             load_dataset(str(path))
         with pytest.raises(ParseError, match="line 11: menu repeats an alternative"):
