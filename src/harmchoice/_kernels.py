@@ -73,9 +73,10 @@ def count_inconsistent(rows: np.ndarray, n: int) -> int:
     ``rows[c, p]`` is row p of choice c's revealed relation packed as a
     bitmask: bit q is set when c picks p from some menu containing q. Bit p
     itself (set by any menu that picks p) is ignored. Every pair is
-    co-selected exactly when every row holds every other alternative.
+    co-selected exactly when every row holds every other alternative. The
+    test runs in the rows' own dtype, so no wider copy of them is made.
     """
-    own = 1 << np.arange(n)
+    own = (1 << np.arange(n)).astype(rows.dtype)
     return int(np.all((rows | own) == (1 << n) - 1, axis=1).sum())
 
 

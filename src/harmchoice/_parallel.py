@@ -1,15 +1,14 @@
 """Deterministic chunked execution.
 
 Work is split into chunks whose boundaries never depend on the worker count,
-and results are combined in chunk order, so any worker count produces the
-same output bytes. Workers are threads, as many as ``workers`` asks for
-or one per CPU. The thread pool is imported only when more than one thread
-will run, so a single-threaded command never loads ``concurrent.futures``
-or the ``logging`` module it pulls in.
+and the chunks run one after another on the calling thread, so any worker
+count produces the same output bytes. The worker count is checked and kept
+for the record; no thread is started.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from typing import Callable, Sequence, TypeVar
 
@@ -18,8 +17,9 @@ R = TypeVar("R")
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: the argument, else the cpu count."""
-    value = (os.cpu_count() or 1) if requested is None else int(requested)
+    """Worker count: the argument, which must be an integer of at least 1,
+    else the cpu count."""
+    value = (os.cpu_count() or 1) if requested is None else operator.index(requested)
     if value < 1:
         raise ValueError("worker count must be at least 1")
     return value
@@ -33,15 +33,10 @@ def index_chunks(total: int, chunk_size: int) -> list[tuple[int, int]]:
 
 
 def map_chunks(func: Callable[[T], R], chunks: Sequence[T], workers: int) -> list[R]:
-    """Apply func to every chunk, returning results in chunk order.
+    """Apply func to every chunk on the calling thread, in chunk order.
 
-    At most one thread per chunk and per CPU is started, whatever the
-    requested worker count.
+    ``workers`` does not change what runs: the chunks' small numpy calls
+    hold the interpreter lock, so threads gained no time and kept two
+    chunks' temporaries alive at once.
     """
-    workers = min(workers, len(chunks), os.cpu_count() or 1)
-    if workers <= 1:
-        return [func(ch) for ch in chunks]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, chunks))
+    return [func(ch) for ch in chunks]

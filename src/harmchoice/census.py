@@ -2,8 +2,9 @@
 
 The exact census classifies every choice function on a small ground set by
 its degree, all of them in one batch; the sampled census estimates how
-common the maximal degree is on larger ground sets, in chunks that do not
-depend on the worker count, so worker count never changes a report.
+common the maximal degree is on larger ground sets, in fixed chunks that
+run one after another on one thread; each chunk keys its own random stream,
+so the worker count, checked but not used, never changes a report.
 Generators run the model forward: simulated choosers applying distortion
 policies, and an explicit family whose reversals touch every alternative
 pair.
@@ -174,7 +175,7 @@ def sample_census(
     across menus, is exactly a uniform draw over whole choice functions.
     Each fixed-size chunk gets its own counter-based generator keyed by
     (seed, chunk index), so identical (n, samples, seed) reproduce identical
-    estimates at any worker count.
+    estimates; ``workers`` is checked, then ignored.
 
     A chunk never stores the picks: each draw ORs its menu's mask into the
     picked alternative's revealed-relation row. Menus come in canonical order,

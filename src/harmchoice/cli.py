@@ -36,8 +36,8 @@ written as `json.dumps(..., indent=2)` would write it, but the rows of a
 written dataset are rendered from per-label fragments and written as they
 are made.
 
-`analyze`, `sp`, `elicit` and `census` check `--workers` but ignore its
-value: they run on one thread.
+`analyze`, `sp`, `elicit`, `census` and `sample-census` check `--workers`
+but ignore its value: every command runs on one thread.
 
 Exit codes: 0 on success, 1 on dataset or analysis errors and (silently)
 when the reader closes stdout early, as `| head` does, 2 on usage errors.
@@ -877,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker threads (default: available cpus)",
+        help="worker count, checked but not used: every command runs on one thread",
     )
 
     p = sub.add_parser("analyze", parents=[common, pool], help="full report for a dataset")

@@ -173,6 +173,39 @@ class TestSample:
         reports = [sample_census(4, 20000, seed=7, workers=w).to_dict() for w in (1, 2, 8)]
         assert reports[0] == reports[1] == reports[2]
 
+    # counts_by_sp of two full chunks, recorded with the thread-pool sampler.
+    # At n >= 9 every sample qualifies, so those rows pin the early stop and
+    # the chunking; n = 6..8 pin the draws themselves.
+    PINNED = {
+        (6, 4242): 110_312, (6, 90001): 110_340,
+        (7, 4242): 65_177, (7, 90001): 65_146,
+        (8, 4242): 32_767, (8, 90001): 32_768,
+        (10, 4242): 8_192, (10, 90001): 8_192,
+        (12, 4242): 2_048, (12, 90001): 2_048,
+        (16, 4242): 2_048, (16, 90001): 2_048,
+    }
+
+    @pytest.mark.parametrize("n, seed", sorted(PINNED))
+    def test_two_chunks_match_pinned_counts(self, n, seed):
+        samples = 2 * _sample_chunk(n)
+        for workers in (1, 2):
+            rep = sample_census(n, samples, seed=seed, workers=workers)
+            assert rep.counts_by_sp == {n - 1: self.PINNED[n, seed]}
+
+    def test_chunks_hold_one_chunk_of_temporaries(self):
+        """Two chunks at n = 6 (65,536 samples each) trace under 3 MB at
+        --workers 2: one chunk's uint8 rows and draws at a time, where two
+        threads' chunks with int64 copies of their rows reached 10.6 MB."""
+        n = 6
+        sample_census(n, 100, workers=1)  # first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            sample_census(n, 2 * _sample_chunk(n), workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
+
     def test_estimate_brackets_exact_n4(self):
         exact = enumerate_census(4).strongly_harmful_fraction
         est = sample_census(4, 100_000, seed=7)

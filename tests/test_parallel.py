@@ -1,7 +1,8 @@
 """Chunking and worker-resolution helpers."""
 
-import concurrent.futures
+import threading
 
+import numpy as np
 import pytest
 
 from harmchoice import _parallel
@@ -25,39 +26,29 @@ def test_map_chunks_preserves_order():
         assert map_chunks(lambda x: x * x, chunks, workers) == [x * x for x in chunks]
 
 
-def test_map_chunks_caps_threads_at_chunks_and_cpus(monkeypatch):
-    """The pool never gets more threads than chunks or CPUs; none are started here."""
-    sizes = []
+def test_map_chunks_runs_in_calling_thread_in_order():
+    """Every chunk runs on the caller's thread, one after another, in chunk
+    order, whatever worker count is passed."""
+    for workers in (1, 2, 8):
+        calls = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def func(x):
+            calls.append((x, threading.get_ident()))
+            return -x
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, chunks):
-            return map(func, chunks)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 4)
-    chunks = list(range(10))
-    assert map_chunks(lambda x: -x, chunks, 100_000) == [-x for x in chunks]
-    assert map_chunks(lambda x: -x, chunks[:3], 100_000) == [0, -1, -2]
-    assert map_chunks(lambda x: -x, chunks, 2) == [-x for x in chunks]
-    assert sizes == [4, 3, 2]
-    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: None)
-    assert map_chunks(lambda x: -x, chunks, 100_000) == [-x for x in chunks]
-    assert sizes == [4, 3, 2]
+        chunks = list(range(10))
+        assert map_chunks(func, chunks, workers) == [-x for x in chunks]
+        assert calls == [(x, threading.get_ident()) for x in chunks]
 
 
 def test_resolve_workers_validation(monkeypatch):
     assert resolve_workers(8) == 8
+    assert resolve_workers(np.int64(2)) == 2
     for bad in (0, -1):
         with pytest.raises(ValueError):
+            resolve_workers(bad)
+    for bad in (2.7, 2.0, "3", np.float64(2.0)):
+        with pytest.raises(TypeError):
             resolve_workers(bad)
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 3)
     assert resolve_workers() == 3
