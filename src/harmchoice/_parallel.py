@@ -36,7 +36,7 @@ def map_chunks(func: Callable[[T], R], chunks: Sequence[T], workers: int) -> lis
     """Apply func to every chunk on the calling thread, in chunk order.
 
     ``workers`` does not change what runs: the chunks' small numpy calls
-    hold the interpreter lock, so threads gained no time and kept two
-    chunks' temporaries alive at once.
+    hold the interpreter lock, so threads would gain no time and would keep
+    several chunks' temporaries alive at once.
     """
     return [func(ch) for ch in chunks]
