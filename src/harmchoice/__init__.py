@@ -55,7 +55,6 @@ _EXPORTS = {
         "LinearOrder",
         "Menu",
         "all_menu_masks",
-        "max_of",
         "rational_choice",
         "validate_choice",
     ),

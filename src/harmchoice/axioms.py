@@ -31,15 +31,6 @@ class Reversal:
     pick_a: int
     pick_b: int
 
-    def __post_init__(self) -> None:
-        if self.menu_a == self.menu_b:
-            raise ValueError("a reversal needs two distinct menus")
-        if self.pick_a == self.pick_b:
-            raise ValueError("a reversal needs two distinct picks")
-        a, b = self.menu_a.members, self.menu_b.members
-        if not (self.pick_a in a and self.pick_a in b and self.pick_b in a and self.pick_b in b):
-            raise ValueError("both picks must lie in the menus' intersection")
-
     def to_dict(self, ground: GroundSet) -> dict:
         return {
             "menu_a": self.menu_a.label_list(ground),
@@ -66,16 +57,6 @@ class CnsWitness:
 
     items: tuple[int, ...]
     paired_reversals: tuple[Reversal, ...]
-
-    def __post_init__(self) -> None:
-        if not self.items or len(set(self.items)) != len(self.items):
-            raise ValueError("witness items must be nonempty and distinct")
-        if len(self.paired_reversals) != len(self.items):
-            raise ValueError("one paired reversal per witness item")
-        for x, r in zip(self.items, self.paired_reversals):
-            picks = {r.pick_a, r.pick_b}
-            if x not in picks or picks <= set(self.items):
-                raise ValueError("each pairing needs its item plus an outside pick")
 
     def to_dict(self, ground: GroundSet) -> dict:
         return {

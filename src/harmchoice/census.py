@@ -117,10 +117,12 @@ def _menu_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical menu masks, their sizes, and a padded member table."""
     masks = menu_order(n)
     sizes = np.bitwise_count(masks).astype(np.int64)
-    bits = (masks[:, None] >> np.arange(n)) & 1
     members = np.zeros((len(masks), n), dtype=np.int16)
-    menu, member = np.nonzero(bits)  # members ascend within each menu
-    members[menu, np.cumsum(bits, axis=1)[menu, member] - 1] = member
+    placed = np.zeros(len(masks), dtype=np.int64)
+    for e in range(n):  # members ascend within each menu
+        has = np.flatnonzero((masks >> e) & 1)
+        members[has, placed[has]] = e
+        placed[has] += 1
     return masks, sizes, members
 
 

@@ -861,6 +861,17 @@ def _parse_policy_spec(
 # parser
 
 
+def _worker_count(text: str) -> int:
+    """``--workers``: an integer of at least 1, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="harmchoice",
@@ -875,7 +886,7 @@ def build_parser() -> argparse.ArgumentParser:
     pool = argparse.ArgumentParser(add_help=False)
     pool.add_argument(
         "--workers",
-        type=int,
+        type=_worker_count,
         default=None,
         help="worker count, checked but not used: every command runs on one thread",
     )

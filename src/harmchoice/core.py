@@ -70,12 +70,6 @@ class GroundSet:
     def label(self, alt: int) -> str:
         return self.labels[alt]
 
-    def menus(self) -> Iterator["Menu"]:
-        """All nonempty menus, smallest first, ties by member ids."""
-        require_enumerable(self.n)
-        for mask in all_menu_masks(self.n):
-            yield Menu.from_mask(mask)
-
 
 @dataclass(frozen=True)
 class Menu:
@@ -143,17 +137,6 @@ class LinearOrder:
     def n(self) -> int:
         return len(self.ranking)
 
-    @property
-    def top(self) -> int:
-        return self.ranking[0]
-
-    def position(self, alt: int) -> int:
-        """0 for the best alternative, n-1 for the worst."""
-        return self.ranking.index(alt)
-
-    def prefers(self, a: int, b: int) -> bool:
-        return self.position(a) < self.position(b)
-
     def label_list(self, ground: GroundSet) -> list[str]:
         return [ground.label(e) for e in self.ranking]
 
@@ -215,19 +198,6 @@ class ChoiceFunction:
             counts.setflags(write=False)
             self._counts = counts
         return self._counts
-
-    def pick(self, menu: Menu) -> int:
-        return int(self._picks[menu.mask])
-
-    def pick_mask(self, mask: int) -> int:
-        if not 1 <= mask < (1 << self._n):
-            raise ValueError("menu bitmask out of range")
-        return int(self._picks[mask])
-
-    def items(self) -> Iterator[tuple[Menu, int]]:
-        """(menu, pick) pairs in canonical menu order."""
-        for mask in all_menu_masks(self._n):
-            yield Menu.from_mask(mask), int(self._picks[mask])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChoiceFunction):
@@ -292,15 +262,6 @@ def distortion_picks(order: LinearOrder, indices: int | np.ndarray) -> np.ndarra
     picks = ranking[pos]
     picks[0] = -1
     return picks
-
-
-def max_of(menu: Menu, order: LinearOrder) -> int:
-    """The member of the menu ranked best by the order."""
-    mask = menu.mask
-    for e in order.ranking:
-        if (mask >> e) & 1:
-            return e
-    raise ValueError("menu contains no alternative of the order's ground set")
 
 
 def rational_choice(order: LinearOrder) -> ChoiceFunction:

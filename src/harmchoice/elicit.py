@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,11 +46,6 @@ class StrictPartialOrder:
         closed = _transitive_closure(self.n, pairs)
         if closed != pairs:
             raise ValueError("relation is not transitively closed")
-
-    @classmethod
-    def from_cover(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "StrictPartialOrder":
-        """Build from any generating pairs, closing under transitivity."""
-        return cls(n, _transitive_closure(n, frozenset(pairs)))
 
     def sorted_pairs(self) -> list[tuple[int, int]]:
         return sorted(self.pairs)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChoiceFunction, LinearOrder, Menu, distortion_picks, move_bits
+from .core import ChoiceFunction, LinearOrder, distortion_picks, move_bits
 
 
 def distortion_max_tables(order: LinearOrder) -> np.ndarray:
@@ -48,13 +48,6 @@ class SelfPunishmentRationalization:
             raise ValueError("need one index per nonempty menu")
         if any(not 0 <= i <= n - 1 for i in self.indices):
             raise ValueError("distortion indices must lie in 0..n-1")
-
-    def index_for(self, menu: Menu) -> int:
-        return self.indices[menu.mask - 1]
-
-    @property
-    def max_index(self) -> int:
-        return max(self.indices)
 
 
 def canonical_rationalization(

@@ -6,8 +6,16 @@ import warnings
 import numpy as np
 import pytest
 
-from harmchoice import ChoiceFunction, GroundSet, Menu, harmful_distortion, validate_choice
+from harmchoice import (
+    ChoiceFunction,
+    GroundSet,
+    Menu,
+    StrictPartialOrder,
+    harmful_distortion,
+    validate_choice,
+)
 from harmchoice.core import menu_order
+from harmchoice.elicit import _transitive_closure
 
 
 def make_choice(labels, table):
@@ -68,6 +76,18 @@ def loop_relation(picks_mat, n):
     diag = np.arange(n)
     sel[:, diag, diag] = False
     return sel
+
+
+def max_of(menu, order):
+    """Oracle for the distortion kernel: the member of the menu ranked best
+    by the order."""
+    return next(e for e in order.ranking if e in menu)
+
+
+def closed_order(n, pairs):
+    """The strict partial order generated by ``pairs``, closed under
+    transitivity."""
+    return StrictPartialOrder(n, _transitive_closure(n, frozenset(pairs)))
 
 
 def lexsort_menu_order(n):

@@ -11,7 +11,6 @@ from harmchoice import (
     GroundSet,
     LinearOrder,
     Menu,
-    Reversal,
     UniformIndexPolicy,
     check_cns,
     constant_selection_witnesses,
@@ -24,7 +23,9 @@ from harmchoice import (
     reversal_count,
     satisfies_warp,
 )
+from harmchoice import _kernels
 from harmchoice.axioms import coselected_pairs, min_cover
+from harmchoice.census import _menu_layout
 from harmchoice.cli import LoadedDataset, build_analysis
 from harmchoice.errors import InvalidJ
 from conftest import iter_all_choices, random_choice
@@ -35,7 +36,7 @@ def brute_reversals(c):
     menus = [Menu.from_mask(m) for m in range(1, 1 << c.n)]
     found = set()
     for a, b in itertools.combinations(menus, 2):
-        pa, pb = c.pick(a), c.pick(b)
+        pa, pb = c.picks_array[a.mask], c.picks_array[b.mask]
         inter = a.mask & b.mask
         if pa != pb and (inter >> pa) & 1 and (inter >> pb) & 1:
             found.add(frozenset([(a.mask, pa), (b.mask, pb)]))
@@ -46,26 +47,12 @@ def reversal_key(r):
     return frozenset([(r.menu_a.mask, r.pick_a), (r.menu_b.mask, r.pick_b)])
 
 
-class TestReversal:
-    @pytest.mark.parametrize(
-        "menu_a, menu_b, pick_a, pick_b, message",
-        [
-            ((0, 1), (0, 1), 0, 1, "two distinct menus"),
-            ((0, 1), (0, 1, 2), 1, 1, "two distinct picks"),
-            ((0, 1), (0, 1, 2), 0, 2, "intersection"),
-            ((0, 2), (0, 1, 2), 0, 1, "intersection"),
-            ((0, 1, 2), (1, 2), 0, 1, "intersection"),
-            ((1, 2), (0, 1, 2), 1, 0, "intersection"),
-            ((0, 1, 2), (0, 1), 0, 2, "intersection"),
-        ],
-    )
-    def test_invalid_reversals_rejected(self, menu_a, menu_b, pick_a, pick_b, message):
-        with pytest.raises(ValueError, match=message):
-            Reversal(Menu(menu_a), Menu(menu_b), pick_a, pick_b)
-
-    def test_valid_reversal(self):
-        r = Reversal(Menu((0, 1)), Menu((0, 1, 2)), 1, 0)
-        assert (r.pick_a, r.pick_b) == (1, 0)
+def survey_n4():
+    """Every one of the 20,736 choices on four alternatives, one picks array
+    per row, and the co-selected pair mask of each."""
+    masks, sizes, members = _menu_layout(4)
+    picks_mat = _kernels.decode_choices(0, 20736, sizes, members, masks, 4)
+    return picks_mat, _kernels.pair_masks(picks_mat, 4)
 
 
 class TestFindReversals:
@@ -289,12 +276,7 @@ class TestCheckCns:
         representative per distinct reversal structure covers the whole
         space of 20736 choices.
         """
-        from harmchoice import ChoiceFunction, _kernels
-        from harmchoice.census import _menu_layout
-
-        masks, sizes, members = _menu_layout(4)
-        picks_mat = _kernels.decode_choices(0, 20736, sizes, members, masks, 4)
-        pair_masks = _kernels.pair_masks(picks_mat, 4)
+        picks_mat, pair_masks = survey_n4()
         _, first = np.unique(pair_masks, return_index=True)
         for idx in first:
             c = ChoiceFunction(4, picks_mat[idx])
@@ -308,6 +290,30 @@ class TestCheckCns:
             witnesses = constant_selection_witnesses(c)
             if witnesses is not None:
                 assert 1 <= len(witnesses) <= 2
+
+
+    def test_witness_records_hold_over_n4_survey(self):
+        """The witness records are built unchecked. On one choice per
+        reversal structure on four alternatives and 1,500 more seeded ones,
+        the items are distinct, each has one paired reversal of the choice,
+        and that reversal co-selects it with an alternative outside the
+        witness."""
+        picks_mat, pair_masks = survey_n4()
+        _, first = np.unique(pair_masks, return_index=True)
+        sample = np.random.default_rng(26).choice(len(picks_mat), 1500, replace=False)
+        for idx in np.union1d(first, sample):
+            c = ChoiceFunction(4, picks_mat[idx])
+            j = len(min_cover(coselected_pairs(c), 4))
+            if j == 0:
+                continue
+            w = check_cns(c, j)
+            assert len(set(w.items)) == len(w.items) == len(w.paired_reversals) == j
+            reversals = brute_reversals(c)
+            for x, r in zip(w.items, w.paired_reversals):
+                assert reversal_key(r) in reversals
+                assert x in (r.pick_a, r.pick_b)
+                (other,) = {r.pick_a, r.pick_b} - {x}
+                assert other not in w.items
 
 
 def reference_cover(pairs, n):

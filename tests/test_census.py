@@ -70,10 +70,23 @@ def full_matrix_hits(n, samples, seed):
 
 
 def test_menu_layout_matches_loop():
-    for n in range(1, 13):
+    for n in range(1, 17):
         for got, want in zip(_menu_layout(n), loop_menu_layout(n)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+
+def test_menu_layout_traces_under_8mb_at_n16():
+    """The member table is filled one bit at a time, so little but the
+    2 MB table itself is alive at once."""
+    menu_order(16)  # the cached canonical order stays out of the peak
+    tracemalloc.start()
+    try:
+        _menu_layout(16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 class TestTotals:
@@ -379,7 +392,7 @@ class TestGenerate:
 
     def test_donation_table_from_explicit_map(self, donation_choice):
         ground, expected = donation_choice
-        mapping = {menu: 1 for menu, _ in expected.items()}
+        mapping = {Menu.from_mask(m): 1 for m in range(1, 8)}
         mapping[Menu((0, 1, 2))] = 0
         got = generate_harmful(
             LinearOrder((0, 1, 2)), ExplicitIndexPolicy.from_menus(mapping)

@@ -23,6 +23,7 @@ from harmchoice import (
     FixedIndexPolicy,
     GroundSet,
     LinearOrder,
+    Menu,
     UniformIndexPolicy,
     generate_harmful,
     rational_choice,
@@ -408,6 +409,26 @@ class TestDatasetHandling:
         with pytest.raises(SystemExit) as exc:
             main(["nonsense"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "DATASET"],
+            ["sp", "DATASET"],
+            ["elicit", "DATASET"],
+            ["census", "--n", "3"],
+            ["sample-census", "--n", "3", "--samples", "10"],
+        ],
+    )
+    def test_workers_below_1_is_exit_2(self, capsys, cycle3_file, argv, workers):
+        argv = [cycle3_file if arg == "DATASET" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--workers", workers])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: harmchoice")
+        assert f"argument --workers: must be at least 1, got {workers}" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -1032,7 +1053,7 @@ def check_seeded_random_faults(tmp_path):
         rows = []
         for mask in menu_order(n).tolist():
             members = [labels[e] for e in range(n) if (mask >> e) & 1]
-            rows.append([list(rng.permutation(members)), labels[choice.pick_mask(mask)]])
+            rows.append([list(rng.permutation(members)), labels[choice.picks_array[mask]]])
         for _ in range(int(rng.integers(0, 3))):
             i = int(rng.integers(len(rows)))
             kind = int(rng.integers(7))
@@ -1110,7 +1131,7 @@ class TestLoaderBlocks:
         rows = []
         for mask in rng.permutation(np.arange(1, 1 << 12)).tolist():
             members = [labels[e] for e in rng.permutation(12).tolist() if (mask >> e) & 1]
-            rows.append(f"{','.join(members)} -> {labels[choice.pick_mask(mask)]}")
+            rows.append(f"{','.join(members)} -> {labels[choice.picks_array[mask]]}")
         path = tmp_path / "data.txt"
         path.write_text(text_rows(rows, header=None), encoding="utf-8")
         assert_same_outcome(path)
@@ -1251,7 +1272,8 @@ class TestStreamedText:
 def items_writer(ds):
     """Oracle: the dataset writers as they were, one Menu per row."""
     g = ds.ground
-    rows = list(ds.choice.items())
+    picks = ds.choice.picks_array
+    rows = [(Menu.from_mask(m), int(picks[m])) for m in menu_order(g.n).tolist()]
     as_dict = {
         "version": 1,
         "alternatives": list(g.labels),

@@ -29,7 +29,7 @@ from harmchoice.errors import (
     InvalidWitness,
     NotWeaklyHarmful,
 )
-from conftest import loop_relation, random_choice
+from conftest import closed_order, loop_relation, random_choice
 
 
 def masked_weakly_harmful(c):
@@ -60,7 +60,7 @@ def closed_partial(c, witness):
     rel = set(itertools.combinations(items, 2))
     rel.update((x, y) for x in items for y in others)
     rel.update((y, z) for y in others for z in others if sel[y, z])
-    return StrictPartialOrder.from_cover(n, rel)
+    return closed_order(n, rel)
 
 
 def seeded_choices():
@@ -263,15 +263,15 @@ class TestExtendLinear:
     to the smallest id."""
 
     def test_chain_already_total(self):
-        p = StrictPartialOrder.from_cover(3, {(0, 2), (2, 1)})
+        p = closed_order(3, {(0, 2), (2, 1)})
         assert all_extensions(p, 1).orders[0].ranking == (0, 2, 1)
 
     def test_empty_relation_uses_id_order(self):
-        p = StrictPartialOrder.from_cover(2, set())
+        p = closed_order(2, set())
         assert all_extensions(p, 1).orders[0].ranking == (0, 1)
 
     def test_sparse_relation_tie_break(self):
-        p = StrictPartialOrder.from_cover(3, {(0, 2)})
+        p = closed_order(3, {(0, 2)})
         assert all_extensions(p, 1).orders[0].ranking == (0, 1, 2)
 
     def test_extension_respects_pairs(self):
@@ -283,21 +283,21 @@ class TestExtendLinear:
             for _ in range(n):
                 i, j = sorted(rng.choice(n, size=2, replace=False))
                 pairs.add((int(base[i]), int(base[j])))
-            p = StrictPartialOrder.from_cover(n, pairs)
+            p = closed_order(n, pairs)
             (order,) = all_extensions(p, 1).orders
             for a, b in p.pairs:
-                assert order.prefers(a, b)
+                assert order.ranking.index(a) < order.ranking.index(b)
 
 
 class TestAllExtensions:
     def test_chain_has_one(self):
-        p = StrictPartialOrder.from_cover(4, {(0, 1), (1, 2), (2, 3)})
+        p = closed_order(4, {(0, 1), (1, 2), (2, 3)})
         ext = all_extensions(p, cap=10)
         assert ext.total == 1
         assert ext.orders[0].ranking == (0, 1, 2, 3)
 
     def test_empty_relation_has_factorial(self):
-        ext = all_extensions(StrictPartialOrder.from_cover(3, set()), cap=100)
+        ext = all_extensions(closed_order(3, set()), cap=100)
         assert ext.total == 6
         assert [o.ranking for o in ext.orders] == sorted(
             itertools.permutations(range(3))
@@ -311,13 +311,13 @@ class TestAllExtensions:
         assert ext.orders[0].ranking == (0, 2, 1)
 
     def test_cap_truncates_but_counts_exactly(self):
-        ext = all_extensions(StrictPartialOrder.from_cover(4, set()), cap=3)
+        ext = all_extensions(closed_order(4, set()), cap=3)
         assert ext.total == 24
         assert len(ext.orders) == 3
 
     def test_cap_must_be_positive(self):
         with pytest.raises(ValueError):
-            all_extensions(StrictPartialOrder.from_cover(2, set()), cap=0)
+            all_extensions(closed_order(2, set()), cap=0)
 
     def test_equals_permutation_scan(self):
         rng = np.random.default_rng(56)
@@ -329,7 +329,7 @@ class TestAllExtensions:
                 if n > 1:
                     i, j = sorted(rng.choice(n, size=2, replace=False))
                     pairs.add((int(base[i]), int(base[j])))
-            p = StrictPartialOrder.from_cover(n, pairs)
+            p = closed_order(n, pairs)
             expected = extension_scan(p)
             cap = int(rng.integers(1, len(expected) + 3))
             ext = all_extensions(p, cap)
@@ -353,16 +353,18 @@ class TestAllExtensions:
 class TestStrictPartialOrder:
     def test_cycle_rejected(self):
         with pytest.raises(CycleDetected):
-            StrictPartialOrder.from_cover(3, {(0, 1), (1, 2), (2, 0)})
+            closed_order(3, {(0, 1), (1, 2), (2, 0)})
 
     def test_self_loop_rejected(self):
         with pytest.raises(CycleDetected):
-            StrictPartialOrder.from_cover(2, {(0, 0)})
+            closed_order(2, {(0, 0)})
 
     def test_unclosed_direct_construction_rejected(self):
         with pytest.raises(ValueError):
             StrictPartialOrder(3, frozenset({(0, 1), (1, 2)}))
 
     def test_from_cover_closes(self):
-        p = StrictPartialOrder.from_cover(3, {(0, 1), (1, 2)})
+        """Generating pairs closed by ``_transitive_closure`` make a valid
+        order."""
+        p = closed_order(3, {(0, 1), (1, 2)})
         assert (0, 2) in p.pairs

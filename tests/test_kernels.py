@@ -26,8 +26,8 @@ def loop_pick_counts(c):
     """Oracle for ``ChoiceFunction.pick_counts``: menu by menu, count the pick once for
     every member, itself included."""
     counts = np.zeros((c.n, c.n), np.int64)
-    for menu, p in c.items():
-        counts[p, list(menu.members)] += 1
+    for m in range(1, 1 << c.n):
+        counts[c.picks_array[m], [e for e in range(c.n) if (m >> e) & 1]] += 1
     return counts
 
 
