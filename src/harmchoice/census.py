@@ -13,6 +13,7 @@ pair.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -24,10 +25,12 @@ from . import _kernels
 from ._parallel import index_chunks, map_chunks, resolve_workers
 from .axioms import min_cover
 from .core import (
+    MENU_BLOCK,
     ChoiceFunction,
     GroundSet,
     LinearOrder,
     Menu,
+    distortion_block,
     distortion_picks,
     menu_order,
     require_enumerable,
@@ -48,8 +51,20 @@ MAX_SAMPLE_DRAWS = 1 << 30
 #: Seed used by randomized operations when none is given.
 DEFAULT_SEED = 1729
 
+#: Seeds lie in 0..MAX_SEED, the range of the generators' 64-bit key word.
+MAX_SEED = (1 << 64) - 1
+
 _Z95 = 1.96
-_MASK64 = (1 << 64) - 1
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= operator.index(seed) <= MAX_SEED:
+        raise ValueError(f"seed must lie in 0..{MAX_SEED}, got {seed}")
+
+
+def _philox(seed: int, stream: int) -> np.random.Generator:
+    """The counter-based generator keyed by (seed, stream)."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -195,6 +210,7 @@ def sample_census(
         raise ValueError("sampling needs at least two alternatives")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    _check_seed(seed)
     draws = samples * ((1 << n) - 1)
     if draws > MAX_SAMPLE_DRAWS:
         raise ValueError(
@@ -209,8 +225,7 @@ def sample_census(
     def work(chunk: tuple[int, int]) -> int:
         start, stop = chunk
         count = stop - start
-        key = np.array([seed & _MASK64, start // chunk_size], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
+        rng = _philox(seed, start // chunk_size)
         rows = np.zeros((count, n), dtype=masks.dtype)
         flat, row_starts = rows.reshape(-1), np.arange(0, count * n, n)
         for lo, hi in zip(bounds, bounds[1:]):
@@ -287,30 +302,38 @@ def generate_harmful(
     """
     n = order.n
     require_enumerable(n)
+    _check_seed(seed)
 
     def check(i: int) -> int:
         if not 0 <= i <= n - 1:
             raise IndexOutOfRange(f"policy index {i} outside 0..{n - 1}")
         return i
 
+    masks = menu_order(n)
+    blocks = [masks[lo : lo + MENU_BLOCK] for lo in range(0, masks.size, MENU_BLOCK)]
     if isinstance(policy, FixedIndexPolicy):
-        indices = check(policy.index)
+        index = check(policy.index)
+        block_indices = (index for _ in blocks)
     elif isinstance(policy, UniformIndexPolicy):
         check(policy.cap)
-        key = np.array([seed & _MASK64, 0], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        indices = np.zeros(1 << n, dtype=np.int64)
-        indices[menu_order(n)] = rng.integers(0, policy.cap + 1, size=(1 << n) - 1)
+        rng = _philox(seed, 0)
+        # the generator keeps its unused words between calls, so drawing block
+        # by block gives the same indices as one draw over all menus
+        block_indices = (rng.integers(0, policy.cap + 1, size=block.size) for block in blocks)
     elif isinstance(policy, ExplicitIndexPolicy):
         lookup = policy.lookup()
         if any(not 0 < mask < 1 << n for mask in lookup):
             raise ValueError("policy assigns an index to a menu outside the ground set")
-        indices = np.zeros(1 << n, dtype=np.int64)
+        table = np.zeros(1 << n, dtype=np.int8)
         for mask in sorted(lookup, key=lambda m: Menu.from_mask(m).sort_key):
-            indices[mask] = check(lookup[mask])
+            table[mask] = check(lookup[mask])
+        block_indices = (table[block] for block in blocks)
     else:
         raise TypeError(f"unsupported policy {policy!r}")
-    return ChoiceFunction(n, distortion_picks(order, indices))
+    picks = np.full(1 << n, -1, dtype=np.int16)
+    for block, indices in zip(blocks, block_indices):
+        picks[block] = distortion_block(order, block, indices)
+    return ChoiceFunction(n, picks)
 
 
 def inconsistent_ground_set(k: int) -> GroundSet:

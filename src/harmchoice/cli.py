@@ -92,6 +92,7 @@ from .axioms import (
 from .census import (
     DEFAULT_SEED,
     MAX_EXACT_CENSUS_N,
+    MAX_SEED,
     ExplicitIndexPolicy,
     FixedIndexPolicy,
     UniformIndexPolicy,
@@ -104,6 +105,7 @@ from .census import (
 )
 from .core import (
     MAX_ENUM_N,
+    MENU_BLOCK,
     ChoiceFunction,
     GroundSet,
     LinearOrder,
@@ -142,12 +144,10 @@ class LoadedDataset:
     def json_fields(self) -> dict:
         labels = self.ground.labels
         quoted = [json.dumps(label) for label in labels]
-        picks = self.choice.picks_array.tolist()
-        order = menu_order(len(labels)).tolist()
         rows = (
             f'{{\n      "menu": [\n        {members}\n      ],'
-            f'\n      "choice": {quoted[picks[m]]}\n    }}'
-            for m, members in zip(order, _member_texts(quoted, ",\n        ", order))
+            f'\n      "choice": {quoted[pick]}\n    }}'
+            for members, pick in _menu_rows(quoted, ",\n        ", self.choice)
         )
         return {"version": DATASET_VERSION, "alternatives": list(labels), "choices": _Rows(rows)}
 
@@ -168,17 +168,17 @@ class LoadedDataset:
                     " not contain ',', '->' or a line break, start with '#', or have outer"
                     " whitespace (use --format json)"
                 )
-        picks = self.choice.picks_array.tolist()
-        order = menu_order(len(labels)).tolist()
         rows = (
-            f"{members} -> {labels[picks[m]]}"
-            for m, members in zip(order, _member_texts(labels, ",", order))
+            f"{members} -> {labels[pick]}" for members, pick in _menu_rows(labels, ",", self.choice)
         )
         return chain((f"alternatives: {', '.join(labels)}",), rows)
 
 
-def _member_texts(labels: Iterable[str], sep: str, masks: Iterable[int]) -> Iterator[str]:
-    """``sep.join`` of the member labels of each menu bitmask in ``masks``.
+def _menu_rows(
+    labels: Iterable[str], sep: str, choice: ChoiceFunction
+) -> Iterator[tuple[str, int]]:
+    """``sep.join`` of the member labels, and the pick id, of each menu in
+    canonical order, taken :data:`MENU_BLOCK` menus at a time into lists.
 
     The members are looked up in one table for the low and one for the high
     10 bits of a mask (below 2**20), each of at most 1,024 entries, in which
@@ -191,8 +191,11 @@ def _member_texts(labels: Iterable[str], sep: str, masks: Iterable[int]) -> Iter
         table = low if e < 10 else high
         table += [text + sep + label for text in table]
     cut = len(sep)
-    for m in masks:
-        yield (low[m & 1023] + high[m >> 10])[cut:]
+    order = menu_order(choice.n)
+    for lo in range(0, order.size, MENU_BLOCK):
+        block = order[lo : lo + MENU_BLOCK]
+        for m, pick in zip(block.tolist(), choice.picks_array[block].tolist()):
+            yield (low[m & 1023] + high[m >> 10])[cut:], pick
 
 
 # ---------------------------------------------------------------------------
@@ -872,6 +875,17 @@ def _worker_count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """``--seed``: an integer in 0..2**64 - 1, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= value <= MAX_SEED:
+        raise argparse.ArgumentTypeError(f"must lie in 0..{MAX_SEED}, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="harmchoice",
@@ -928,13 +942,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--samples", required=True, type=int)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_sample_census)
 
     p = sub.add_parser("generate", parents=[common], help="simulate a self-punishing chooser")
     p.add_argument("--order", required=True, help="comma-separated labels, best first")
     p.add_argument("--policy", required=True, help="fixed:<i> | uniform:<cap> | map:<file.json>")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser(

@@ -30,6 +30,10 @@ from .errors import (
 #: Menu-enumerating operations refuse ground sets above this size.
 MAX_ENUM_N = 20
 
+#: Steps that run over all 2**n menus take at most this many at a time, so
+#: their temporaries stay a fixed size however large n is.
+MENU_BLOCK = 1 << 14
+
 
 def require_enumerable(n: int) -> None:
     """Reject ground-set sizes for which 2**n - 1 menus cannot be handled."""
@@ -163,9 +167,10 @@ class ChoiceFunction:
         vals = arr[1:]
         if ((vals < 0) | (vals >= n)).any():
             raise ValueError("every menu needs a pick in 0..n-1")
-        masks = np.arange(1, 1 << n, dtype=np.int64)
-        if (((masks >> vals) & 1) == 0).any():
-            raise ValueError("some pick is not a member of its menu")
+        for lo in range(1, 1 << n, MENU_BLOCK):
+            hi = min(lo + MENU_BLOCK, 1 << n)
+            if (((np.arange(lo, hi) >> arr[lo:hi]) & 1) == 0).any():
+                raise ValueError("some pick is not a member of its menu")
         arr.setflags(write=False)
         self._n = n
         self._picks = arr
@@ -215,14 +220,22 @@ class ChoiceFunction:
 def menu_order(n: int) -> np.ndarray:
     """Bitmasks of all nonempty menus in canonical order: by size, then by
     member ids. A menu's index here is its canonical position; the array is
-    cached and read-only."""
+    cached and read-only.
+
+    Among menus of one size, the smaller member tuple has the larger
+    reversed mask. So the values 2**n - 1 down to 1, read as reversed masks
+    and grouped by bit count, are the menus in canonical order; the order
+    is built one size class at a time, with no 2**n-wide key or sort.
+    """
     require_enumerable(n)
-    masks = np.arange(1, 1 << n, dtype=np.int64)
-    # among menus of one size, the smaller member tuple has the larger reversed
-    # mask; the keys are distinct, and the stable sort is as fast on their
-    # sorted runs as the default one and maps less of numpy's sort code
-    key = (np.bitwise_count(masks).astype(np.int64) << n) - move_bits(masks, np.arange(n)[::-1])
-    order = masks[np.argsort(key, kind="stable")]
+    reversed_masks = np.arange((1 << n) - 1, 0, -1, dtype=np.int32)
+    sizes = np.bitwise_count(reversed_masks)
+    order = np.empty(reversed_masks.size, dtype=np.int64)
+    start = 0
+    for size in range(1, n + 1):
+        masks = move_bits(reversed_masks[sizes == size], range(n - 1, -1, -1))
+        order[start : start + masks.size] = masks
+        start += masks.size
     order.setflags(write=False)
     return order
 
@@ -246,22 +259,36 @@ def move_bits(masks: np.ndarray, to: Iterable[int]) -> np.ndarray:
 def distortion_picks(order: LinearOrder, indices: int | np.ndarray) -> np.ndarray:
     """Picks indexed by menu bitmask (entry 0 is -1) of a chooser who, in
     each menu, maximizes the ``indices``-th harmful distortion of ``order``;
-    ``indices`` is one index in 0..n-1, or one per bitmask.
+    ``indices`` is one index in 0..n-1, or one per bitmask. The bitmasks are
+    taken :data:`MENU_BLOCK` at a time."""
+    n = order.n
+    require_enumerable(n)
+    picks = np.empty(1 << n, dtype=np.int16)
+    for lo in range(0, 1 << n, MENU_BLOCK):
+        hi = min(lo + MENU_BLOCK, 1 << n)
+        block_indices = indices if np.ndim(indices) == 0 else indices[lo:hi]
+        picks[lo:hi] = distortion_block(order, np.arange(lo, hi), block_indices)
+    picks[0] = -1
+    return picks
+
+
+def distortion_block(
+    order: LinearOrder, masks: np.ndarray, indices: int | np.ndarray
+) -> np.ndarray:
+    """The ``int16`` pick from each nonempty menu of ``masks`` of a chooser
+    who maximizes the ``indices``-th harmful distortion of ``order``, one
+    index for all menus or one per menu.
 
     Each menu becomes the mask of its members' positions in the order, best
     at bit 0. The i-th distortion ranks positions i.. first, best first,
     then the demoted top block worst first; frexp's exponent is the bit
     length.
     """
-    n = order.n
-    require_enumerable(n)
     ranking = np.asarray(order.ranking, dtype=np.int16)
-    at = move_bits(np.arange(1 << n), np.argsort(ranking))
+    at = move_bits(masks, np.argsort(ranking))
     kept = at >> indices << indices
     pos = np.where(kept != 0, np.frexp(kept & -kept)[1], np.frexp(at)[1]) - 1
-    picks = ranking[pos]
-    picks[0] = -1
-    return picks
+    return ranking[pos]
 
 
 def rational_choice(order: LinearOrder) -> ChoiceFunction:

@@ -8,13 +8,15 @@ import pytest
 
 from harmchoice import (
     ChoiceFunction,
+    FixedIndexPolicy,
     GroundSet,
     Menu,
     StrictPartialOrder,
+    UniformIndexPolicy,
     harmful_distortion,
     validate_choice,
 )
-from harmchoice.core import menu_order
+from harmchoice.core import menu_order, move_bits
 from harmchoice.elicit import _transitive_closure
 
 
@@ -101,6 +103,37 @@ def lexsort_menu_order(n):
         size += bit
         reversed_bits |= bit << (n - 1 - e)
     return masks[np.lexsort((-reversed_bits, size))]
+
+
+def whole_distortion_picks(order, indices):
+    """Oracle for ``distortion_picks``: the distortion kernel over all 2**n
+    bitmasks in one pass, one index or one per bitmask."""
+    n = order.n
+    ranking = np.asarray(order.ranking, dtype=np.int16)
+    at = move_bits(np.arange(1 << n), np.argsort(ranking))
+    kept = at >> indices << indices
+    pos = np.where(kept != 0, np.frexp(kept & -kept)[1], np.frexp(at)[1]) - 1
+    picks = ranking[pos]
+    picks[0] = -1
+    return picks
+
+
+def whole_generate_harmful(order, policy, seed):
+    """Oracle for ``generate_harmful``'s picks: one int64 index per bitmask
+    for all menus, the uniform indices drawn in one call over the canonical
+    order, then :func:`whole_distortion_picks`."""
+    n = order.n
+    if isinstance(policy, FixedIndexPolicy):
+        return whole_distortion_picks(order, policy.index)
+    indices = np.zeros(1 << n, dtype=np.int64)
+    if isinstance(policy, UniformIndexPolicy):
+        key = np.array([seed, 0], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        indices[menu_order(n)] = rng.integers(0, policy.cap + 1, size=(1 << n) - 1)
+    else:
+        for mask, i in policy.assignments:
+            indices[mask] = i
+    return whole_distortion_picks(order, indices)
 
 
 def fill_best(picks, ranking):

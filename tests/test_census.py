@@ -31,11 +31,16 @@ from harmchoice import (
     total_choice_functions,
 )
 from harmchoice import _kernels, census
-from harmchoice.census import _menu_layout, _sample_chunk
-from harmchoice.core import ChoiceFunction, menu_order
+from harmchoice.census import MAX_SEED, _menu_layout, _sample_chunk
+from harmchoice.core import MENU_BLOCK, ChoiceFunction, menu_order
 from harmchoice.cli import main
 from harmchoice.errors import GroundSetTooLarge, IndexOutOfRange
-from conftest import iter_all_choices, loop_distortion_tables, loop_relation
+from conftest import (
+    iter_all_choices,
+    loop_distortion_tables,
+    loop_relation,
+    whole_generate_harmful,
+)
 
 
 def loop_menu_layout(n):
@@ -87,6 +92,52 @@ def test_menu_layout_traces_under_8mb_at_n16():
     finally:
         tracemalloc.stop()
     assert peak < 8_000_000
+
+
+def test_menu_order_traces_under_3x_its_result_at_n18():
+    """The order is built one size class at a time, so its temporaries stay
+    under twice the 2 MiB result; a 2**18-wide int64 sort key and its
+    argsort reached 10 MiB."""
+    tracemalloc.start()
+    try:
+        order = menu_order.__wrapped__(18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert order.size == (1 << 18) - 1  # int64, so 2 MiB
+    assert peak < 3 * order.nbytes, f"{peak / 2**20:.2f} MiB"
+
+
+def test_generate_harmful_traces_under_2mb_at_n16():
+    """Indices are drawn and picks worked out one block of menus at a time,
+    so no 2**16-wide int64 array is alive; whole-array indices and kernel
+    temporaries reached 2.9 MiB."""
+    order = LinearOrder(tuple(range(16)))
+    generate_harmful(order, UniformIndexPolicy(12), seed=5)  # the cached order stays out
+    tracemalloc.start()
+    try:
+        generate_harmful(order, UniformIndexPolicy(12), seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize(
+    "n, block", [(6, 4), (10, 100), (13, 999), (16, 1000), (16, MENU_BLOCK), (20, MENU_BLOCK)]
+)
+def test_blockwise_draws_equal_one_draw(n, block):
+    """``generate_harmful``'s bytes rest on this: Philox keeps its unused
+    32-bit words in the generator, so draws taken block by block, in blocks
+    that do not divide the 2**n - 1 menus, are the one draw over all of
+    them, for every cap."""
+    total = (1 << n) - 1
+    assert total % block != 0
+    for cap in range(n):
+        whole = census._philox(5, 0).integers(0, cap + 1, size=total)
+        rng = census._philox(5, 0)
+        parts = [rng.integers(0, cap + 1, size=min(block, total - lo)) for lo in range(0, total, block)]
+        assert np.array_equal(np.concatenate(parts), whole)
 
 
 class TestTotals:
@@ -363,8 +414,45 @@ class TestSample:
         with pytest.raises(ValueError):
             sample_census(3, 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, MAX_SEED + 1, MAX_SEED + 2, -MAX_SEED])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        """Such a seed once keyed the generator modulo 2**64, so seeds 1,
+        2**64 + 1 and -(2**64 - 1) drew the same samples."""
+        with pytest.raises(ValueError, match=r"seed must lie in 0\.\.18446744073709551615"):
+            sample_census(6, 10, seed=seed)
+
 
 class TestGenerate:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_whole_array_oracle(self, n):
+        """Every policy kind, at seeds 0, 5 and 2**64 - 1, gives the picks
+        of one pass over all menus; from n = 15 the menus span blocks."""
+        rng = np.random.default_rng(100 + n)
+        order = LinearOrder(tuple(rng.permutation(n).tolist()))
+        masks = menu_order(n)
+        chosen = masks[rng.random(masks.size) < 0.3].tolist()
+        explicit = ExplicitIndexPolicy(tuple((m, int(rng.integers(0, n))) for m in sorted(chosen)))
+        policies = [FixedIndexPolicy(int(rng.integers(0, n))), UniformIndexPolicy(min(12, n - 1)), explicit]
+        for seed in (0, 5, MAX_SEED):
+            for policy in policies:
+                got = generate_harmful(order, policy, seed=seed).picks_array
+                assert np.array_equal(got, whole_generate_harmful(order, policy, seed)), (policy, seed)
+
+    def test_matches_whole_array_oracle_at_n20(self):
+        """One run of each policy kind at the largest n, 64 blocks of menus."""
+        n = 20
+        order = LinearOrder(tuple(np.random.default_rng(20).permutation(n).tolist()))
+        explicit = ExplicitIndexPolicy(tuple((m, m % n) for m in range(3, 1 << n, 97)))
+        for policy, seed in ((FixedIndexPolicy(7), 0), (UniformIndexPolicy(12), 5), (explicit, MAX_SEED)):
+            got = generate_harmful(order, policy, seed=seed).picks_array
+            assert np.array_equal(got, whole_generate_harmful(order, policy, seed)), policy
+
+    @pytest.mark.parametrize("policy", [FixedIndexPolicy(0), UniformIndexPolicy(2)])
+    @pytest.mark.parametrize("seed", [-1, MAX_SEED + 1, -MAX_SEED])
+    def test_seed_outside_64_bits_rejected(self, policy, seed):
+        with pytest.raises(ValueError, match=r"seed must lie in 0\.\.18446744073709551615"):
+            generate_harmful(LinearOrder((0, 1, 2)), policy, seed=seed)
+
     def test_fixed_zero_is_maximization(self):
         order = LinearOrder((2, 0, 1))
         assert generate_harmful(order, FixedIndexPolicy(0)) == rational_choice(order)

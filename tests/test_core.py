@@ -23,8 +23,14 @@ from harmchoice.errors import (
     MissingMenu,
     PickNotInMenu,
 )
-from harmchoice.core import distortion_picks, menu_order, require_enumerable
-from conftest import lexsort_menu_order, loop_distortion_tables, max_of, random_choice
+from harmchoice.core import MENU_BLOCK, distortion_picks, menu_order, require_enumerable
+from conftest import (
+    lexsort_menu_order,
+    loop_distortion_tables,
+    max_of,
+    random_choice,
+    whole_distortion_picks,
+)
 
 
 def rowwise_validate(rows, ground):
@@ -434,6 +440,20 @@ def test_distortion_picks_match_tables():
             got = distortion_picks(order, indices)
             assert got[0] == -1
             assert np.array_equal(got[1:], tabs[indices, np.arange(1 << n)][1:])
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_distortion_picks_past_one_block_match_whole_array(n):
+    """At n = 15 and 16 the bitmasks span two and four blocks: every fixed
+    index, and random indices per bitmask, give the one-pass kernel's
+    picks."""
+    assert 1 << n > MENU_BLOCK
+    rng = np.random.default_rng(n)
+    order = LinearOrder(tuple(rng.permutation(n).tolist()))
+    for i in range(n):
+        assert np.array_equal(distortion_picks(order, i), whole_distortion_picks(order, i))
+    indices = rng.integers(0, n, size=1 << n)
+    assert np.array_equal(distortion_picks(order, indices), whole_distortion_picks(order, indices))
 
 
 def test_rational_choice_satisfies_warp():
