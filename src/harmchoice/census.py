@@ -30,7 +30,6 @@ from .core import (
     GroundSet,
     LinearOrder,
     Menu,
-    distortion_block,
     distortion_picks,
     menu_order,
     require_enumerable,
@@ -203,6 +202,7 @@ def sample_census(
     skipped draws are the tail of this chunk's own stream, which no other
     chunk reads.
     """
+    n, samples = operator.index(n), operator.index(samples)
     if n > MAX_SAMPLE_N:
         raise GroundSetTooLarge(f"sampled census is capped at n <= {MAX_SAMPLE_N}, got n = {n}")
     require_enumerable(n)
@@ -309,31 +309,28 @@ def generate_harmful(
             raise IndexOutOfRange(f"policy index {i} outside 0..{n - 1}")
         return i
 
-    masks = menu_order(n)
-    blocks = [masks[lo : lo + MENU_BLOCK] for lo in range(0, masks.size, MENU_BLOCK)]
     if isinstance(policy, FixedIndexPolicy):
-        index = check(policy.index)
-        block_indices = (index for _ in blocks)
+        indices = check(policy.index)
     elif isinstance(policy, UniformIndexPolicy):
         check(policy.cap)
         rng = _philox(seed, 0)
+        masks = menu_order(n)
+        indices = np.zeros(1 << n, dtype=np.int8)
         # the generator keeps its unused words between calls, so drawing block
         # by block gives the same indices as one draw over all menus
-        block_indices = (rng.integers(0, policy.cap + 1, size=block.size) for block in blocks)
+        for lo in range(0, masks.size, MENU_BLOCK):
+            block = masks[lo : lo + MENU_BLOCK]
+            indices[block] = rng.integers(0, policy.cap + 1, size=block.size)
     elif isinstance(policy, ExplicitIndexPolicy):
         lookup = policy.lookup()
         if any(not 0 < mask < 1 << n for mask in lookup):
             raise ValueError("policy assigns an index to a menu outside the ground set")
-        table = np.zeros(1 << n, dtype=np.int8)
+        indices = np.zeros(1 << n, dtype=np.int8)
         for mask in sorted(lookup, key=lambda m: Menu.from_mask(m).sort_key):
-            table[mask] = check(lookup[mask])
-        block_indices = (table[block] for block in blocks)
+            indices[mask] = check(lookup[mask])
     else:
         raise TypeError(f"unsupported policy {policy!r}")
-    picks = np.full(1 << n, -1, dtype=np.int16)
-    for block, indices in zip(blocks, block_indices):
-        picks[block] = distortion_block(order, block, indices)
-    return ChoiceFunction(n, picks)
+    return ChoiceFunction(n, distortion_picks(order, indices))
 
 
 def inconsistent_ground_set(k: int) -> GroundSet:

@@ -3,9 +3,12 @@
 Alternatives carry dense integer ids 0..n-1 assigned in ground-set label
 order. A menu is a nonempty subset of ids, canonicalized to a sorted member
 tuple; it also has a bitmask form (bit ``e`` set iff id ``e`` is a member),
-which is how choice functions index their picks internally. All types are
-immutable values, safe to share across threads; a choice function builds
-its pick counts on first read and keeps them.
+which is how choice functions index their picks internally. In a 2**n-wide
+table indexed by bitmask, the menus that hold id q are the upper half of
+each run of 2 * 2**q bitmasks, ``table.reshape(-1, 2, 1 << q)[:, 1]``, and
+those that lack it the lower half, so no step needs an array of masks. All
+types are immutable values, safe to share across threads; a choice function
+builds its pick counts on first read and keeps them.
 """
 
 from __future__ import annotations
@@ -132,7 +135,7 @@ class LinearOrder:
     ranking: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        ranking = tuple(int(e) for e in self.ranking)
+        ranking = tuple(operator.index(e) for e in self.ranking)
         object.__setattr__(self, "ranking", ranking)
         if sorted(ranking) != list(range(len(ranking))):
             raise ValueError("ranking must be a permutation of 0..n-1")
@@ -152,25 +155,31 @@ class LinearOrder:
 class ChoiceFunction:
     """Total map assigning to every nonempty menu one of its members.
 
-    Picks are stored in a flat read-only array indexed by menu bitmask
-    (entry 0 is unused). Exactly the 2**n - 1 nonempty menus are defined.
+    Picks are stored in a flat read-only ``int16`` array indexed by menu
+    bitmask (entry 0 is unused). Exactly the 2**n - 1 nonempty menus are
+    defined. The picks must be integers (numpy integers and bools are), and
+    each must be a member of its menu; they are checked before they are
+    narrowed.
     """
 
     __slots__ = ("_n", "_picks", "_counts")
 
     def __init__(self, n: int, picks: np.ndarray | Iterable[int]):
         require_enumerable(n)
-        arr = np.array(picks, dtype=np.int16, copy=True)
-        if arr.shape != (1 << n,):
+        given = np.asarray(picks)
+        if given.shape != (1 << n,):
             raise ValueError(f"picks array must have length 2**{n}")
-        arr[0] = -1
-        vals = arr[1:]
+        if given.dtype.kind not in "biu":
+            raise TypeError(f"picks must be integers, got {given.dtype}")
+        vals = given[1:]
         if ((vals < 0) | (vals >= n)).any():
             raise ValueError("every menu needs a pick in 0..n-1")
-        for lo in range(1, 1 << n, MENU_BLOCK):
-            hi = min(lo + MENU_BLOCK, 1 << n)
-            if (((np.arange(lo, hi) >> arr[lo:hi]) & 1) == 0).any():
-                raise ValueError("some pick is not a member of its menu")
+        arr = given.astype(np.int16)
+        arr[0] = -1
+        # a pick lies outside its menu exactly when some q is picked in the half
+        # of the table whose menus lack q
+        if any((arr.reshape(-1, 2, 1 << q)[:, 0] == q).any() for q in range(n)):
+            raise ValueError("some pick is not a member of its menu")
         arr.setflags(write=False)
         self._n = n
         self._picks = arr
@@ -190,16 +199,17 @@ class ChoiceFunction:
         """Read-only N, where N[p, q] is the number of menus that contain q
         and pick p; built on first read and kept.
 
-        It holds the revealed relation and the reversal count. Two threads
-        that race on the first read build equal arrays, and either is kept.
+        Column q counts the picks of the half of the table whose menus hold
+        q. It holds the revealed relation and the reversal count. Two
+        threads that race on the first read build equal arrays, and either
+        is kept.
         """
         if self._counts is None:
             n = self._n
-            picks = self._picks[1:]
-            masks = np.arange(1, 1 << n, dtype=np.int64)
             counts = np.empty((n, n), dtype=np.int64)
             for q in range(n):
-                counts[:, q] = np.bincount(picks[(masks >> q) & 1 == 1], minlength=n)
+                held = self._picks.reshape(-1, 2, 1 << q)[:, 1]
+                counts[:, q] = np.bincount(held.ravel(), minlength=n)
             counts.setflags(write=False)
             self._counts = counts
         return self._counts
@@ -259,36 +269,27 @@ def move_bits(masks: np.ndarray, to: Iterable[int]) -> np.ndarray:
 def distortion_picks(order: LinearOrder, indices: int | np.ndarray) -> np.ndarray:
     """Picks indexed by menu bitmask (entry 0 is -1) of a chooser who, in
     each menu, maximizes the ``indices``-th harmful distortion of ``order``;
-    ``indices`` is one index in 0..n-1, or one per bitmask. The bitmasks are
-    taken :data:`MENU_BLOCK` at a time."""
+    ``indices`` is one index in 0..n-1, or one per bitmask.
+
+    The bitmasks are taken :data:`MENU_BLOCK` at a time. Each menu becomes
+    the mask of its members' positions in the order, best at bit 0. The i-th
+    distortion ranks positions i.. first, best first, then the demoted top
+    block worst first; frexp's exponent is the bit length.
+    """
     n = order.n
     require_enumerable(n)
+    ranking = np.asarray(order.ranking, dtype=np.int16)
+    to = np.argsort(ranking)
     picks = np.empty(1 << n, dtype=np.int16)
     for lo in range(0, 1 << n, MENU_BLOCK):
         hi = min(lo + MENU_BLOCK, 1 << n)
         block_indices = indices if np.ndim(indices) == 0 else indices[lo:hi]
-        picks[lo:hi] = distortion_block(order, np.arange(lo, hi), block_indices)
+        at = move_bits(np.arange(lo, hi), to)
+        kept = at >> block_indices << block_indices
+        pos = np.where(kept != 0, np.frexp(kept & -kept)[1], np.frexp(at)[1]) - 1
+        picks[lo:hi] = ranking[pos]
     picks[0] = -1
     return picks
-
-
-def distortion_block(
-    order: LinearOrder, masks: np.ndarray, indices: int | np.ndarray
-) -> np.ndarray:
-    """The ``int16`` pick from each nonempty menu of ``masks`` of a chooser
-    who maximizes the ``indices``-th harmful distortion of ``order``, one
-    index for all menus or one per menu.
-
-    Each menu becomes the mask of its members' positions in the order, best
-    at bit 0. The i-th distortion ranks positions i.. first, best first,
-    then the demoted top block worst first; frexp's exponent is the bit
-    length.
-    """
-    ranking = np.asarray(order.ranking, dtype=np.int16)
-    at = move_bits(masks, np.argsort(ranking))
-    kept = at >> indices << indices
-    pos = np.where(kept != 0, np.frexp(kept & -kept)[1], np.frexp(at)[1]) - 1
-    return ranking[pos]
 
 
 def rational_choice(order: LinearOrder) -> ChoiceFunction:

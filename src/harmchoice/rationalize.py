@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChoiceFunction, LinearOrder, distortion_picks, move_bits
+from .core import ChoiceFunction, LinearOrder, distortion_picks
 
 
 def distortion_max_tables(order: LinearOrder) -> np.ndarray:
@@ -60,13 +60,9 @@ def canonical_rationalization(
     to, so the assignment validates for every choice and base order. The
     indices are not menu-minimal.
     """
-    n = order.n
-    pos = np.empty(n, dtype=np.int64)
-    pos[list(order.ranking)] = np.arange(n)
-    picks = c.picks_array[1:]
-    return SelfPunishmentRationalization(
-        base=order, indices=tuple(int(pos[p]) for p in picks)
-    )
+    pos = np.argsort(order.ranking)
+    indices = tuple(pos[c.picks_array[1:]].tolist())
+    return SelfPunishmentRationalization(base=order, indices=indices)
 
 
 def validate_rationalization(c: ChoiceFunction, r: SelfPunishmentRationalization) -> bool:
@@ -82,12 +78,16 @@ def min_max_index(c: ChoiceFunction, order: LinearOrder) -> int:
 
     Menus are independent, so taking each menu's smallest feasible index
     realizes the minimum over whole assignments of the largest index used.
-    That index is the bit length of the menu's position mask (bit k for a
-    member at position k of the order) cut below the pick's position.
+    A menu's smallest index is 1 + the position of its lowest-ranked member
+    above the pick, or 0 if none is above it. So the alternative at position
+    k forces index k + 1 exactly when some menu holding it (an upper half of
+    the table of pick positions, read as in :mod:`harmchoice.core`) picks an
+    alternative ranked below k; the largest such k sets the result.
     """
     if c.n != order.n:
         raise ValueError("choice and order live on different ground sets")
-    pos = np.argsort(np.asarray(order.ranking))
-    at = move_bits(np.arange(1, 1 << c.n), pos)
-    above = at & ((1 << pos[c.picks_array[1:]]) - 1)
-    return int(np.frexp(above)[1].max())
+    pick_pos = np.argsort(order.ranking).astype(np.int8)[c.picks_array]
+    for k in range(c.n - 2, -1, -1):
+        if (pick_pos.reshape(-1, 2, 1 << order.ranking[k])[:, 1] > k).any():
+            return k + 1
+    return 0

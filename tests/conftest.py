@@ -136,6 +136,16 @@ def whole_generate_harmful(order, policy, seed):
     return whole_distortion_picks(order, indices)
 
 
+def mask_min_max_index(c, order):
+    """Oracle for ``min_max_index``: each menu's position mask (bit k for a
+    member at position k of the order), cut below the pick's position; the
+    largest bit length over all menus."""
+    pos = np.argsort(np.asarray(order.ranking))
+    at = move_bits(np.arange(1, 1 << c.n), pos)
+    above = at & ((1 << pos[c.picks_array[1:]]) - 1)
+    return int(np.frexp(above)[1].max())
+
+
 def fill_best(picks, ranking):
     """Give every menu whose pick is still -1 its best member under
     ``ranking`` (best first), in place; the empty menu at entry 0 stays -1."""

@@ -320,6 +320,19 @@ class TestSample:
         with pytest.raises(ValueError, match=f"draw {draws} menu picks, past its cap of {MAX_SAMPLE_DRAWS}$"):
             sample_census(n, at_cap + 1, seed=0)
 
+    def test_draw_cap_counts_numpy_integers_exactly(self, monkeypatch):
+        """numpy integers are taken as Python ints before the draw count is
+        worked out: 2**62 int64 samples at n = 16 would wrap the product
+        below the cap and go on to list 2**52 chunks."""
+
+        def stop(*args):
+            raise InterruptedError("chunking reached")
+
+        monkeypatch.setattr(census, "index_chunks", stop)
+        draws = 2**62 * ((1 << 16) - 1)
+        with pytest.raises(ValueError, match=f"draw {draws} menu picks, past its cap"):
+            sample_census(np.int64(16), np.int64(2**62), seed=0)
+
     def test_cap_allows_n_at_cap(self):
         rep = sample_census(MAX_SAMPLE_N, 2, seed=0)
         assert rep.n == MAX_SAMPLE_N and rep.samples == 2

@@ -156,6 +156,11 @@ class TestLinearOrder:
         assert order.ranking == (2, 0, 1)
         assert all(type(e) is int for e in order.ranking)
 
+    def test_float_entries_refused(self):
+        """Floats are not truncated to ids: (1.5, 0.2) is no ranking (1, 0)."""
+        with pytest.raises(TypeError):
+            LinearOrder((1.5, 0.2))
+
 
 class TestMaxOf:
     def test_best_ranked_member_wins(self):
@@ -400,6 +405,39 @@ class TestChoiceFunction:
     def test_size_cap(self):
         with pytest.raises(GroundSetTooLarge):
             ChoiceFunction(21, np.zeros(1 << 21, dtype=np.int16))
+
+    @pytest.mark.parametrize("picks", [np.array([-1, 0, 65537, 1]), [-1, 0, 65537, 1]])
+    def test_wide_pick_checked_before_narrowing(self, picks):
+        """65537 is out of range; narrowed to int16 first, it would wrap to
+        the member 1 (an array) or overflow (a list)."""
+        with pytest.raises(ValueError, match="pick in 0..n-1"):
+            ChoiceFunction(2, picks)
+
+    def test_float_picks_refused(self):
+        """0.7 is not truncated to the member 0."""
+        with pytest.raises(TypeError, match="picks must be integers"):
+            ChoiceFunction(2, np.array([-1, 0.7, 1, 1]))
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int32, np.uint64])
+    def test_integer_and_bool_picks_pass(self, dtype):
+        c = ChoiceFunction(2, np.array([0, 0, 1, 1], dtype=dtype))
+        assert c.picks_array.tolist() == [-1, 0, 1, 1]
+        assert c.picks_array.dtype == np.int16
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_membership_check_is_exact(self, n):
+        """For every menu, each member is accepted as its pick and each
+        non-member is refused."""
+        base = rational_choice(LinearOrder(tuple(range(n)))).picks_array
+        for mask in range(1, 1 << n):
+            for e in range(n):
+                picks = base.copy()
+                picks[mask] = e
+                if (mask >> e) & 1:
+                    assert ChoiceFunction(n, picks).picks_array[mask] == e
+                else:
+                    with pytest.raises(ValueError, match="not a member of its menu"):
+                        ChoiceFunction(n, picks)
 
     def test_equality_and_hash(self):
         a = rational_choice(LinearOrder((0, 1, 2)))

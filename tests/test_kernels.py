@@ -7,7 +7,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from harmchoice import ChoiceFunction, _kernels, construct_inconsistent
+from harmchoice import (
+    ChoiceFunction,
+    LinearOrder,
+    UniformIndexPolicy,
+    _kernels,
+    construct_inconsistent,
+    generate_harmful,
+    rational_choice,
+)
 from harmchoice.axioms import coselected_pairs, is_inconsistent, revealed_relation
 from conftest import loop_relation, random_choice
 
@@ -41,6 +49,25 @@ def test_relation_matches_menu_loop(n):
             revealed_relation(c), loop_relation(c.picks_array[None, :], n)[0]
         )
         assert not counts.flags.writeable and c.pick_counts is counts
+
+
+def test_relation_matches_menu_loop_at_n16():
+    c = generate_harmful(LinearOrder(tuple(range(15, -1, -1))), UniformIndexPolicy(12), seed=16)
+    np.testing.assert_array_equal(c.pick_counts, loop_pick_counts(c))
+
+
+def test_pick_counts_trace_under_2mb_at_n18():
+    """Each column counts a half of the picks table, a view, so no 2**18
+    int64 mask array is alive; with one and its shifted copies the peak was
+    4.25 MiB."""
+    c = rational_choice(LinearOrder(tuple(range(18))))
+    tracemalloc.start()
+    try:
+        c.pick_counts
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("n", range(2, 9))

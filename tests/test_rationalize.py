@@ -11,8 +11,10 @@ from harmchoice import (
     LinearOrder,
     Menu,
     SelfPunishmentRationalization,
+    UniformIndexPolicy,
     canonical_rationalization,
     distortion_max_tables,
+    generate_harmful,
     harmful_distortion,
     min_max_index,
     rational_choice,
@@ -20,7 +22,7 @@ from harmchoice import (
 )
 from harmchoice._kernels import order_scores
 from harmchoice.axioms import revealed_relation
-from conftest import loop_distortion_tables, max_of, random_choice
+from conftest import loop_distortion_tables, mask_min_max_index, max_of, random_choice
 
 
 def indices_by_menu(n, mapping, default=0):
@@ -143,6 +145,39 @@ class TestMinMaxIndex:
                 assert np.array_equal(distortion_max_tables(order), tabs)
                 feasible = tabs[:, 1:] == c.picks_array[None, 1:]
                 assert min_max_index(c, order) == int(np.argmax(feasible, axis=0).max())
+
+    def test_matches_position_mask_oracle(self):
+        """Random choices, and generated ones whose bound lies below n - 1,
+        against random and base orders at n = 1..12."""
+        rng = np.random.default_rng(38)
+        for n in range(1, 13):
+            for _ in range(4):
+                base = LinearOrder(tuple(rng.permutation(n).tolist()))
+                cap = int(rng.integers(0, n))
+                generated = generate_harmful(base, UniformIndexPolicy(cap), seed=n)
+                for c in (random_choice(rng, n), generated):
+                    for order in (base, LinearOrder(tuple(rng.permutation(n).tolist()))):
+                        assert min_max_index(c, order) == mask_min_max_index(c, order)
+
+    def test_matches_position_mask_oracle_at_n16(self):
+        rng = np.random.default_rng(39)
+        base = LinearOrder(tuple(rng.permutation(16).tolist()))
+        c = generate_harmful(base, UniformIndexPolicy(9), seed=16)
+        for order in (base, LinearOrder(tuple(rng.permutation(16).tolist()))):
+            assert min_max_index(c, order) == mask_min_max_index(c, order)
+
+    def test_traces_under_4mb_at_n18(self):
+        """The pick positions are int8 and read by halves, so no 2**18
+        int64 position mask is alive; the mask form peaked at 8.02 MiB."""
+        order = LinearOrder(tuple(range(17, -1, -1)))
+        c = rational_choice(LinearOrder(tuple(range(18))))
+        tracemalloc.start()
+        try:
+            assert min_max_index(c, order) == 17
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MiB"
 
     def test_many_orders_leave_nothing_behind(self):
         """Bounding, validating and tabulating against many base orders
