@@ -9,6 +9,7 @@ choice's pick counts hold, with actual menu pairs materialized on demand.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable
@@ -134,8 +135,11 @@ def find_reversals(c: ChoiceFunction, limit: int | None = None) -> list[Reversal
     ``limit`` reversals: a row whose A menu lies beyond them has ``limit``
     rows of the same pair ahead of it (its own B menu with each earlier A
     menu), and likewise for B. The candidate rows of every pair are ordered
-    by one sort; without a limit they are all the rows.
+    by one sort; without a limit they are all the rows. A negative
+    ``limit`` raises ValueError.
     """
+    if limit is not None and (limit := operator.index(limit)) < 0:
+        raise ValueError(f"limit must be at least 0, got {limit}")
     size = (1 << c.n) - 1
     at = _menus_picking(c)
     keys = [np.empty(0, dtype=np.int64)]
@@ -220,7 +224,7 @@ def is_cns_witness_set(c: ChoiceFunction, items: Iterable[int]) -> bool:
     The last condition follows from the first two, so a witness set is
     exactly a minimum vertex cover of the co-selected pairs.
     """
-    items = tuple(items)
+    items = tuple(operator.index(x) for x in items)
     n = c.n
     j = len(items)
     if not 1 <= j <= n - 1 or len(set(items)) != j:
@@ -244,6 +248,7 @@ def check_cns(c: ChoiceFunction, j: int) -> CnsWitness | None:
     None when the property does not hold at j.
     """
     n = c.n
+    j = operator.index(j)
     if not 1 <= j <= n - 1:
         raise InvalidJ(f"witness size {j} outside 1..{n - 1}")
     pairs = coselected_pairs(c)

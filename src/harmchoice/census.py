@@ -280,7 +280,7 @@ class ExplicitIndexPolicy:
 
     @classmethod
     def from_menus(cls, mapping: Mapping[Menu, int]) -> "ExplicitIndexPolicy":
-        pairs = sorted((menu.mask, int(i)) for menu, i in mapping.items())
+        pairs = sorted((menu.mask, operator.index(i)) for menu, i in mapping.items())
         return cls(assignments=tuple(pairs))
 
     def lookup(self) -> dict[int, int]:
@@ -305,6 +305,7 @@ def generate_harmful(
     _check_seed(seed)
 
     def check(i: int) -> int:
+        i = operator.index(i)  # a float raises TypeError rather than truncating
         if not 0 <= i <= n - 1:
             raise IndexOutOfRange(f"policy index {i} outside 0..{n - 1}")
         return i
@@ -312,7 +313,7 @@ def generate_harmful(
     if isinstance(policy, FixedIndexPolicy):
         indices = check(policy.index)
     elif isinstance(policy, UniformIndexPolicy):
-        check(policy.cap)
+        cap = check(policy.cap)
         rng = _philox(seed, 0)
         masks = menu_order(n)
         indices = np.zeros(1 << n, dtype=np.int8)
@@ -320,7 +321,7 @@ def generate_harmful(
         # by block gives the same indices as one draw over all menus
         for lo in range(0, masks.size, MENU_BLOCK):
             block = masks[lo : lo + MENU_BLOCK]
-            indices[block] = rng.integers(0, policy.cap + 1, size=block.size)
+            indices[block] = rng.integers(0, cap + 1, size=block.size)
     elif isinstance(policy, ExplicitIndexPolicy):
         lookup = policy.lookup()
         if any(not 0 < mask < 1 << n for mask in lookup):

@@ -785,17 +785,11 @@ def _cmd_distort(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _cmd_census(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if not 2 <= args.n <= MAX_EXACT_CENSUS_N:
-        parser.error(f"--n must lie in 2..{MAX_EXACT_CENSUS_N} for the exact census")
     report = enumerate_census(args.n, workers=args.workers)
     return _emit(args, report.to_dict, report.to_text)
 
 
 def _cmd_sample_census(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.n < 2:
-        parser.error("--n must be at least 2")
-    if args.samples < 1:
-        parser.error("--samples must be at least 1")
     report = sample_census(args.n, args.samples, seed=args.seed, workers=args.workers)
     return _emit(args, report.to_dict, report.to_text)
 
@@ -808,8 +802,6 @@ def _cmd_generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _cmd_construct_inconsistent(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.k < 2:
-        parser.error("--k must be at least 2")
     ds = LoadedDataset(inconsistent_ground_set(args.k), construct_inconsistent(args.k))
     return _emit(args, ds.json_fields, ds.to_text)
 
@@ -864,26 +856,22 @@ def _parse_policy_spec(
 # parser
 
 
-def _worker_count(text: str) -> int:
-    """``--workers``: an integer of at least 1, else a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_option(lo: int, hi: int | None = None):
+    """An argparse type: an integer of at least ``lo`` (and at most ``hi``),
+    else a usage error."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if hi is not None and not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must lie in {lo}..{hi}, got {value}")
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
 
-def _seed(text: str) -> int:
-    """``--seed``: an integer in 0..2**64 - 1, else a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 0 <= value <= MAX_SEED:
-        raise argparse.ArgumentTypeError(f"must lie in 0..{MAX_SEED}, got {value}")
-    return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -900,7 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
     pool = argparse.ArgumentParser(add_help=False)
     pool.add_argument(
         "--workers",
-        type=_worker_count,
+        type=_int_option(1),
         default=None,
         help="worker count, checked but not used: every command runs on one thread",
     )
@@ -934,21 +922,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_distort)
 
     p = sub.add_parser("census", parents=[common, pool], help="exact census of choice space")
-    p.add_argument("--n", required=True, type=int, help=f"ground-set size (2..{MAX_EXACT_CENSUS_N})")
+    p.add_argument(
+        "--n",
+        required=True,
+        type=_int_option(2, MAX_EXACT_CENSUS_N),
+        help=f"ground-set size (2..{MAX_EXACT_CENSUS_N})",
+    )
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser(
         "sample-census", parents=[common, pool], help="sampled census of choice space"
     )
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--samples", required=True, type=int)
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--n", required=True, type=_int_option(2))
+    p.add_argument("--samples", required=True, type=_int_option(1))
+    p.add_argument("--seed", type=_int_option(0, MAX_SEED), default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_sample_census)
 
     p = sub.add_parser("generate", parents=[common], help="simulate a self-punishing chooser")
     p.add_argument("--order", required=True, help="comma-separated labels, best first")
     p.add_argument("--policy", required=True, help="fixed:<i> | uniform:<cap> | map:<file.json>")
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_int_option(0, MAX_SEED), default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser(
@@ -956,7 +949,9 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="explicit choice whose reversals touch every pair",
     )
-    p.add_argument("--k", required=True, type=int, help="half the ground-set size (>= 2)")
+    p.add_argument(
+        "--k", required=True, type=_int_option(2), help="half the ground-set size (>= 2)"
+    )
     p.set_defaults(func=_cmd_construct_inconsistent)
 
     return parser

@@ -17,6 +17,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -311,8 +312,12 @@ def validate_choice(
     ``rows`` may also be an integer array of shape (rows, 2), one (bitmask,
     pick) row per line, which is checked with no Python step per row.
 
-    The checks run on whole mask and pick arrays; the first faulty row, in
-    row order, raises the error a row-by-row scan would raise first.
+    Such an array is written into the picks table first: if every mask and
+    pick is in range, every pick lies in its menu and the table then holds
+    one pick per row, no menu repeats and the rows are fault-free. Any other
+    rows, and an array that fails this check, are read one row at a time in
+    row order, so the first faulty row raises the error a row-by-row scan
+    would raise first.
 
     Raises:
         ValueError: a menu is empty, repeats an id or lies outside the
@@ -329,31 +334,20 @@ def validate_choice(
     require_enumerable(n)
     size = 1 << n
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.shape[1:] == (2,):
-        masks, picks = rows.T.astype(np.int64)
-        masks[(masks <= 0) | (masks >= size)] = 0
+        # a uint64 value of 2**63 or more wraps negative and fails the range test
+        masks, picks = rows.astype(np.int64, copy=False).T
+        filled = np.full(size, -1, dtype=np.int16)
+        if (
+            ((masks > 0) & (masks < size)).all()
+            and ((picks >= 0) & (picks < n)).all()
+            and ((masks >> picks) & 1).all()
+        ):
+            filled[masks] = picks
+        if np.count_nonzero(filled != -1) != len(rows):
+            blocks = (rows[lo : lo + MENU_BLOCK].tolist() for lo in range(0, len(rows), MENU_BLOCK))
+            filled = _scan_rows(chain.from_iterable(blocks), ground)
     else:
-        rows = list(rows)
-        masks = np.fromiter((_menu_mask(menu, size) for menu, _ in rows), np.int64, len(rows))
-        picks = np.fromiter((_pick_id(pick, n) for _, pick in rows), np.int64, len(rows))
-    # a row is faulty if its pick lies outside its menu (an invalid menu has
-    # mask 0, an invalid pick is negative or at least n) or an earlier row
-    # has the same menu
-    ok = (picks >= 0) & ((masks >> np.maximum(picks, 0)) & 1 == 1)
-    order = np.argsort(masks, kind="stable")
-    sorted_masks = masks[order]
-    ok[order[1:][sorted_masks[1:] == sorted_masks[:-1]]] = False
-    faulty = np.flatnonzero(~ok)
-    if faulty.size:
-        row = int(faulty[0])
-        menu, pick = rows[row]
-        mask = _check_row(row, menu, pick, ground)
-        first = int(order[np.searchsorted(sorted_masks, mask)])
-        shown = _shown(Menu.from_mask(mask).to_text(ground))
-        raise DuplicateMenu(
-            (first, row), lambda at, again: f"menu {shown} appears at both {at} and {again}"
-        )
-    filled = np.full(size, -1, dtype=np.int16)
-    filled[masks] = picks
+        filled = _scan_rows(rows, ground)
     for e in range(n):
         if filled[1 << e] == -1:
             filled[1 << e] = e
@@ -371,28 +365,23 @@ def validate_choice(
     return ChoiceFunction(n, filled)
 
 
-def _menu_mask(menu: Menu | int | Iterable[int], size: int) -> int:
-    """A row menu's bitmask, or 0 if it is no menu of a ground set with
-    ``size`` = 2**n masks."""
-    if type(menu) is not int:
-        try:
-            if isinstance(menu, (int, np.integer)):
-                menu = int(menu)
-            else:
-                menu = (menu if isinstance(menu, Menu) else Menu(tuple(menu))).mask
-        except (TypeError, ValueError):
-            return 0
-    return menu if 0 < menu < size else 0
-
-
-def _pick_id(pick: object, n: int) -> int:
-    """A row pick as an alternative id, or -1 if it is none."""
-    if type(pick) is not int:
-        try:
-            pick = operator.index(pick)
-        except TypeError:
-            return -1
-    return pick if 0 <= pick < n else -1
+def _scan_rows(
+    rows: Iterable[tuple[Menu | int | Iterable[int], int]], ground: GroundSet
+) -> np.ndarray:
+    """The picks table of ``rows``, read one row at a time in row order, so
+    the first faulty row raises its error."""
+    filled = np.full(1 << ground.n, -1, dtype=np.int16)
+    first_row: dict[int, int] = {}
+    for row, (menu, pick) in enumerate(rows):
+        mask = _check_row(row, menu, pick, ground)
+        first = first_row.setdefault(mask, row)
+        if first != row:
+            shown = _shown(Menu.from_mask(mask).to_text(ground))
+            raise DuplicateMenu(
+                (first, row), lambda at, again: f"menu {shown} appears at both {at} and {again}"
+            )
+        filled[mask] = pick
+    return filled
 
 
 def _check_row(
@@ -401,6 +390,8 @@ def _check_row(
     """The checks that need only one row: return its menu's bitmask, or
     raise the row's error."""
     n = ground.n
+    if type(menu) is type(pick) is int and 0 < menu < 1 << n and 0 <= pick < n and menu >> pick & 1:
+        return menu  # the common row, accepted with no Menu built
     if isinstance(menu, (int, np.integer)):
         menu = Menu.from_mask(int(menu))
     elif not isinstance(menu, Menu):

@@ -14,6 +14,7 @@ an ordered witness identifies.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -34,7 +35,7 @@ class StrictPartialOrder:
     pairs: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        pairs = frozenset((int(a), int(b)) for a, b in self.pairs)
+        pairs = frozenset((operator.index(a), operator.index(b)) for a, b in self.pairs)
         object.__setattr__(self, "pairs", pairs)
         for a, b in pairs:
             if not (0 <= a < self.n and 0 <= b < self.n):
@@ -95,7 +96,7 @@ def elicit_partial(c: ChoiceFunction, witness: Sequence[int]) -> StrictPartialOr
     every outside alternative, and ``sel`` orders the outside alternatives.
     The result is a total order: all n(n-1)/2 pairs of that one ranking.
     """
-    items = tuple(int(x) for x in witness)
+    items = tuple(operator.index(x) for x in witness)
     if not is_cns_witness_set(c, items):
         raise InvalidWitness(f"{items} is not a valid witness set for this choice")
     return StrictPartialOrder(c.n, frozenset(combinations(_ranked(c, items).ranking, 2)))
@@ -117,7 +118,7 @@ def all_extensions(p: StrictPartialOrder, cap: int) -> LinearExtensions:
     2**n sets, n + 1 for a chain. A depth-first search lists the first
     ``cap`` extensions and stops.
     """
-    if cap < 1:
+    if operator.index(cap) < 1:
         raise ValueError("cap must be at least 1")
     n = p.n
     require_enumerable(n)

@@ -13,6 +13,7 @@ is 1 + max(position of members above the pick), or 0 when none are above.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +45,11 @@ class SelfPunishmentRationalization:
 
     def __post_init__(self) -> None:
         n = self.base.n
-        if len(self.indices) != (1 << n) - 1:
+        indices = tuple(operator.index(i) for i in self.indices)
+        object.__setattr__(self, "indices", indices)
+        if len(indices) != (1 << n) - 1:
             raise ValueError("need one index per nonempty menu")
-        if any(not 0 <= i <= n - 1 for i in self.indices):
+        if any(not 0 <= i <= n - 1 for i in indices):
             raise ValueError("distortion indices must lie in 0..n-1")
 
 

@@ -122,6 +122,14 @@ class TestBoundedListing:
         for k in (0, 1, 100, count, count + 5):
             assert find_reversals(c, limit=k) == full[:k]
 
+    def test_negative_limit_is_refused(self):
+        """-1 would slice away the last menu of each side and list nothing
+        of the 11 reversals."""
+        c = construct_inconsistent(2)
+        assert len(find_reversals(c)) == 11
+        with pytest.raises(ValueError, match="limit must be at least 0, got -1"):
+            find_reversals(c, -1)
+
     def test_count_matches_brute_scan_random(self):
         rng = np.random.default_rng(25)
         for _ in range(25):
@@ -219,6 +227,10 @@ class TestCheckCns:
         with pytest.raises(InvalidJ):
             check_cns(c, 3)
 
+    def test_float_j_is_refused(self, cycle3_choice):
+        with pytest.raises(TypeError):
+            check_cns(cycle3_choice[1], 1.5)
+
     def test_witness_invariants(self, erratic4_choice):
         _, c = erratic4_choice
         w = check_cns(c, 3)
@@ -238,6 +250,12 @@ class TestCheckCns:
         w = check_cns(c, 3)
         assert is_cns_witness_set(c, w.items)
         assert not is_cns_witness_set(c, (0, 1))
+
+    def test_float_items_are_refused(self, erratic4_choice):
+        _, c = erratic4_choice
+        assert is_cns_witness_set(c, tuple(np.int64(x) for x in check_cns(c, 3).items))
+        with pytest.raises(TypeError):
+            is_cns_witness_set(c, (0.0, 1.0, 2.0))
 
     def test_unique_j_exhaustive_n3(self):
         for c in iter_all_choices(3):

@@ -526,6 +526,33 @@ class TestGenerate:
         with pytest.raises(IndexOutOfRange, match="policy index 5 outside 0..2"):
             generate_harmful(order, policy)
 
+    def test_from_menus_refuses_a_float_index(self):
+        """1.7 is not truncated to the index 1."""
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            ExplicitIndexPolicy.from_menus({Menu((0, 1)): 1.7})
+
+    @pytest.mark.parametrize(
+        "policy",
+        [ExplicitIndexPolicy(((3, 1.5),)), UniformIndexPolicy(2.5), FixedIndexPolicy(1.5)],
+        ids=["explicit", "uniform", "fixed"],
+    )
+    def test_float_index_is_refused(self, policy):
+        """A float index is neither narrowed by the int8 table nor passed
+        on to numpy, whose own TypeError names a ufunc."""
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            generate_harmful(LinearOrder((0, 1, 2, 3)), policy)
+
+    def test_integer_indices_are_read(self):
+        order = LinearOrder((0, 1, 2))
+        explicit = ExplicitIndexPolicy.from_menus({Menu((0, 1)): np.int64(1), Menu((1, 2)): True})
+        assert explicit.assignments == ((3, 1), (6, 1))
+        assert generate_harmful(order, FixedIndexPolicy(np.uint8(1))) == generate_harmful(
+            order, FixedIndexPolicy(1)
+        )
+        assert generate_harmful(order, UniformIndexPolicy(np.int32(2)), seed=3) == generate_harmful(
+            order, UniformIndexPolicy(2), seed=3
+        )
+
     def test_matches_distortion_tables(self):
         """Each menu's pick, worked out from its own index, is the table's
         pick of that distortion: every fixed index and random per-menu

@@ -430,6 +430,30 @@ class TestDatasetHandling:
         assert err.startswith("usage: harmchoice")
         assert f"argument --workers: must be at least 1, got {workers}" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["census", "--n", "1"], "argument --n: must lie in 2..4, got 1"),
+            (["census", "--n", "5"], "argument --n: must lie in 2..4, got 5"),
+            (["census", "--n", "x"], "argument --n: invalid int value: 'x'"),
+            (["sample-census", "--n", "1", "--samples", "10"],
+             "argument --n: must be at least 2, got 1"),
+            (["sample-census", "--n", "3", "--samples", "0"],
+             "argument --samples: must be at least 1, got 0"),
+            (["sample-census", "--n", "3", "--samples", "1.5"],
+             "argument --samples: invalid int value: '1.5'"),
+            (["construct-inconsistent", "--k", "1"], "argument --k: must be at least 2, got 1"),
+            (["construct-inconsistent", "--k", "-2"], "argument --k: must be at least 2, got -2"),
+        ],
+    )
+    def test_integer_option_out_of_range_is_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: harmchoice")
+        assert message in err
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 1), str(-(2**64 - 1))])
     @pytest.mark.parametrize(
         "argv",

@@ -1,6 +1,7 @@
 """Core primitives: ground sets, menus, orders, choice validation."""
 
 import operator
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from harmchoice.errors import (
     MissingMenu,
     PickNotInMenu,
 )
+from harmchoice import core
 from harmchoice.core import MENU_BLOCK, distortion_picks, menu_order, require_enumerable
 from conftest import (
     lexsort_menu_order,
@@ -393,6 +395,73 @@ class TestValidateChoice:
         rows = [(Menu.from_mask(m), int(choice.picks_array[m])) for m in all_menu_masks(4)]
         again = validate_choice(rows, ground)
         assert again == choice
+
+
+def _n16_rows():
+    """A valid n = 16 dataset as a shuffled (65,535, 2) int64 array, and its
+    ground set of one-letter labels."""
+    rng = np.random.default_rng(25)
+    order = menu_order(16)
+    choice = rational_choice(LinearOrder(tuple(rng.permutation(16).tolist())))
+    rows = np.column_stack((order, choice.picks_array[order]))[rng.permutation(order.size)]
+    return rows, GroundSet(tuple("abcdefghijklmnop"))
+
+
+def _non_member(mask):
+    return next(e for e in range(16) if not (mask >> e) & 1)
+
+
+class TestArrayRowsPastOneBlock:
+    """A valid array is checked by filling the picks table; a faulty one is
+    read again one row at a time, across MENU_BLOCK-row blocks."""
+
+    def test_valid_array_never_reaches_the_row_scan(self, monkeypatch):
+        def refuse(rows, ground):
+            raise AssertionError("the row scan ran on valid rows")
+
+        rows, ground = _n16_rows()
+        expected = validate_choice(rows, ground)
+        monkeypatch.setattr(core, "_scan_rows", refuse)
+        assert validate_choice(rows, ground) == expected
+        assert validate_choice(rows.astype(np.uint32), ground) == expected
+        without_singletons = rows[np.bitwise_count(rows[:, 0]) > 1]
+        with pytest.warns(DatasetWarning):
+            assert validate_choice(without_singletons, ground) == expected
+        with pytest.raises(MissingMenu):
+            validate_choice(rows[rows[:, 0] != (1 << 16) - 1], ground)
+
+    def test_valid_array_traces_under_8mb_at_n18(self):
+        n = 18
+        ground = GroundSet(tuple(f"a{i}" for i in range(n)))
+        order = menu_order(n)
+        choice = rational_choice(LinearOrder(tuple(range(n))))
+        rows = np.column_stack((order, choice.picks_array[order]))
+        tracemalloc.start()
+        try:
+            assert validate_choice(rows, ground) == choice
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize(
+        "fault", ["duplicate last", "outside last", "second block", "uint64 last"]
+    )
+    def test_fault_matches_row_loop(self, fault):
+        rows, ground = _n16_rows()
+        assert rows.shape[0] > MENU_BLOCK
+        if fault == "duplicate last":
+            rows[-1] = rows[0]
+        elif fault == "outside last":
+            rows[-1, 1] = _non_member(int(rows[-1, 0]))
+        elif fault == "second block":
+            rows[MENU_BLOCK, 1] = _non_member(int(rows[MENU_BLOCK, 0]))
+        else:
+            rows = rows.astype(np.uint64)
+            rows[-1, 0] = 2**63 + 3
+        got = outcome(validate_choice, rows, ground)
+        assert got[0] == "error"
+        assert got == outcome(rowwise_validate, rows.tolist(), ground)
 
 
 class TestChoiceFunction:

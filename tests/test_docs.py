@@ -13,6 +13,7 @@ import pytest
 
 import harmchoice
 import harmchoice.cli
+from harmchoice.errors import DatasetWarning
 from test_cli import CYCLE3, ERRATIC4, _fresh_python
 from test_cli_golden import subcommands
 
@@ -75,6 +76,29 @@ def test_readme_api_names_are_exported():
     used = set(re.findall(r"\bhc\.(\w+)", first_code_block("Python API")))
     assert used
     assert used <= set(harmchoice.__all__)
+
+
+def test_readme_api_block_states_its_results():
+    """README's Python API block runs, and each bare expression in it gives
+    the result its comment states. Its rows leave out the singleton menus,
+    which are filled in with a warning."""
+    namespace: dict = {}
+    results = []
+    with pytest.warns(DatasetWarning, match="singleton menu"):
+        for stmt in ast.parse(first_code_block("Python API")).body:
+            if isinstance(stmt, ast.Expr):
+                code = compile(ast.Expression(stmt.value), "README", "eval")
+                results.append(eval(code, namespace))
+            else:
+                exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    warp, count, reversals, extensions, census = results
+    ground, report = namespace["ground"], namespace["report"]
+    assert warp is False
+    assert count == 1
+    assert [r.to_text(ground) for r in reversals] == ["{x, y} -> y  |  {x, y, z} -> x"]
+    assert (report.sp, report.method) == (1, "both")
+    assert [order.to_text(ground) for order in extensions] == ["x > z > y", "y > x > z"]
+    assert census == {0: 24, 1: 2664, 2: 16464, 3: 1584}
 
 
 #: A Sphinx cross-reference in a docstring, such as :func:`find_reversals`.

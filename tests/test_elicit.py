@@ -239,6 +239,13 @@ class TestElicitPartial:
         with pytest.raises(InvalidWitness):
             elicit_partial(c, (0, 1))  # a single item already covers everything
 
+    def test_float_witness_is_refused(self, erratic4_choice):
+        """(0.4, 1.4, 2.4) is not read as the witness (0, 1, 2)."""
+        _, c = erratic4_choice
+        assert elicit_partial(c, np.array([0, 1, 2])) == elicit_partial(c, (0, 1, 2))
+        with pytest.raises(TypeError):
+            elicit_partial(c, (0.4, 1.4, 2.4))
+
     def test_invalid_witness_on_rational(self):
         with pytest.raises(InvalidWitness):
             elicit_partial(rational_choice(LinearOrder((0, 1, 2))), (0,))
@@ -319,6 +326,11 @@ class TestAllExtensions:
         with pytest.raises(ValueError):
             all_extensions(closed_order(2, set()), cap=0)
 
+    def test_float_cap_is_refused(self):
+        """A cap of 1.5 is never reached, so all 120 orders were listed."""
+        with pytest.raises(TypeError):
+            all_extensions(closed_order(5, set()), cap=1.5)
+
     def test_equals_permutation_scan(self):
         rng = np.random.default_rng(56)
         for _ in range(300):
@@ -362,6 +374,12 @@ class TestStrictPartialOrder:
     def test_unclosed_direct_construction_rejected(self):
         with pytest.raises(ValueError):
             StrictPartialOrder(3, frozenset({(0, 1), (1, 2)}))
+
+    def test_float_members_are_refused(self):
+        """(0.5, 1.7) is not truncated to the pair (0, 1)."""
+        with pytest.raises(TypeError):
+            StrictPartialOrder(3, frozenset({(0.5, 1.7)}))
+        assert StrictPartialOrder(3, frozenset({(np.int64(0), True)})).pairs == {(0, 1)}
 
     def test_from_cover_closes(self):
         """Generating pairs closed by ``_transitive_closure`` make a valid

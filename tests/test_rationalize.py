@@ -5,6 +5,7 @@ import itertools
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from harmchoice import (
@@ -77,6 +78,15 @@ class TestValidate:
         base = LinearOrder((0, 2, 1))
         bad = SelfPunishmentRationalization(base, indices_by_menu(3, {}))
         assert not validate_rationalization(c, bad)
+
+    def test_float_indices_are_refused(self, cycle3_choice):
+        """Float indices are not truncated into an assignment that validates."""
+        base = LinearOrder((0, 2, 1))
+        indices = [i + 0.5 for i in indices_by_menu(3, {(0, 1): 1})]
+        with pytest.raises(TypeError):
+            SelfPunishmentRationalization(base, tuple(indices))
+        ids = SelfPunishmentRationalization(base, tuple(np.int8(i) for i in indices_by_menu(3, {})))
+        assert all(type(i) is int for i in ids.indices)
 
 
 class TestMinMaxIndex:
