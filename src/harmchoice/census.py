@@ -274,7 +274,7 @@ class UniformIndexPolicy:
 
 @dataclass(frozen=True)
 class ExplicitIndexPolicy:
-    """Explicit per-menu indices; menus not listed default to index 0."""
+    """Explicit per-menu indices: unlisted menus take index 0; a menu listed twice is refused."""
 
     assignments: tuple[tuple[int, int], ...]  # (menu mask, index), sorted
 
@@ -284,7 +284,12 @@ class ExplicitIndexPolicy:
         return cls(assignments=tuple(pairs))
 
     def lookup(self) -> dict[int, int]:
-        return dict(self.assignments)
+        found: dict[int, int] = {}
+        for mask, i in self.assignments:
+            if (mask := operator.index(mask)) in found:  # a float bitmask raises TypeError
+                raise ValueError(f"policy lists the menu of bitmask {mask} twice")
+            found[mask] = i
+        return found
 
 
 IndexPolicy = FixedIndexPolicy | UniformIndexPolicy | ExplicitIndexPolicy

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import operator
 import warnings
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -312,12 +312,11 @@ def validate_choice(
     ``rows`` may also be an integer array of shape (rows, 2), one (bitmask,
     pick) row per line, which is checked with no Python step per row.
 
-    Such an array is written into the picks table first: if every mask and
-    pick is in range, every pick lies in its menu and the table then holds
-    one pick per row, no menu repeats and the rows are fault-free. Any other
-    rows, and an array that fails this check, are read one row at a time in
-    row order, so the first faulty row raises the error a row-by-row scan
-    would raise first.
+    Every input takes one path: other rows are checked one at a time into
+    such an array, up to the first one refused. An array whose rows are all
+    in range and in place fills the picks table, and is fault-free exactly
+    when the table then holds one pick per row. Otherwise one bulk locator
+    raises the error a row-by-row scan would raise first.
 
     Raises:
         ValueError: a menu is empty, repeats an id or lies outside the
@@ -332,22 +331,28 @@ def validate_choice(
     """
     n = ground.n
     require_enumerable(n)
-    size = 1 << n
+    refused = None
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.shape[1:] == (2,):
         # a uint64 value of 2**63 or more wraps negative and fails the range test
-        masks, picks = rows.astype(np.int64, copy=False).T
-        filled = np.full(size, -1, dtype=np.int16)
-        if (
-            ((masks > 0) & (masks < size)).all()
-            and ((picks >= 0) & (picks < n)).all()
-            and ((masks >> picks) & 1).all()
-        ):
-            filled[masks] = picks
-        if np.count_nonzero(filled != -1) != len(rows):
-            blocks = (rows[lo : lo + MENU_BLOCK].tolist() for lo in range(0, len(rows), MENU_BLOCK))
-            filled = _scan_rows(chain.from_iterable(blocks), ground)
+        table = rows.astype(np.int64, copy=False)
     else:
-        filled = _scan_rows(rows, ground)
+        read = array("q")
+        try:
+            for row, (menu, pick) in enumerate(rows):
+                read.extend(_check_row(row, menu, pick, ground))
+        except (ValueError, TypeError, PickNotInMenu) as exc:
+            refused = exc  # raised once no earlier row repeats a menu
+        table = np.frombuffer(read, dtype=np.int64).reshape(-1, 2)
+    filled = np.full(1 << n, -1, dtype=np.int16)
+    masks, picks = table.T
+    ok = (masks > 0) & (masks < filled.size) & (picks >= 0) & (picks < n)
+    ok &= (masks >> np.where(ok, picks, 0)) & 1 == 1  # no negative pick reaches the shift
+    if ok.all():
+        filled[masks] = picks
+    if np.count_nonzero(filled != -1) != len(table):
+        _raise_first_fault(rows, masks, ok, ground)
+    if refused is not None:
+        raise refused
     for e in range(n):
         if filled[1 << e] == -1:
             filled[1 << e] = e
@@ -365,33 +370,28 @@ def validate_choice(
     return ChoiceFunction(n, filled)
 
 
-def _scan_rows(
-    rows: Iterable[tuple[Menu | int | Iterable[int], int]], ground: GroundSet
-) -> np.ndarray:
-    """The picks table of ``rows``, read one row at a time in row order, so
-    the first faulty row raises its error."""
-    filled = np.full(1 << ground.n, -1, dtype=np.int16)
-    first_row: dict[int, int] = {}
-    for row, (menu, pick) in enumerate(rows):
-        mask = _check_row(row, menu, pick, ground)
-        first = first_row.setdefault(mask, row)
-        if first != row:
-            shown = _shown(Menu.from_mask(mask).to_text(ground))
-            raise DuplicateMenu(
-                (first, row), lambda at, again: f"menu {shown} appears at both {at} and {again}"
-            )
-        filled[mask] = pick
-    return filled
+def _raise_first_fault(rows, masks: np.ndarray, ok: np.ndarray, ground: GroundSet) -> NoReturn:
+    """Raise the error of the first row out of range or repeating a menu."""
+    key = np.where(ok, masks, 0)  # rows out of range or place all share key 0
+    row = np.arange(ok.size)
+    first = np.full(1 << ground.n, ok.size)  # each menu's first row, by bitmask
+    np.minimum.at(first, key, row)
+    k = int((~ok | (first[key] < row)).argmax())
+    if not ok[k]:
+        _check_row(k, *rows[k].tolist(), ground)  # raises; only an array holds such a row
+    shown = _shown(Menu.from_mask(int(key[k])).to_text(ground))
+    raise DuplicateMenu(
+        (int(first[key[k]]), k), lambda at, again: f"menu {shown} appears at both {at} and {again}"
+    )
 
 
 def _check_row(
     row: int, menu: Menu | int | Iterable[int], pick: object, ground: GroundSet
-) -> int:
-    """The checks that need only one row: return its menu's bitmask, or
-    raise the row's error."""
+) -> tuple[int, int]:
+    """The checks that need only one row: its (bitmask, pick), or its error."""
     n = ground.n
     if type(menu) is type(pick) is int and 0 < menu < 1 << n and 0 <= pick < n and menu >> pick & 1:
-        return menu  # the common row, accepted with no Menu built
+        return menu, pick  # the common row, accepted with no Menu built
     if isinstance(menu, (int, np.integer)):
         menu = Menu.from_mask(int(menu))
     elif not isinstance(menu, Menu):
@@ -402,4 +402,4 @@ def _check_row(
     if pick not in menu:
         shown = _shown(repr(ground.label(pick) if 0 <= pick < n else pick))
         raise PickNotInMenu((row,), lambda at: f"{at}: pick {shown} is not a member of its menu")
-    return menu.mask
+    return menu.mask, pick

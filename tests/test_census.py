@@ -533,14 +533,26 @@ class TestGenerate:
 
     @pytest.mark.parametrize(
         "policy",
-        [ExplicitIndexPolicy(((3, 1.5),)), UniformIndexPolicy(2.5), FixedIndexPolicy(1.5)],
-        ids=["explicit", "uniform", "fixed"],
+        [
+            ExplicitIndexPolicy(((3, 1.5),)),
+            ExplicitIndexPolicy(((3.0, 1),)),
+            UniformIndexPolicy(2.5),
+            FixedIndexPolicy(1.5),
+        ],
+        ids=["explicit", "explicit mask", "uniform", "fixed"],
     )
     def test_float_index_is_refused(self, policy):
         """A float index is neither narrowed by the int8 table nor passed
-        on to numpy, whose own TypeError names a ufunc."""
+        on to numpy, whose own TypeError names a ufunc; a float menu
+        bitmask is refused before the canonical sort reads it."""
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             generate_harmful(LinearOrder((0, 1, 2, 3)), policy)
+
+    @pytest.mark.parametrize("assignments", [((3, 0), (3, 1)), ((3, 1), (3, 0)), ((3, 1), (3, 1))])
+    def test_menu_listed_twice_is_refused(self, assignments):
+        """A hand-built policy that repeats a menu keeps neither index."""
+        with pytest.raises(ValueError, match="policy lists the menu of bitmask 3 twice"):
+            generate_harmful(LinearOrder((0, 1, 2)), ExplicitIndexPolicy(assignments))
 
     def test_integer_indices_are_read(self):
         order = LinearOrder((0, 1, 2))

@@ -283,6 +283,11 @@ class TestValidateChoice:
             validate_choice([(0, 0)], ground)
         with pytest.raises(DuplicateMenu, match="appears at both row 0 and row 2"):
             validate_choice([(3, 0), (Menu((0, 2)), 0), ((1, 0), 1)], ground)
+        # a repeat before a refused row is named first, and a refused row before a repeat
+        with pytest.raises(DuplicateMenu, match="appears at both row 0 and row 1"):
+            validate_choice([(3, 0), (3, 1), (9, 0)], ground)
+        with pytest.raises(ValueError, match=r"menu \(0, 3\) lies outside the ground set"):
+            validate_choice([(3, 0), (9, 0), (3, 1)], ground)
 
     def test_matches_row_loop_on_faulty_rows(self):
         """validate_choice raises what the row loop raises first, or builds
@@ -412,16 +417,17 @@ def _non_member(mask):
 
 
 class TestArrayRowsPastOneBlock:
-    """A valid array is checked by filling the picks table; a faulty one is
-    read again one row at a time, across MENU_BLOCK-row blocks."""
+    """An array is checked by filling the picks table; the first fault of a
+    faulty one is found by one bulk locator, wherever it lies."""
 
-    def test_valid_array_never_reaches_the_row_scan(self, monkeypatch):
-        def refuse(rows, ground):
-            raise AssertionError("the row scan ran on valid rows")
+    def test_valid_array_never_reaches_the_locator(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a valid array reached a fault path")
 
         rows, ground = _n16_rows()
         expected = validate_choice(rows, ground)
-        monkeypatch.setattr(core, "_scan_rows", refuse)
+        monkeypatch.setattr(core, "_raise_first_fault", refuse)
+        monkeypatch.setattr(core, "_check_row", refuse)
         assert validate_choice(rows, ground) == expected
         assert validate_choice(rows.astype(np.uint32), ground) == expected
         without_singletons = rows[np.bitwise_count(rows[:, 0]) > 1]
@@ -443,6 +449,34 @@ class TestArrayRowsPastOneBlock:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("fault", ["duplicate last", "outside last"])
+    def test_fault_at_n18_checks_one_row_and_traces_under_12mb(self, fault, monkeypatch):
+        """The locator finds a fault in the last row with at most one row
+        checked alone, and in bounded memory."""
+        n = 18
+        ground = GroundSet(tuple(f"a{i}" for i in range(n)))
+        order = menu_order(n)
+        choice = rational_choice(LinearOrder(tuple(range(n))))
+        rows = np.column_stack((order, choice.picks_array[order]))
+        if fault == "duplicate last":
+            rows[-1] = rows[0]
+        else:
+            rows[[0, -1]] = rows[[-1, 0]]
+            rows[-1, 1] = 1  # the menu {a0}
+        want = outcome(rowwise_validate, rows.tolist(), ground)
+        calls = []
+        check_row = core._check_row
+        monkeypatch.setattr(core, "_check_row", lambda *args: calls.append(args) or check_row(*args))
+        tracemalloc.start()
+        try:
+            got = outcome(validate_choice, rows, ground)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got[0] == "error" and got == want
+        assert len(calls) <= 1
+        assert peak < 12 * 2**20, f"{peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize(
         "fault", ["duplicate last", "outside last", "second block", "uint64 last"]
