@@ -134,9 +134,8 @@ def find_reversals(c: ChoiceFunction, limit: int | None = None) -> list[Reversal
     menus and the first ``limit`` B menus can take part in the first
     ``limit`` reversals: a row whose A menu lies beyond them has ``limit``
     rows of the same pair ahead of it (its own B menu with each earlier A
-    menu), and likewise for B. The candidate rows of every pair are ordered
-    by one sort; without a limit they are all the rows. A negative
-    ``limit`` raises ValueError.
+    menu), and likewise for B. So each pair keeps its first ``limit`` rows,
+    and one sort orders what they keep. A negative ``limit`` raises ValueError.
     """
     if limit is not None and (limit := operator.index(limit)) < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")
@@ -145,7 +144,8 @@ def find_reversals(c: ChoiceFunction, limit: int | None = None) -> list[Reversal
     keys = [np.empty(0, dtype=np.int64)]
     for p, q in coselected_pairs(c):
         at_p, at_q = at(p, q)[:limit], at(q, p)[:limit]
-        keys.append((np.minimum.outer(at_p, at_q) * size + np.maximum.outer(at_p, at_q)).ravel())
+        pair_keys = np.minimum.outer(at_p, at_q) * size + np.maximum.outer(at_p, at_q)
+        keys.append(np.sort(pair_keys.ravel())[:limit])
     keys = np.sort(np.concatenate(keys))[:limit]
     return _reversals(c, zip((keys // size).tolist(), (keys % size).tolist()))
 
@@ -181,39 +181,38 @@ def min_cover(pairs: Iterable[tuple[int, int]], n: int) -> tuple[int, ...]:
     """Lexicographically first minimum vertex cover of the graph on 0..n-1
     whose edges are ``pairs``; empty when there are no edges.
 
-    One pass over all 2**n subsets: a set is a cover exactly when every
-    vertex outside it has all of its neighbours inside. Vertex v is bit
-    n-1-v of a subset's code, so among covers of one size the largest code
-    is the lexicographically first.
+    A branching search over one neighbour bitmask per vertex (Fomin &
+    Kratsch, *Exact Exponential Algorithms*, 2010): k vertices cover the
+    edges among ``alive`` when a vertex v of largest degree is in the cover
+    or all of its neighbours are. τ is the least k that covers the graph;
+    then each vertex 0, 1, … still alive joins the cover if the rest fits in
+    one fewer, and otherwise its remaining neighbours join. Taking the
+    smallest vertex wherever a minimum cover allows gives the
+    lexicographically first cover: the largest code when v is bit n-1-v.
     """
-    bit = [1 << (n - 1 - v) for v in range(n)]
     nbrs = [0] * n
     for p, q in pairs:
-        nbrs[p] |= bit[q]
-        nbrs[q] |= bit[p]
-    codes = np.arange(1 << n, dtype=np.int64)
-    size = np.zeros(1 << n, dtype=np.int8)
-    cover = np.ones(1 << n, dtype=bool)
+        nbrs[p] |= 1 << q
+        nbrs[q] |= 1 << p
+
+    def fits(alive: int, k: int) -> bool:
+        deg, v = max(((nbrs[u] & alive).bit_count() if alive >> u & 1 else 0, u) for u in range(n))
+        if deg == 0:
+            return k >= 0
+        rest = alive & ~(1 << v)
+        return k > 0 and (fits(rest, k - 1) or fits(rest & ~nbrs[v], k - deg))
+
+    alive = (1 << n) - 1
+    k = next(k for k in range(n) if fits(alive, k))
+    cover = 0
     for v in range(n):
-        inside = (codes & bit[v]) != 0
-        size += inside
-        if nbrs[v]:
-            cover &= inside | ((codes & nbrs[v]) == nbrs[v])
-    size[~cover] = n + 1
-    code = int(np.flatnonzero(size == size.min())[-1])
-    return tuple(v for v in range(n) if code & bit[v])
-
-
-def _outside_partner(
-    pairs: Iterable[tuple[int, int]], x: int, sset: frozenset[int]
-) -> int | None:
-    """First alternative outside sset co-selected with x, scanning pairs in order."""
-    for p, q in pairs:
-        if p == x and q not in sset:
-            return q
-        if q == x and p not in sset:
-            return p
-    return None
+        if alive >> v & 1:
+            alive &= ~(1 << v)
+            joined = 1 << v if fits(alive, k - 1) else nbrs[v] & alive
+            k -= joined.bit_count()
+            alive &= ~joined
+            cover |= joined
+    return tuple(v for v in range(n) if cover >> v & 1)
 
 
 def is_cns_witness_set(c: ChoiceFunction, items: Iterable[int]) -> bool:
@@ -244,8 +243,8 @@ def check_cns(c: ChoiceFunction, j: int) -> CnsWitness | None:
     alongside an alternative outside the set. They hold exactly when j is the
     size of a minimum cover of the co-selected pairs, and every minimum cover
     has the outside partners. The witness is the lexicographically first such
-    cover, with partners taken in pair order, so it is deterministic. Returns
-    None when the property does not hold at j.
+    cover, each member's partner its smallest-id neighbour outside the cover,
+    so it is deterministic. Returns None when the property does not hold at j.
     """
     n = c.n
     j = operator.index(j)
@@ -259,7 +258,7 @@ def check_cns(c: ChoiceFunction, j: int) -> CnsWitness | None:
     at = _menus_picking(c)
     rows = []
     for x in items:
-        y = _outside_partner(pairs, x, sset)
+        y = min(p + q - x for p, q in pairs if x in (p, q) and p + q - x not in sset)
         # the earliest menu of each side in canonical order
         rows.append((int(at(x, y)[0]), int(at(y, x)[0])))
     return CnsWitness(items=items, paired_reversals=tuple(_reversals(c, rows)))

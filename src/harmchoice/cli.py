@@ -349,7 +349,7 @@ _TEXT_BLOCK = 1 << 16
 def load_dataset(path: str) -> LoadedDataset:
     """Read, parse, and validate a dataset file ('-' reads stdin)."""
     text = (sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()).decode("utf-8-sig")
-    if not text.lstrip().startswith("{"):
+    if next((ch for ch in text if not ch.isspace()), "") != "{":  # lstrip() would copy the text
         parsed = _parse_text_dataset(text)
     elif (parsed := _parse_packed_json(text)) is None:  # a file only the entry reader reads
         obj, text = _decode_json(text), None  # the entries share one string per distinct label

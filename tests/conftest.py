@@ -146,6 +146,29 @@ def mask_min_max_index(c, order):
     return int(np.frexp(above)[1].max())
 
 
+def scan_min_cover(pairs, n):
+    """Oracle for ``min_cover``: one pass over all 2**n vertex subsets. A set
+    is a cover exactly when every vertex outside it has all of its
+    neighbours inside; vertex v is bit n-1-v of a subset's code, so among
+    covers of one size the largest code is the lexicographically first."""
+    bit = [1 << (n - 1 - v) for v in range(n)]
+    nbrs = [0] * n
+    for p, q in pairs:
+        nbrs[p] |= bit[q]
+        nbrs[q] |= bit[p]
+    codes = np.arange(1 << n, dtype=np.int64)
+    size = np.zeros(1 << n, dtype=np.int8)
+    cover = np.ones(1 << n, dtype=bool)
+    for v in range(n):
+        inside = (codes & bit[v]) != 0
+        size += inside
+        if nbrs[v]:
+            cover &= inside | ((codes & nbrs[v]) == nbrs[v])
+    size[~cover] = n + 1
+    code = int(np.flatnonzero(size == size.min())[-1])
+    return tuple(v for v in range(n) if code & bit[v])
+
+
 def fill_best(picks, ranking):
     """Give every menu whose pick is still -1 its best member under
     ``ranking`` (best first), in place; the empty menu at entry 0 stays -1."""

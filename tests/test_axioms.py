@@ -1,6 +1,7 @@
 """Reversals and the behavioral axioms, against literal brute-force oracles."""
 
 import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -28,7 +29,7 @@ from harmchoice.axioms import coselected_pairs, min_cover
 from harmchoice.census import _menu_layout
 from harmchoice.cli import LoadedDataset, build_analysis
 from harmchoice.errors import InvalidJ
-from conftest import iter_all_choices, random_choice
+from conftest import iter_all_choices, random_choice, scan_min_cover
 
 
 def brute_reversals(c):
@@ -135,6 +136,23 @@ class TestBoundedListing:
         for _ in range(25):
             c = random_choice(rng, int(rng.integers(1, 6)))
             assert reversal_count(c) == len(brute_reversals(c))
+
+    def test_limit_traces_under_20mb_at_n18(self):
+        """Each co-selected pair keeps only its first 100 candidate rows, not
+        all 100 × 100 of them, before the one sort; keeping them all traced
+        32.5 MiB."""
+        c = generate_harmful(LinearOrder(tuple(range(18))), UniformIndexPolicy(10), seed=5)
+        count = reversal_count(c)
+        tracemalloc.start()
+        try:
+            revs = find_reversals(c, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count > 100 and len(revs) == 100
+        keys = [(r.menu_a.sort_key, r.menu_b.sort_key) for r in revs]
+        assert keys == sorted(set(keys))
+        assert peak < 20 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def test_analysis_builds_the_pick_counts_once(monkeypatch):
@@ -334,6 +352,23 @@ class TestCheckCns:
                 assert other not in w.items
 
 
+def named_graphs(n):
+    """Graphs on n (even, at least 18) vertices that stress the branching:
+    degree 1 everywhere, degree 2 everywhere, cliques, and no edges."""
+    half = n // 2
+    graphs = {
+        "perfect matching": [(2 * i, 2 * i + 1) for i in range(half)],
+        "matching across": [(i, n - 1 - i) for i in range(half)],
+        "cycle": [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)],
+        "path": [(i, i + 1) for i in range(n - 1)],
+        "six triangles": [pr for t in range(6) for pr in itertools.combinations(range(3 * t, 3 * t + 3), 2)],
+        "complete": list(itertools.combinations(range(n), 2)),
+        "complete bipartite": [(i, j) for i in range(half) for j in range(half, n)],
+        "empty": [],
+    }
+    return {name: sorted(pairs) for name, pairs in graphs.items()}
+
+
 def reference_cover(pairs, n):
     """Oracle: search subsets by increasing size, in lexicographic order, for
     the first that touches every pair and gives each member a partner
@@ -378,6 +413,44 @@ class TestMinCover:
                     assert w is not None and w.items == cover
                 else:
                     assert w is None
+
+    def test_matches_scan_on_every_graph_at_n6(self):
+        all_pairs = list(itertools.combinations(range(6), 2))
+        for edges in range(1 << len(all_pairs)):
+            pairs = [pr for t, pr in enumerate(all_pairs) if (edges >> t) & 1]
+            assert min_cover(pairs, 6) == scan_min_cover(pairs, 6), pairs
+
+    def test_matches_scan_on_random_graphs_n7_to_n20(self):
+        rng = np.random.default_rng(27)
+        for n in range(7, 21):
+            for density in (0.05, 0.15, 0.3, 0.5, 0.7, 0.9):
+                pairs = [pr for pr in itertools.combinations(range(n), 2) if rng.random() < density]
+                assert min_cover(pairs, n) == scan_min_cover(pairs, n), (n, pairs)
+
+    @pytest.mark.parametrize("name", sorted(named_graphs(20)))
+    def test_matches_scan_on_named_n20_graphs(self, name):
+        pairs = named_graphs(20)[name]
+        assert min_cover(pairs, 20) == scan_min_cover(pairs, 20)
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_matches_scan_on_generated_choices(self, n):
+        order = LinearOrder(tuple(range(n)))
+        for policy, seed in ((UniformIndexPolicy(10), 5), (UniformIndexPolicy(3), 6)):
+            pairs = coselected_pairs(generate_harmful(order, policy, seed=seed))
+            assert min_cover(pairs, n) == scan_min_cover(pairs, n), policy
+
+    def test_traces_under_half_a_mb_at_n18(self):
+        """One neighbour bitmask per vertex and a recursion of depth at most
+        n; the subset scan traced 5.0 MiB."""
+        c = generate_harmful(LinearOrder(tuple(range(18))), UniformIndexPolicy(10), seed=5)
+        pairs = coselected_pairs(c)
+        tracemalloc.start()
+        try:
+            cover = min_cover(pairs, 18)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cover and peak < 2**19, f"{peak / 2**20:.2f} MiB"
 
 
 class TestInconsistent:
