@@ -74,10 +74,15 @@ def count_inconsistent(rows: np.ndarray, n: int) -> int:
     bitmask: bit q is set when c picks p from some menu containing q. Bit p
     itself (set by any menu that picks p) is ignored. Every pair is
     co-selected exactly when every row holds every other alternative. The
-    test runs in the rows' own dtype, so no wider copy of them is made.
+    rows are tested one column at a time, in their own dtype, and the n
+    tests are ANDed into one boolean per choice, so no count × n temporary
+    is made.
     """
-    own = (1 << np.arange(n)).astype(rows.dtype)
-    return int(np.all((rows | own) == (1 << n) - 1, axis=1).sum())
+    full = (1 << n) - 1
+    every = np.ones(rows.shape[0], dtype=bool)
+    for p in range(n):
+        every &= (rows[:, p] | (1 << p)) == full
+    return int(np.count_nonzero(every))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .core import (
     menu_order,
     require_enumerable,
 )
-from .errors import GroundSetTooLarge, IndexOutOfRange
+from .errors import CrossCheckMismatch, GroundSetTooLarge, IndexOutOfRange
 
 #: Exact enumeration of all choice functions is gated at this size.
 MAX_EXACT_CENSUS_N = 4
@@ -167,7 +167,10 @@ def enumerate_census(n: int, workers: int | None = None) -> CensusReport:
     picks_mat = _kernels.decode_choices(0, total, sizes, members, masks, n)
     counts = np.bincount(_sp_table(n)[_kernels.pair_masks(picks_mat, n)], minlength=n)
     counts_by_sp = {i: int(counts[i]) for i in range(n)}
-    assert sum(counts_by_sp.values()) == total
+    if (counted := sum(counts_by_sp.values())) != total:
+        raise CrossCheckMismatch(
+            f"the degree counts sum to {counted}, not to the {total} choice functions"
+        )
     return CensusReport(
         n=n,
         total=total,

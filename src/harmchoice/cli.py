@@ -9,16 +9,20 @@ JSON exactly when its first non-whitespace character is `{`; any other
 file, a JSON array among them, is read as text. Singleton menus may be
 omitted; their forced picks are filled in with a warning.
 
-Both readers keep only one menu bitmask and one pick id per row (and, for
-text, its line number), not the rows' labels. One row packer turns the
-labels of every row, in both formats, into bits. The text reader splits
-about 64 K characters into lines at a time and packs each line as it is
-read. The JSON reader packs each entry that is exactly {"menu": [distinct
-strings], "choice": string} as the decoder builds it, so no object per
-entry is kept. Without a header to give them, label bits are given in
-order of first appearance and moved to the final label order at the end.
-A JSON file with any other entry, with a label outside "alternatives" or
-with such an object outside "choices" is decoded again, with one interned
+A file is read through one text stream, about 64 K characters at a time,
+so no step holds the whole file or its decoded text. Both readers keep
+only one (menu bitmask, pick id) pair per row (and, for text, its line
+number), not the rows' labels. One row packer turns the labels of every
+row, in both formats, into bits. The text reader cuts each block after its
+last line break and packs each line as it is read. The JSON reader walks
+the top-level object and decodes "choices" in runs of entries, each cut
+after an entry's closing brace; an entry that is exactly {"menu":
+[distinct strings], "choice": string} is packed as the decoder builds it,
+so no object per entry is kept. Without a header to give them, label bits
+are given in order of first appearance and moved to the final label order
+at the end. A JSON file with any other entry, a label outside
+"alternatives", a key repeated at the top level, a syntax error, or a
+value longer than a block is read again whole, decoded with one interned
 string per distinct label, and its entries are packed one at a time over
 the header's bits: only this reader reads number labels and malformed
 entries. A faulty dataset reports the error that a row-by-row reader would
@@ -26,15 +30,19 @@ meet first, naming the row as `choices[i]` or `line N`. A key repeated in
 one JSON object, in a dataset or a ``map:`` policy file, is an error, and
 so is an integer literal longer than Python reads.
 
-Files and stdin are read as bytes and decoded as UTF-8 without a leading
-byte-order mark. JSON holds any label. The text writer refuses a label that
-its reader would read back differently: one containing `,`, `->` or a line
-break, starting with `#`, or with leading or trailing whitespace.
+Files and stdin are decoded as UTF-8 without a leading byte-order mark;
+stdin, and a path that cannot seek such as a pipe, is read whole as bytes
+first, so that it can be read twice. An
+invalid byte anywhere in a file is reported before any parse error, with
+its position counted from the start of the file. JSON holds any label. The
+text writer refuses a label that its reader would read back differently:
+one containing `,`, `->` or a line break, starting with `#`, or with
+leading or trailing whitespace.
 
 Each report renders only the format that `--format` asks for. JSON is
 written as `json.dumps(..., indent=2)` would write it, but the rows of a
-written dataset are rendered from per-label fragments and written as they
-are made.
+written dataset are rendered from per-label fragments, one write group of
+rows at a time, and written as they are made.
 
 `analyze`, `sp`, `elicit`, `census` and `sample-census` check `--workers`
 but ignore its value: every command runs on one thread.
@@ -66,15 +74,18 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import os
+import re
 import sys
 import warnings
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 # read once, when numpy loads OpenBLAS; see the module docstring
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -105,7 +116,6 @@ from .census import (
 )
 from .core import (
     MAX_ENUM_N,
-    MENU_BLOCK,
     ChoiceFunction,
     GroundSet,
     LinearOrder,
@@ -178,7 +188,8 @@ def _menu_rows(
     labels: Iterable[str], sep: str, choice: ChoiceFunction
 ) -> Iterator[tuple[str, int]]:
     """``sep.join`` of the member labels, and the pick id, of each menu in
-    canonical order, taken :data:`MENU_BLOCK` menus at a time into lists.
+    canonical order, taken :data:`_PIECES_PER_WRITE` menus at a time into
+    lists, so that only one write group of rows and their ints is alive.
 
     The members are looked up in one table for the low and one for the high
     10 bits of a mask (below 2**20), each of at most 1,024 entries, in which
@@ -192,8 +203,8 @@ def _menu_rows(
         table += [text + sep + label for text in table]
     cut = len(sep)
     order = menu_order(choice.n)
-    for lo in range(0, order.size, MENU_BLOCK):
-        block = order[lo : lo + MENU_BLOCK]
+    for lo in range(0, order.size, _PIECES_PER_WRITE):
+        block = order[lo : lo + _PIECES_PER_WRITE]
         for m, pick in zip(block.tolist(), choice.picks_array[block].tolist()):
             yield (low[m & 1023] + high[m >> 10])[cut:], pick
 
@@ -340,41 +351,84 @@ def _reversals_text(reversals, ground: GroundSet, count: int) -> list[str]:
 # dataset loading
 
 
-#: Characters of dataset text that the text reader splits into lines at a
-#: time. Only the menu bitmasks, picks and line numbers of its rows outlive
-#: a block.
+#: Characters of dataset text read at a time. Only the menu bitmasks, picks
+#: and line numbers of the rows read outlive a block; a JSON value longer
+#: than a block sends the file to the whole-text reader.
 _TEXT_BLOCK = 1 << 16
 
 
 def load_dataset(path: str) -> LoadedDataset:
     """Read, parse, and validate a dataset file ('-' reads stdin)."""
-    text = (sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()).decode("utf-8-sig")
-    if next((ch for ch in text if not ch.isspace()), "") != "{":  # lstrip() would copy the text
-        parsed = _parse_text_dataset(text)
-    elif (parsed := _parse_packed_json(text)) is None:  # a file only the entry reader reads
-        obj, text = _decode_json(text), None  # the entries share one string per distinct label
-        parsed = _parse_json_dataset(obj)
-        del obj
-    del text
-    ground, masks, picks, name = parsed
+    if path == "-":
+        raw: BinaryIO = io.BytesIO(sys.stdin.buffer.read())
+    else:
+        raw = open(path, "rb")
+        if not raw.seekable():  # a pipe: read whole, so that it can be read twice
+            with raw:
+                raw = io.BytesIO(raw.read())
+    with raw:
+        ground, table, name = _parse_dataset(raw)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            choice = validate_choice(np.column_stack((masks, picks)), ground)
+            choice = validate_choice(table, ground)
         except RowError as exc:
             raise exc.at({row: name(row) for row in exc.rows}) from None
     return LoadedDataset(ground, choice, tuple(str(w.message) for w in caught))
 
 
-#: A parsed dataset: ground set, one menu bitmask and one pick id per row,
-#: and the name of row i in messages.
-_Parsed = tuple[GroundSet, np.ndarray, np.ndarray, Callable[[int], str]]
+#: A parsed dataset: ground set, one (menu bitmask, pick id) row per dataset
+#: row, and the name of row i in messages.
+_Parsed = tuple[GroundSet, np.ndarray, Callable[[int], str]]
+
+
+def _parse_dataset(raw: BinaryIO) -> _Parsed:
+    """Parse the UTF-8 text of ``raw``, a byte stream that can seek, read in
+    blocks.
+
+    An invalid byte anywhere in the file is reported before any parse error,
+    as the whole read reports it, with its position counted from the start
+    of the file: the stream's own error counts from the start of a block,
+    and a parse error met mid-stream waits until the rest of the file has
+    been decoded.
+    """
+    stream = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
+    chunks = iter(partial(stream.read, max(_TEXT_BLOCK, 1)), "")
+    try:
+        lead = []  # the chunks up to the first that is not all whitespace
+        for chunk in chunks:
+            lead.append(chunk)
+            if not chunk.isspace():
+                break
+        if not lead or lead[-1].lstrip()[:1] != "{":
+            try:
+                return _parse_text_dataset(chain(lead, chunks))
+            except HarmchoiceError:
+                for _ in chunks:  # decode the rest, keeping nothing
+                    pass
+                raise
+        parsed = _parse_streamed_json(chain(lead, chunks))
+    except UnicodeDecodeError:
+        _whole_text(raw)  # raises the whole read's error
+        raise
+    finally:
+        stream.detach()  # leaves ``raw`` open to be read again
+    if parsed is None:  # a file only the entry reader reads
+        obj = _decode_json(_whole_text(raw))  # the entries share one string per distinct label
+        parsed = _parse_json_dataset(obj)
+    return parsed
+
+
+def _whole_text(raw: BinaryIO) -> str:
+    """The file read again from its start and decoded whole."""
+    raw.seek(0)
+    return raw.read().decode("utf-8-sig")
 
 
 class _RowPacker(dict):
     """Label rows packed one at a time into a menu bitmask and a pick bit
-    each, kept in row order in the ``array('q')`` buffers ``masks`` and
-    ``picks``.
+    each, kept in row order as pairs in the ``array('q')`` buffer
+    ``pairs``.
 
     The packer maps each label to its bit. Built from ``labels`` (a header),
     it gives the first :data:`MAX_ENUM_N` of them their bits in order and
@@ -387,15 +441,14 @@ class _RowPacker(dict):
     never has a bit.
     """
 
-    __slots__ = ("grows", "masks", "picks")
+    __slots__ = ("grows", "pairs")
 
     def __init__(self, labels: Iterable[str] | None = None) -> None:
         super().__init__(
             (label, 1 << e) for e, label in enumerate(islice(labels or (), MAX_ENUM_N)) if label
         )
         self.grows = labels is None
-        self.masks = array("q")
-        self.picks = array("q")
+        self.pairs = array("q")
 
     def __missing__(self, label: object) -> int:
         if type(label) is not str:
@@ -416,28 +469,32 @@ class _RowPacker(dict):
             return not self.grows and self.add(list(map(str, labels)), str(pick))
         if not pick_bit or mask.bit_count() != len(labels):
             return False
-        self.masks.append(mask)
-        self.picks.append(pick_bit)
+        self.pairs.append(mask)
+        self.pairs.append(pick_bit)
         return True
 
-    def rows(self, labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """The packed masks and pick ids with each label's bit moved to its
-        position in ``labels``; KeyError if a label with a bit is not there."""
+    def rows(self, labels: tuple[str, ...]) -> np.ndarray:
+        """The packed (mask, pick id) rows, a view of ``pairs``, with each
+        label's bit moved to its position in ``labels``; KeyError if a label
+        with a bit is not there."""
         rank = {label: e for e, label in enumerate(labels)}
         to = np.fromiter(map(rank.__getitem__, self), np.int64, len(self))
-        masks = move_bits(np.frombuffer(self.masks, np.int64), to)
-        return masks, to[np.bitwise_count(np.frombuffer(self.picks, np.int64) - 1)]
+        table = np.frombuffer(self.pairs, np.int64).reshape(-1, 2)
+        table[:, 0] = move_bits(table[:, 0], to)
+        table[:, 1] = to[np.bitwise_count(table[:, 1] - 1)]
+        return table
 
 
 #: What :func:`_decode_json` returns in place of an entry that it packed.
 _PACKED = object()
 
 
-def _decode_json(text: str, what: str = "JSON", packer: _RowPacker | None = None) -> object:
-    """``json.loads(text)``, except that a key repeated in one object raises
-    a ParseError naming ``what`` and the first key met twice, and that the
-    string labels of each entry's ``menu`` list and its string ``choice``
-    are interned: the strings decoded for an entry die as it is built.
+def _json_decoder(what: str = "JSON", packer: _RowPacker | None = None) -> json.JSONDecoder:
+    """A decoder like ``json.JSONDecoder()``, except that a key repeated in
+    one object raises a ParseError naming ``what`` and the first key met
+    twice, and that the string labels of each entry's ``menu`` list and its
+    string ``choice`` are interned: the strings decoded for an entry die as
+    it is built.
 
     With ``packer``, an object whose keys are exactly ``menu`` and
     ``choice``, whose menu is a nonempty list and which ``packer`` packs
@@ -476,8 +533,13 @@ def _decode_json(text: str, what: str = "JSON", packer: _RowPacker | None = None
                         return _PACKED
             return entry(pairs)
 
+    return json.JSONDecoder(object_pairs_hook=hook)
+
+
+def _decode_json(text: str, what: str = "JSON", packer: _RowPacker | None = None) -> object:
+    """``json.loads(text)`` with :func:`_json_decoder`'s decoder."""
     try:
-        return json.loads(text, object_pairs_hook=hook)
+        return _json_decoder(what, packer).decode(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise ParseError(f"invalid {what}: {exc}") from None
     except ValueError:  # an integer literal longer than int() reads
@@ -485,27 +547,136 @@ def _decode_json(text: str, what: str = "JSON", packer: _RowPacker | None = None
         raise ParseError(f"invalid {what}: an integer has more than {limit} digits") from None
 
 
-def _parse_packed_json(text: str) -> _Parsed | None:
-    """Parse a JSON dataset whose entries all pack, or return None for a
-    file that :func:`_parse_json_dataset` has to read: one with an entry
-    left unpacked, a packed object outside ``choices``, or a label outside
-    ``alternatives``. The header is checked as that reader checks it; the
-    provisional label bits are then moved to the header's order."""
-    packer = _RowPacker()
-    obj = _decode_json(text, packer=packer)
-    choices = obj.get("choices") if isinstance(obj, dict) else None  # else: the file packed whole
-    if (
-        not isinstance(choices, list)
-        or len(choices) != len(packer.masks)
-        or choices.count(_PACKED) != len(choices)  # so no packed object lies elsewhere
-    ):
-        return None
-    ground, _ = _json_header(obj)
+#: The whitespace that JSON allows between tokens.
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+class _JsonText:
+    """The text of a JSON file read in blocks: ``buf[pos:]`` is what has
+    been read and not yet parsed."""
+
+    __slots__ = ("chunks", "buf", "pos")
+
+    def __init__(self, chunks: Iterator[str]) -> None:
+        self.chunks = chunks
+        self.buf = ""
+        self.pos = 0
+
+    def fill(self) -> bool:
+        """Read one more block behind the unparsed text; False at the end."""
+        chunk = next(self.chunks, "")
+        self.buf = self.buf[self.pos :] + chunk
+        self.pos = 0
+        return bool(chunk)
+
+    def ahead(self) -> None:
+        """Read until more than a block lies unparsed, or to the end."""
+        while len(self.buf) - self.pos <= _TEXT_BLOCK and self.fill():
+            pass
+
+    def token(self) -> str:
+        """The next character that is not JSON whitespace; "" at the end."""
+        while (pos := _JSON_SPACE.match(self.buf, self.pos).end()) == len(self.buf):
+            self.pos = pos
+            if not self.fill():
+                return ""
+        self.pos = pos
+        return self.buf[pos]
+
+    def take(self, char: str) -> bool:
+        """Step over the next token if it is ``char``."""
+        if self.token() != char:
+            return False
+        self.pos += 1
+        return True
+
+    def value(self, decoder: json.JSONDecoder) -> object:
+        """Decode the next value, with a block read ahead. A value cut off
+        at the end of what was read fails to decode, or, if it is a number,
+        leaves its own rest as the next token, which no caller takes."""
+        self.token()
+        self.ahead()
+        obj, self.pos = decoder.raw_decode(self.buf, self.pos)
+        return obj
+
+    def run_end(self) -> int:
+        """The index just past the last ``}`` of the unparsed text that JSON
+        whitespace and a ``,`` follow, or 0."""
+        buf, end = self.buf, len(self.buf)
+        while (i := buf.rfind("}", self.pos, end)) >= 0:
+            after = _JSON_SPACE.match(buf, i + 1).end()
+            if buf[after : after + 1] == ",":
+                return i + 1
+            end = i
+        return 0
+
+
+def _parse_streamed_json(chunks: Iterator[str]) -> _Parsed | None:
+    """Parse a JSON dataset from its text in blocks, or return None for a
+    file that :func:`_parse_json_dataset` has to read: one with a decode or
+    parse error, an entry that does not pack, a repeated top-level key, a
+    label outside ``alternatives``, a run that does not decode or an entry
+    longer than a block.
+
+    The top-level values but ``choices`` are decoded whole, and the header
+    is checked as that reader checks it. Labels get provisional bits, which
+    are moved to the header's order at the end.
+    """
+    text = _JsonText(chunks)
+    plain, packer = _json_decoder(), _RowPacker()
+    fields: dict[str, object] = {}
     try:
-        masks, picks = packer.rows(ground.labels)
+        if not text.take("{"):
+            return None
+        while True:
+            if text.token() != '"':
+                return None
+            key = text.value(plain)
+            if key in fields or not text.take(":"):
+                return None
+            if key != "choices":
+                fields[key] = text.value(plain)
+            elif text.take("[") and _pack_entries(text, packer):
+                fields[key] = []  # its entries are packed
+            else:
+                return None
+            if not text.take(","):
+                break
+        if not text.take("}") or text.token():
+            return None
+    except (ValueError, RecursionError, HarmchoiceError):
+        return None
+    ground, _ = _json_header(fields)
+    try:
+        table = packer.rows(ground.labels)
     except KeyError:  # a label outside "alternatives"
         return None
-    return ground, masks, picks, "choices[{}]".format
+    return ground, table, "choices[{}]".format
+
+
+def _pack_entries(text: _JsonText, packer: _RowPacker) -> bool:
+    """Pack the entries of the list whose ``[`` was just read, through its
+    ``]``; False if one does not pack.
+
+    The entries are decoded in runs of about a block, each cut after the
+    last ``}`` that a ``,`` follows and decoded as one list by the packing
+    decoder: a cut inside a string or an entry leaves it open, and the run
+    fails to decode.
+    """
+    if text.take("]"):
+        return True
+    packing = _json_decoder(packer=packer)
+    while True:
+        text.ahead()
+        if cut := text.run_end():
+            items = _decode_json("[" + text.buf[text.pos : cut] + "]", packer=packer)
+            if items.count(_PACKED) != len(items):
+                return False
+            text.pos = text.buf.index(",", cut) + 1
+        elif text.value(packing) is not _PACKED:  # the last entry
+            return False
+        elif not text.take(","):
+            return text.take("]")
 
 
 def _json_header(obj: dict) -> tuple[GroundSet, list]:
@@ -541,7 +712,7 @@ def _parse_json_dataset(obj: dict) -> _Parsed:
             menu = pick = None
         if type(menu) is not list or not menu or not packer.add(menu, pick):
             _check_json_row(ground, entry, name(i))
-    return ground, *packer.rows(ground.labels), name
+    return ground, packer.rows(ground.labels), name
 
 
 def _check_json_row(ground: GroundSet, entry: object, ref: str) -> None:
@@ -555,8 +726,8 @@ def _check_json_row(ground: GroundSet, entry: object, ref: str) -> None:
     _alt(ground, entry["choice"], ref)
 
 
-def _parse_text_dataset(text: str) -> _Parsed:
-    """Parse a text dataset one line at a time.
+def _parse_text_dataset(chunks: Iterable[str]) -> _Parsed:
+    """Parse a text dataset, given in chunks, one line at a time.
 
     The first syntax error is raised when its line is read, since it comes
     before every other error. Rows are packed over the header's label bits
@@ -570,7 +741,7 @@ def _parse_text_dataset(text: str) -> _Parsed:
     fault: tuple[int, list[str], str] | None = None  # line, menu and pick of a refused row
     linenos = array("q")  # of the packed rows
     seen = 0  # lines in the blocks before this one
-    for block in _text_blocks(text):
+    for block in _text_blocks(chunks):
         raw = block.splitlines()
         for lineno, line in enumerate(map(str.strip, raw), seen + 1):
             if not line or line[0] == "#":
@@ -607,22 +778,28 @@ def _parse_text_dataset(text: str) -> _Parsed:
         lineno, menu_labels, pick_label = fault
         _menu_from_labels(ground, menu_labels, f"line {lineno}")
         _alt(ground, pick_label, f"line {lineno}")
-    masks, picks = packer.rows(ground.labels)
+    table = packer.rows(ground.labels)
 
     def name(i: int) -> str:
         return f"line {linenos[i]}"
 
-    return ground, masks, picks, name
+    return ground, table, name
 
 
-def _text_blocks(text: str) -> Iterator[str]:
-    """``text`` in slices of about :data:`_TEXT_BLOCK` characters, each cut
-    just after a ``\\n``: the lines of the slices are the lines of ``text``."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _TEXT_BLOCK) + 1 or len(text)
-        yield text[start:end]
-        start = end
+def _text_blocks(chunks: Iterable[str]) -> Iterator[str]:
+    """The text of ``chunks`` cut just after the last ``\\n`` of each chunk,
+    the rest carried to the next: the lines of the blocks are the lines of
+    the text, and a ``\\r\\n`` pair is never split."""
+    rest = ""
+    for chunk in chunks:
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield rest + chunk[:cut]
+            rest = chunk[cut:]
+        else:
+            rest += chunk
+    if rest:
+        yield rest
 
 
 def _alt(ground: GroundSet, label: object, ref: str) -> int:
@@ -686,8 +863,9 @@ def _emit(
 
 
 #: Pieces of output joined into one write, so that an unbuffered stdout
-#: (``python -u``) makes one system call per group, not per line.
-_PIECES_PER_WRITE = 1024
+#: (``python -u``) makes one system call per group, not per line; the
+#: dataset writers also render their rows this many at a time.
+_PIECES_PER_WRITE = 256
 
 
 def _write(pieces: Iterable[str]) -> None:

@@ -34,7 +34,7 @@ from harmchoice import _kernels, census
 from harmchoice.census import MAX_SEED, _menu_layout, _sample_chunk
 from harmchoice.core import MENU_BLOCK, ChoiceFunction, menu_order
 from harmchoice.cli import main
-from harmchoice.errors import GroundSetTooLarge, IndexOutOfRange
+from harmchoice.errors import CrossCheckMismatch, GroundSetTooLarge, IndexOutOfRange
 from conftest import (
     iter_all_choices,
     loop_distortion_tables,
@@ -193,6 +193,14 @@ class TestEnumerate:
     def test_worker_count_never_changes_counts(self):
         reports = [enumerate_census(4, workers=w).to_dict() for w in (1, 2, 8)]
         assert reports[0] == reports[1] == reports[2]
+
+    def test_counts_that_miss_the_total_raise(self, monkeypatch):
+        """The degree counts must sum to the total, also under ``python -O``:
+        a table that gives some choice a degree of n or more leaves it out of
+        the counts, which is an internal defect, not a report."""
+        monkeypatch.setattr(census, "_sp_table", lambda n: np.full(1 << (n * (n - 1) // 2), n, np.int8))
+        with pytest.raises(CrossCheckMismatch, match="not to the 24 choice functions"):
+            enumerate_census(3)
 
 
 def strongly_harmful_bracket(n):

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: commands, formats, exit codes."""
 
 import argparse
+import codecs
 import gc
 import io
 import itertools
@@ -999,13 +1000,14 @@ TEXT_CASES = {
 }
 
 
-def assert_same_outcome(path, monkeypatch=None):
-    """load_dataset and the row loop agree on ``path``; with ``monkeypatch``,
-    load_dataset reads the file's bytes from stdin."""
+def assert_same_outcome(path, monkeypatch=None, oracle_path=None):
+    """load_dataset and the row loop agree on ``path`` (the row loop reads
+    ``oracle_path`` if given); with ``monkeypatch``, load_dataset reads the
+    file's bytes from stdin."""
     if monkeypatch is not None:
         monkeypatch.setattr(sys, "stdin", _stdin(Path(path).read_bytes()))
     got = load_outcome(load_dataset, "-" if monkeypatch is not None else path)
-    want = load_outcome(rowwise_load, path)
+    want = load_outcome(rowwise_load, oracle_path or path)
     assert got[0] == want[0], (got, want)
     if got[0] == "ok":
         assert got[1] == want[1] and got[2] == want[2] and got[3] == want[3]
@@ -1156,9 +1158,58 @@ def check_seeded_random_faults(tmp_path):
         assert_same_outcome(text_path)
 
 
-#: _TEXT_BLOCK settings that put block edges between rows: a cut after the
-#: first line break at least 5 characters on, and one line per block
-SMALL_BLOCKS = {"few bytes": 5, "one line": 0}
+def cut_label_dataset(label):
+    """A compact JSON dataset on ``label``, "c" and "d", each menu picking
+    its last member."""
+    labels = [label, "c", "d"]
+    menus = [m for k in (3, 2, 1) for m in itertools.combinations(labels, k)]
+    return json.dumps(
+        {"alternatives": labels, "choices": [{"menu": list(m), "choice": m[-1]} for m in menus]},
+        separators=(",", ":"),
+    )
+
+
+#: Inputs, as bytes, at the seams of the block readers. A text stream
+#: decodes 8 KiB of bytes at a time, so an invalid byte lies 20 KB or more
+#: into its file, where a parse error has already been met.
+SEAM_CASES = {
+    "an invalid byte after a text syntax error": (
+        text_rows([GOOD_TEXT[0], "x,y", *GOOD_TEXT[2:]] + ["# filler"] * 2000).encode() + b"# \xff\n"
+    ),
+    "an invalid byte after a JSON syntax error": (
+        json_rows(GOOD * 500).replace('"choice": "y"', '"choice" "y"', 1).encode()[:-2]
+        + b', {"menu": ["x"], "choice": "\xff"}]}'
+    ),
+    "an invalid byte late in a JSON file": (
+        json_rows(GOOD * 500).encode()[:-2] + b', {"menu": ["x"], "choice": "\xff"}]}'
+    ),
+    "a label holding '}, {' that falls on a run cut": cut_label_dataset("a}, {b").encode(),
+    "a byte-order mark on JSON": codecs.BOM_UTF8 + json_rows(GOOD).encode(),
+    "a byte-order mark on text": codecs.BOM_UTF8 + text_rows(GOOD_TEXT).encode(),
+    "a first block of whitespace before JSON": (" " * 90 + "\n" * 3 + json_rows(GOOD)).encode(),
+    "a first block of whitespace before text": (
+        ("\n" * 30 + " " * 90 + "\n" + text_rows([*GOOD_TEXT[:3], "x,z"])).encode()
+    ),
+    "choices before alternatives, many entries": json.dumps({
+        "choices": [{"menu": m, "choice": p} for m, p in GOOD] + [{"menu": ["x"], "choice": "x"}] * 9,
+        "alternatives": ["x", "y", "z"],
+    }).encode(),
+    "CRLF line ends across block edges": text_rows([*GOOD_TEXT, "x,y -> y"]).replace("\n", "\r\n").encode(),
+    "CRLF line ends across block edges, a syntax error": (
+        text_rows(["# a comment"] * 7 + [*GOOD_TEXT[:3], "x,z"]).replace("\n", "\r\n").encode()
+    ),
+    "the CLI's indented JSON": "".join(
+        cli._json_chunks(LoadedDataset(GroundSet(("x", "y", "z")), rational_choice(LinearOrder((2, 0, 1)))).json_fields())
+    ).encode(),
+}
+
+
+#: _TEXT_BLOCK settings that put block edges between rows: 5 characters
+#: read at a time; 0, read as one character at a time, so that each text
+#: block is one line; and 80, so that
+#: a JSON run holds one or two entries (at 5 and 0 every JSON value is longer
+#: than a block, and the whole-text reader reads the file)
+SMALL_BLOCKS = {"few bytes": 5, "one line": 0, "a few entries": 80}
 
 
 @pytest.fixture(params=sorted(SMALL_BLOCKS))
@@ -1191,6 +1242,48 @@ class TestLoaderBlocks:
     def test_seeded_random_faults(self, tmp_path, small_blocks):
         check_seeded_random_faults(tmp_path)
 
+    @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+    @pytest.mark.parametrize("case", sorted(SEAM_CASES))
+    def test_seams(self, tmp_path, monkeypatch, small_blocks, case, stdin):
+        """Each seam input loads as the row loop loads it, from a file and
+        from stdin. The row loop reads a byte-order mark as text, so it
+        reads the same bytes without the mark."""
+        path, plain = tmp_path / "data", tmp_path / "plain"
+        path.write_bytes(SEAM_CASES[case])
+        plain.write_bytes(SEAM_CASES[case].removeprefix(codecs.BOM_UTF8))
+        assert_same_outcome(path, monkeypatch if stdin else None, plain)
+
+    @pytest.mark.parametrize("case", ["valid", "number labels"])
+    def test_named_pipe_is_read_whole(self, tmp_path, case):
+        """A path that cannot seek, such as a shell's ``<(...)``, is read
+        whole first, so that the entry reader can read it again after the
+        streamed reader gives it up, as it does for number labels; a second
+        open of the pipe would wait for a writer that never comes."""
+        fifo, plain = tmp_path / "fifo", tmp_path / "plain.json"
+        plain.write_text(JSON_CASES[case], encoding="utf-8")
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(plain.read_bytes(),), daemon=True)
+        writer.start()
+        argv = [sys.executable, "-m", "harmchoice.cli", "sp", "--format", "json"]
+        got = subprocess.run([*argv, str(fifo)], env=_cli_env(), capture_output=True, timeout=60)
+        want = subprocess.run([*argv, str(plain)], env=_cli_env(), capture_output=True, timeout=60)
+        assert want.returncode == 0
+        assert (got.returncode, got.stdout, got.stderr) == (0, want.stdout, want.stderr)
+
+    def test_label_holding_a_run_cut_falls_back(self, tmp_path, monkeypatch):
+        """At 80-character blocks one run of this file is cut after the
+        ``}`` in ``a}, {b``: the run fails to decode and the whole-text
+        reader reads the file. The same file with ``a}; {b`` streams."""
+        monkeypatch.setattr(cli, "_TEXT_BLOCK", 80)
+        for label, streams in (("a}, {b", False), ("a}; {b", True)):
+            text = cut_label_dataset(label)
+            blocks = iter([text[i : i + 80] for i in range(0, len(text), 80)])
+            assert (cli._parse_streamed_json(blocks) is not None) == streams
+            path = tmp_path / "data.json"
+            path.write_text(text, encoding="utf-8")
+            assert_same_outcome(path)
+            assert load_dataset(str(path)).ground.labels == (label, "c", "d")
+
     @pytest.mark.parametrize("blocks", ["default", "small"])
     def test_no_header_labels_past_ten_bits(self, tmp_path, monkeypatch, blocks):
         """Without a header, 12 labels first seen in an order unlike their
@@ -1220,26 +1313,30 @@ class TestLoaderBlocks:
 
 @pytest.fixture(scope="module")
 def n16_files(tmp_path_factory):
-    """An n = 16 `uniform:12` dataset as text and as compact JSON."""
+    """An n = 16 `uniform:12` dataset as text, as compact JSON and as JSON in
+    the CLI's indented layout."""
     tmp = tmp_path_factory.mktemp("n16")
     ds = LoadedDataset(
         GroundSet(tuple(f"a{i}" for i in range(16))),
         generate_harmful(LinearOrder(tuple(range(16))), UniformIndexPolicy(12), seed=7),
     )
-    paths = {"text": tmp / "n16.txt", "json": tmp / "n16.json"}
+    paths = {"text": tmp / "n16.txt", "json": tmp / "n16.json", "indented json": tmp / "n16i.json"}
     paths["text"].write_text("\n".join(ds.to_text()) + "\n", encoding="utf-8")
     paths["json"].write_text(json.dumps(dataset_dict(ds), separators=(",", ":")), encoding="utf-8")
+    paths["indented json"].write_text("".join(cli._json_chunks(ds.json_fields())), encoding="utf-8")
     return {fmt: str(path) for fmt, path in paths.items()}
 
 
 class TestReaderMemory:
-    @pytest.mark.parametrize("fmt, bound_mb", [("text", 16), ("json", 12)])
+    @pytest.mark.parametrize("fmt, bound_mb", [("text", 4.5), ("json", 4), ("indented json", 4)])
     def test_load_peak_is_bounded(self, n16_files, fmt, bound_mb):
         """The traced peak of one n = 16 load (65,535 rows; 2.2 MB of text,
-        4.5 MB of JSON): the readers hold masks, picks and line numbers, and
-        one string per distinct label, not one per label written; the JSON
-        reader keeps no object per entry, so the file's bytes and text set
-        its peak."""
+        4.5 MB of compact and 11.4 MB of indented JSON): the readers hold
+        about one block of the file's text, the packed (mask, pick) pairs,
+        line numbers and one string per distinct label, and keep no object
+        per entry. Reading the file whole traced 5.2 MiB (text), 8.5 MiB
+        (compact JSON) and 21.7 MiB (indented JSON); reading it in blocks
+        traces about 3.2, 2.7 and 2.7 MiB."""
         gc.collect()
         tracemalloc.start()
         try:
@@ -1310,12 +1407,12 @@ class TestReaderMemory:
         ("numeric alternatives, string labels", True),
         ("choice before menu, pick outside menu", True),  # validate_choice refuses it
         ("entry with a third key", False),
-        ("packable object as an extra field", False),
+        ("packable object as an extra field", True),
         ("unknown menu label", False),
         ("number labels", False),
     ])
     def test_packed_reader_takes_only_its_entries(self, case, packs):
-        assert (cli._parse_packed_json(JSON_CASES[case]) is not None) == packs
+        assert (cli._parse_streamed_json(iter([JSON_CASES[case]])) is not None) == packs
 
     def test_json_entries_share_label_strings(self, tmp_path):
         """A file that the packed reader leaves to the entry reader, here for
@@ -1323,7 +1420,7 @@ class TestReaderMemory:
         label."""
         fresh = [{"menu": ["x" * 9 + "1", "y" * 9], "choice": "x" * 9 + "1", "note": i} for i in range(3)]
         text = json.dumps({"alternatives": ["x" * 9 + "1", "y" * 9], "choices": fresh})
-        assert cli._parse_packed_json(text) is None
+        assert cli._parse_streamed_json(iter([text])) is None
         decoded = cli._decode_json(text)
         first = decoded["choices"][0]
         for entry, want in zip(decoded["choices"], fresh, strict=True):

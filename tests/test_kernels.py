@@ -83,6 +83,29 @@ def test_count_inconsistent_matches_per_choice(n):
     assert _kernels.count_inconsistent(rows | (1 << np.arange(n)), n) == expected
 
 
+def whole_count_inconsistent(rows, n):
+    """Oracle: the count × n form that ``count_inconsistent`` replaced, one
+    OR and one compare over the whole rows, reduced over each row."""
+    own = (1 << np.arange(n)).astype(rows.dtype)
+    return int(np.all((rows | own) == (1 << n) - 1, axis=1).sum())
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_count_inconsistent_matches_whole_rows(n):
+    """Random rows, half of them full, in each dtype that holds n bits, with
+    the own bits set and unset, and no rows at all."""
+    rng = np.random.default_rng(700 + n)
+    full = (1 << n) - 1
+    rows = rng.integers(0, 1 << n, size=(300, n), dtype=np.int64)
+    rows[::2] |= full & ~(rng.integers(0, 2, size=(150, n)) << np.arange(n))
+    own = 1 << np.arange(n)
+    for dtype in [np.uint8, np.uint16, np.int64][(n > 8) :]:
+        for table in (rows & ~own, rows | own, rows[:0]):
+            table = table.astype(dtype)
+            assert _kernels.count_inconsistent(table, n) == whole_count_inconsistent(table, n)
+    assert whole_count_inconsistent(rows | own, n) > 0
+
+
 def test_count_inconsistent_keeps_the_rows_dtype():
     """The test makes no int64 copy of uint8 rows: 65,536 x 6 rows (0.39 MB)
     trace under 1 MB, where an int64 copy alone is 3.1 MB."""
