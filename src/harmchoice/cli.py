@@ -11,24 +11,24 @@ omitted; their forced picks are filled in with a warning.
 
 A file is read through one text stream, about 64 K characters at a time,
 so no step holds the whole file or its decoded text. Both readers keep
-only one (menu bitmask, pick id) pair per row (and, for text, its line
-number), not the rows' labels. One row packer turns the labels of every
-row, in both formats, into bits. The text reader cuts each block after its
-last line break and packs each line as it is read. The JSON reader walks
-the top-level object and decodes "choices" in runs of entries, each cut
-after an entry's closing brace; an entry that is exactly {"menu":
-[distinct strings], "choice": string} is packed as the decoder builds it,
-so no object per entry is kept. Without a header to give them, label bits
-are given in order of first appearance and moved to the final label order
-at the end. A JSON file with any other entry, a label outside
-"alternatives", a key repeated at the top level, a syntax error, or a
-value longer than a block is read again whole, decoded with one interned
-string per distinct label, and its entries are packed one at a time over
-the header's bits: only this reader reads number labels and malformed
-entries. A faulty dataset reports the error that a row-by-row reader would
-meet first, naming the row as `choices[i]` or `line N`. A key repeated in
-one JSON object, in a dataset or a ``map:`` policy file, is an error, and
-so is an integer literal longer than Python reads.
+only one (menu bitmask, pick id) pair per row, not the rows' labels; the
+text reader also keeps the first line number of each run of rows on
+consecutive lines. One row packer turns the labels of every row, in both
+formats, into bits, matching a label that is not a string by its ``str``.
+The text reader cuts each block after its last line break and packs each
+line as it is read. The JSON reader walks the top-level object and decodes
+"choices" in runs of entries, each cut after an entry's closing brace; an
+entry that is an object with a nonempty "menu" list and a "choice" is
+packed as the decoder builds it, so no object per entry is kept. A run
+that does not pack whole is undone and its entries decoded again one at a
+time. Without a header to give them, label bits are given in order of
+first appearance and moved to the final label order at the end. A faulty
+JSON file is read again whole, with one interned string per distinct
+label, only to name its fault. A faulty dataset reports the error that a
+row-by-row reader would meet first, naming the row as `choices[i]` or
+`line N`. A key repeated in one JSON object, in a dataset or a ``map:``
+policy file, is an error, and so is an integer literal longer than Python
+reads.
 
 Files and stdin are decoded as UTF-8 without a leading byte-order mark;
 stdin, and a path that cannot seek such as a pipe, is read whole as bytes
@@ -81,11 +81,12 @@ import re
 import sys
 import warnings
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn
 
 # read once, when numpy loads OpenBLAS; see the module docstring
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -128,7 +129,14 @@ from .core import (
 from .degree import SpReport, sp, sp_axiomatic, sp_bruteforce
 from .distortion import harmful_distortion
 from .elicit import all_extensions, elicit_partial, elicit_weakly_harmful
-from .errors import HarmchoiceError, ParseError, ReportTooLarge, RowError, _shown
+from .errors import (
+    CrossCheckMismatch,
+    HarmchoiceError,
+    ParseError,
+    ReportTooLarge,
+    RowError,
+    _shown,
+)
 
 #: ``reversals`` refuses a dataset with more reversals than this (about 7 MB
 #: of text); ``analyze`` still reports their exact count.
@@ -351,9 +359,9 @@ def _reversals_text(reversals, ground: GroundSet, count: int) -> list[str]:
 # dataset loading
 
 
-#: Characters of dataset text read at a time. Only the menu bitmasks, picks
-#: and line numbers of the rows read outlive a block; a JSON value longer
-#: than a block sends the file to the whole-text reader.
+#: Characters of dataset text read at a time. Only the menu bitmasks and
+#: picks of the rows read, and a text file's line numbers per run of rows,
+#: outlive a block; a faulty JSON file is read again whole to name its fault.
 _TEXT_BLOCK = 1 << 16
 
 
@@ -413,9 +421,8 @@ def _parse_dataset(raw: BinaryIO) -> _Parsed:
         raise
     finally:
         stream.detach()  # leaves ``raw`` open to be read again
-    if parsed is None:  # a file only the entry reader reads
-        obj = _decode_json(_whole_text(raw))  # the entries share one string per distinct label
-        parsed = _parse_json_dataset(obj)
+    if parsed is None:  # a fault: the whole text names it
+        _raise_json_fault(_decode_json(_whole_text(raw)))
     return parsed
 
 
@@ -430,15 +437,14 @@ class _RowPacker(dict):
     each, kept in row order as pairs in the ``array('q')`` buffer
     ``pairs``.
 
-    The packer maps each label to its bit. Built from ``labels`` (a header),
-    it gives the first :data:`MAX_ENUM_N` of them their bits in order and
-    no other label a bit, and it matches a label that is not a string by
-    ``str(label)``, as :func:`_alt` does. Built from nothing, it gives a
-    string label the next bit when the label is first met (provisional
-    bits) and any other value no bit; once MAX_ENUM_N labels have bits, a
-    further string label is kept with bit 0, so that ``len(packer)`` still
-    counts every label met. The empty string, which no ground set holds,
-    never has a bit.
+    The packer maps each label to its bit, and matches a label that is not
+    a string by ``str(label)``, as :func:`_alt` does. Built from ``labels``
+    (a header), it gives the first :data:`MAX_ENUM_N` of them their bits in
+    order and no other label a bit. Built from nothing, it gives a label the
+    next bit when the label is first met (provisional bits); once
+    MAX_ENUM_N labels have bits, a further label is kept with bit 0, so
+    that ``len(packer)`` still counts every label met. The empty string,
+    which no ground set holds, never has a bit.
     """
 
     __slots__ = ("grows", "pairs")
@@ -452,7 +458,7 @@ class _RowPacker(dict):
 
     def __missing__(self, label: object) -> int:
         if type(label) is not str:
-            return 0 if self.grows else self[str(label)]
+            return self[str(label)]
         if not self.grows or not label:
             return 0
         bit = self[label] = 1 << len(self) if len(self) < MAX_ENUM_N else 0
@@ -465,13 +471,38 @@ class _RowPacker(dict):
             # as bits are summed, a repeated one carries, so fewer bits are set
             mask = sum(map(self.__getitem__, labels))
             pick_bit = self[pick]
-        except TypeError:  # a JSON list or object, which only a header's packer matches
-            return not self.grows and self.add(list(map(str, labels)), str(pick))
+        except TypeError:  # a JSON list or object, which cannot be a key
+            return self.add(list(map(str, labels)), str(pick))
         if not pick_bit or mask.bit_count() != len(labels):
             return False
         self.pairs.append(mask)
         self.pairs.append(pick_bit)
         return True
+
+    def add_row(self, menu: object, pick: object) -> bool:
+        """:meth:`add` the ``menu`` and ``choice`` of a JSON entry; False if
+        the menu is not a nonempty list. A refused row leaves no label
+        behind: an object refused inside a valid entry has no bearing on
+        the bits of its file's labels."""
+        if type(menu) is not list or not menu:
+            return False
+        labels = len(self)
+        if self.add(menu, pick):
+            return True
+        self.undo(len(self.pairs) >> 1, labels)
+        return False
+
+    def add_entry(self, entry: object) -> bool:
+        """:meth:`add_row` the ``menu`` and ``choice`` of a JSON
+        ``choices`` entry, an object."""
+        return type(entry) is dict and "choice" in entry and self.add_row(entry.get("menu"), entry["choice"])
+
+    def undo(self, rows: int, labels: int) -> None:
+        """Drop the rows and the labels met since there were ``rows`` rows
+        and ``labels`` labels."""
+        del self.pairs[2 * rows :]
+        for label in list(islice(self, labels, None)):
+            del self[label]
 
     def rows(self, labels: tuple[str, ...]) -> np.ndarray:
         """The packed (mask, pick id) rows, a view of ``pairs``, with each
@@ -485,30 +516,55 @@ class _RowPacker(dict):
         return table
 
 
-#: What :func:`_decode_json` returns in place of an entry that it packed.
+#: What the packing decoder returns in place of an entry that it packed.
 _PACKED = object()
 
 
-def _json_decoder(what: str = "JSON", packer: _RowPacker | None = None) -> json.JSONDecoder:
-    """A decoder like ``json.JSONDecoder()``, except that a key repeated in
-    one object raises a ParseError naming ``what`` and the first key met
-    twice, and that the string labels of each entry's ``menu`` list and its
-    string ``choice`` are interned: the strings decoded for an entry die as
-    it is built.
+def _json_object(pairs: list[tuple[str, object]], what: str = "JSON") -> dict:
+    """``dict(pairs)``; a key met twice raises a ParseError naming ``what``
+    and the first such key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                shown = _shown(repr(key))
+                raise ParseError(f"invalid {what}: key {shown} appears twice in one object")
+            seen.add(key)
+    return obj
 
-    With ``packer``, an object whose keys are exactly ``menu`` and
-    ``choice``, whose menu is a nonempty list and which ``packer`` packs
-    decodes as :data:`_PACKED`."""
+
+def _json_decoder(packer: _RowPacker | None = None) -> json.JSONDecoder:
+    """A decoder like ``json.JSONDecoder()``, except that a key repeated in
+    one object raises a ParseError.
+
+    With ``packer``, an object that :meth:`_RowPacker.add_entry` packs
+    decodes as :data:`_PACKED`; an object whose keys are exactly ``menu``
+    and ``choice`` is tested before a dict is built for it."""
+    if packer is None:
+        return json.JSONDecoder(object_pairs_hook=_json_object)
+
+    def hook(pairs: list[tuple[str, object]]) -> object:
+        if len(pairs) == 2:
+            (key, menu), (other, pick) = pairs
+            if key == "choice":
+                key, menu, other, pick = other, pick, key, menu
+            if key == "menu" and other == "choice":
+                return _PACKED if packer.add_row(menu, pick) else _json_object(pairs)
+        obj = _json_object(pairs)
+        return _PACKED if packer.add_entry(obj) else obj
+
+    return json.JSONDecoder(object_pairs_hook=hook)
+
+
+def _decode_json(text: str, what: str = "JSON") -> object:
+    """``json.loads(text)``, except that a key repeated in one object raises
+    a ParseError naming ``what``, and that the string labels of each
+    entry's ``menu`` list and its string ``choice`` are interned: the
+    strings decoded for an entry die as it is built."""
 
     def entry(pairs: list[tuple[str, object]]) -> dict:
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            seen: set[str] = set()
-            for key, _ in pairs:
-                if key in seen:
-                    shown = _shown(repr(key))
-                    raise ParseError(f"invalid {what}: key {shown} appears twice in one object")
-                seen.add(key)
+        obj = _json_object(pairs, what)
         menu = obj.get("menu")
         if type(menu) is list:
             try:
@@ -520,26 +576,8 @@ def _json_decoder(what: str = "JSON", packer: _RowPacker | None = None) -> json.
             obj["choice"] = sys.intern(pick)
         return obj
 
-    hook = entry
-    if packer is not None:
-
-        def hook(pairs: list[tuple[str, object]]) -> object:
-            if len(pairs) == 2:
-                (key, menu), (other, pick) = pairs
-                if key == "choice":
-                    key, menu, other, pick = other, pick, key, menu
-                if key == "menu" and other == "choice" and type(menu) is list and menu:
-                    if packer.add(menu, pick):
-                        return _PACKED
-            return entry(pairs)
-
-    return json.JSONDecoder(object_pairs_hook=hook)
-
-
-def _decode_json(text: str, what: str = "JSON", packer: _RowPacker | None = None) -> object:
-    """``json.loads(text)`` with :func:`_json_decoder`'s decoder."""
     try:
-        return _json_decoder(what, packer).decode(text)
+        return json.JSONDecoder(object_pairs_hook=entry).decode(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise ParseError(f"invalid {what}: {exc}") from None
     except ValueError:  # an integer literal longer than int() reads
@@ -550,35 +588,46 @@ def _decode_json(text: str, what: str = "JSON", packer: _RowPacker | None = None
 #: The whitespace that JSON allows between tokens.
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
 
+#: How far before the end of a text cut inside a token a decode error, or
+#: the end of the value decoded, can lie: the length of "-Infinit".
+_JSON_CUT = 8
+
 
 class _JsonText:
     """The text of a JSON file read in blocks: ``buf[pos:]`` is what has
-    been read and not yet parsed."""
+    been read and not yet parsed, and ``buf[0]`` lies ``base`` characters
+    into the text; ``ended`` once the text has been read to its end."""
 
-    __slots__ = ("chunks", "buf", "pos")
+    __slots__ = ("chunks", "buf", "pos", "base", "ended")
 
     def __init__(self, chunks: Iterator[str]) -> None:
         self.chunks = chunks
         self.buf = ""
-        self.pos = 0
+        self.pos = self.base = 0
+        self.ended = False
 
-    def fill(self) -> bool:
-        """Read one more block behind the unparsed text; False at the end."""
-        chunk = next(self.chunks, "")
-        self.buf = self.buf[self.pos :] + chunk
-        self.pos = 0
-        return bool(chunk)
-
-    def ahead(self) -> None:
-        """Read until more than a block lies unparsed, or to the end."""
-        while len(self.buf) - self.pos <= _TEXT_BLOCK and self.fill():
-            pass
+    def ahead(self, size: int | None = None) -> bool:
+        """Read until more than ``size`` characters (a block) lie unparsed;
+        False if the text ends first. The blocks read are joined behind the
+        unparsed text once, so that reading far ahead copies it once."""
+        size = _TEXT_BLOCK if size is None else size
+        have = len(self.buf) - self.pos
+        if have > size or self.ended:
+            return have > size
+        parts = [self.buf[self.pos :]]
+        while have <= size and (chunk := next(self.chunks, "")):
+            parts.append(chunk)
+            have += len(chunk)
+        self.ended = have <= size
+        self.base += self.pos
+        self.buf, self.pos = "".join(parts), 0
+        return not self.ended
 
     def token(self) -> str:
         """The next character that is not JSON whitespace; "" at the end."""
         while (pos := _JSON_SPACE.match(self.buf, self.pos).end()) == len(self.buf):
             self.pos = pos
-            if not self.fill():
+            if not self.ahead(0):
                 return ""
         self.pos = pos
         return self.buf[pos]
@@ -591,13 +640,27 @@ class _JsonText:
         return True
 
     def value(self, decoder: json.JSONDecoder) -> object:
-        """Decode the next value, with a block read ahead. A value cut off
-        at the end of what was read fails to decode, or, if it is a number,
-        leaves its own rest as the next token, which no caller takes."""
+        """Decode the next value, with a block read ahead. A value that
+        could be cut off by the end of the read text (a string left open, or
+        a decode error or a value's end within :data:`_JSON_CUT` of that
+        end, as ``-1.5`` read as ``-1.`` ends at ``-1``) is decoded again
+        once the unparsed text has doubled, until the text ends: a value of
+        any length is read in time linear in its length. Any other decode
+        error is raised at once."""
         self.token()
         self.ahead()
-        obj, self.pos = decoder.raw_decode(self.buf, self.pos)
-        return obj
+        while True:
+            try:
+                obj, end = decoder.raw_decode(self.buf, self.pos)
+            except json.JSONDecodeError as exc:
+                cut = exc.pos >= len(self.buf) - _JSON_CUT or exc.msg.startswith("Unterminated string")
+                if self.ended or not cut:
+                    raise
+            else:
+                if end < len(self.buf) - _JSON_CUT or self.ended:
+                    self.pos = end
+                    return obj
+            self.ahead(2 * (len(self.buf) - self.pos))
 
     def run_end(self) -> int:
         """The index just past the last ``}`` of the unparsed text that JSON
@@ -613,13 +676,11 @@ class _JsonText:
 
 def _parse_streamed_json(chunks: Iterator[str]) -> _Parsed | None:
     """Parse a JSON dataset from its text in blocks, or return None for a
-    file that :func:`_parse_json_dataset` has to read: one with a decode or
-    parse error, an entry that does not pack, a repeated top-level key, a
-    label outside ``alternatives``, a run that does not decode or an entry
-    longer than a block.
+    faulty file: one with a syntax error, a repeated top-level key, an entry
+    that does not pack or a label outside ``alternatives``.
 
     The top-level values but ``choices`` are decoded whole, and the header
-    is checked as that reader checks it. Labels get provisional bits, which
+    is checked by :func:`_json_header`. Labels get provisional bits, which
     are moved to the header's order at the end.
     """
     text = _JsonText(chunks)
@@ -636,7 +697,7 @@ def _parse_streamed_json(chunks: Iterator[str]) -> _Parsed | None:
                 return None
             if key != "choices":
                 fields[key] = text.value(plain)
-            elif text.take("[") and _pack_entries(text, packer):
+            elif text.take("[") and _pack_entries(text, plain, packer):
                 fields[key] = []  # its entries are packed
             else:
                 return None
@@ -654,29 +715,43 @@ def _parse_streamed_json(chunks: Iterator[str]) -> _Parsed | None:
     return ground, table, "choices[{}]".format
 
 
-def _pack_entries(text: _JsonText, packer: _RowPacker) -> bool:
+def _pack_entries(text: _JsonText, plain: json.JSONDecoder, packer: _RowPacker) -> bool:
     """Pack the entries of the list whose ``[`` was just read, through its
     ``]``; False if one does not pack.
 
     The entries are decoded in runs of about a block, each cut after the
     last ``}`` that a ``,`` follows and decoded as one list by the packing
-    decoder: a cut inside a string or an entry leaves it open, and the run
-    fails to decode.
+    decoder. A run packs whole when it decodes to one :data:`_PACKED` per
+    entry and one row each. Otherwise (a cut inside a string, or a packable
+    object nested in an entry) its rows and new labels are undone, and its
+    entries up to the cut are decoded again one at a time by ``plain`` and
+    packed, as a lone entry always is: each run is decoded at most twice.
     """
     if text.take("]"):
         return True
     packing = _json_decoder(packer=packer)
     while True:
         text.ahead()
-        if cut := text.run_end():
-            items = _decode_json("[" + text.buf[text.pos : cut] + "]", packer=packer)
-            if items.count(_PACKED) != len(items):
+        cut = text.run_end()
+        if cut:
+            rows, labels = len(packer.pairs) >> 1, len(packer)
+            try:
+                items = packing.decode("[" + text.buf[text.pos : cut] + "]")
+                whole = items.count(_PACKED) == len(items) == (len(packer.pairs) >> 1) - rows
+            except (ValueError, RecursionError, HarmchoiceError):
+                whole = False
+            if whole:
+                text.pos = text.buf.index(",", cut) + 1
+                continue
+            packer.undo(rows, labels)
+        end = text.base + cut  # in the text, as ``ahead`` moves ``buf``; no cut: one entry
+        while True:
+            if not packer.add_entry(text.value(plain)):
                 return False
-            text.pos = text.buf.index(",", cut) + 1
-        elif text.value(packing) is not _PACKED:  # the last entry
-            return False
-        elif not text.take(","):
-            return text.take("]")
+            if not text.take(","):
+                return text.take("]")
+            if text.base + text.pos >= end:
+                break
 
 
 def _json_header(obj: dict) -> tuple[GroundSet, list]:
@@ -699,31 +774,24 @@ def _json_header(obj: dict) -> tuple[GroundSet, list]:
     return ground, choices
 
 
-def _parse_json_dataset(obj: dict) -> _Parsed:
-    """Pack the ``choices`` entries one at a time over the header's label
-    bits; the first malformed or refused entry raises its error."""
+def _raise_json_fault(obj: dict) -> NoReturn:
+    """Raise the error of a whole decoded JSON dataset that
+    :func:`_parse_streamed_json` refused: the header's, else that of the
+    first faulty ``choices`` entry."""
     ground, choices = _json_header(obj)
-    name = "choices[{}]".format
-    packer = _RowPacker(ground.labels)
+    packer = _RowPacker(ground.labels)  # passes the entries that pack, quickly
     for i, entry in enumerate(choices):
-        try:
-            menu, pick = entry["menu"], entry["choice"]
-        except (KeyError, TypeError):  # an entry that is not an object or lacks a key
-            menu = pick = None
-        if type(menu) is not list or not menu or not packer.add(menu, pick):
-            _check_json_row(ground, entry, name(i))
-    return ground, packer.rows(ground.labels), name
-
-
-def _check_json_row(ground: GroundSet, entry: object, ref: str) -> None:
-    """Raise the parse error of one JSON ``choices`` entry, if it has one."""
-    if not isinstance(entry, dict) or "menu" not in entry or "choice" not in entry:
-        raise ParseError(f'{ref}: expected an object with "menu" and "choice"')
-    menu_labels = entry["menu"]
-    if not isinstance(menu_labels, list) or not menu_labels:
-        raise ParseError(f"{ref}: menu must be a nonempty label list")
-    _menu_from_labels(ground, menu_labels, ref)
-    _alt(ground, entry["choice"], ref)
+        if packer.add_entry(entry):
+            continue
+        ref = f"choices[{i}]"
+        if not isinstance(entry, dict) or "menu" not in entry or "choice" not in entry:
+            raise ParseError(f'{ref}: expected an object with "menu" and "choice"')
+        menu_labels = entry["menu"]
+        if not isinstance(menu_labels, list) or not menu_labels:
+            raise ParseError(f"{ref}: menu must be a nonempty label list")
+        _menu_from_labels(ground, menu_labels, ref)
+        _alt(ground, entry["choice"], ref)
+    raise CrossCheckMismatch("the JSON reader refused a dataset in which no fault was found")
 
 
 def _parse_text_dataset(chunks: Iterable[str]) -> _Parsed:
@@ -739,7 +807,9 @@ def _parse_text_dataset(chunks: Iterable[str]) -> _Parsed:
     packer: _RowPacker | None = None  # made at the first content line
     header: tuple[str, ...] | None = None
     fault: tuple[int, list[str], str] | None = None  # line, menu and pick of a refused row
-    linenos = array("q")  # of the packed rows
+    # the first row and its line of each run of packed rows on consecutive lines
+    starts, firsts = array("q"), array("q")
+    follows = 0  # the line that would continue the last run
     seen = 0  # lines in the blocks before this one
     for block in _text_blocks(chunks):
         raw = block.splitlines()
@@ -761,13 +831,16 @@ def _parse_text_dataset(chunks: Iterable[str]) -> _Parsed:
                 labels = list(map(str.strip, labels))
             pick = pick.strip()
             if packer.add(labels, pick):
-                linenos.append(lineno)
+                if lineno != follows:  # not the line after the last packed row
+                    starts.append((len(packer.pairs) >> 1) - 1)
+                    firsts.append(lineno)
+                follows = lineno + 1
             elif not pick or "" in labels:  # the packer gives "" no bit
                 raise ParseError(f"line {lineno}: empty label")
             elif fault is None:
                 fault = (lineno, labels, pick)
         seen += len(raw)
-    if not linenos and fault is None:
+    if not starts and fault is None:
         raise ParseError("dataset contains no choice rows")
     try:
         ground = GroundSet(header if header is not None else tuple(sorted(packer)))
@@ -781,7 +854,8 @@ def _parse_text_dataset(chunks: Iterable[str]) -> _Parsed:
     table = packer.rows(ground.labels)
 
     def name(i: int) -> str:
-        return f"line {linenos[i]}"
+        run = bisect_right(starts, i) - 1
+        return f"line {firsts[run] + i - starts[run]}"
 
     return ground, table, name
 

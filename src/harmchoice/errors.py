@@ -88,7 +88,7 @@ class CycleDetected(HarmchoiceError):
 
 
 class CrossCheckMismatch(HarmchoiceError):
-    """The exhaustive and the axiomatic computation disagree.
+    """An internal cross-check failed.
 
     This never happens for valid inputs; it signals an internal defect.
     """

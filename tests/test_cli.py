@@ -815,6 +815,25 @@ def text_rows(lines, header="x, y, z"):
     return "\n".join(([f"alternatives: {header}"] if header else []) + lines) + "\n"
 
 
+def every_menu_rows(labels, alternatives=None, **extra):
+    """A valid JSON dataset with one entry per menu of ``labels``, each
+    picking its first member and holding the keys of ``extra`` besides."""
+    menus = [m for k in range(len(labels), 0, -1) for m in itertools.combinations(labels, k)]
+    return json.dumps({
+        "alternatives": list(labels if alternatives is None else alternatives),
+        "choices": [{"menu": list(m), "choice": m[0], **extra} for m in menus],
+    })
+
+
+def object_label_rows(obj):
+    """GOOD with ``obj``, a packable entry, in place of the label z, and
+    ``str(obj)`` as the alternative that it names."""
+    def swap(label):
+        return obj if label == "z" else label
+
+    return json_rows([([swap(x) for x in m], swap(p)) for m, p in GOOD], ["x", "y", str(obj)])
+
+
 #: a complete CYCLE3-like row set, then variations with one or two faults
 GOOD = [(["x", "y", "z"], "x"), (["x", "y"], "y"), (["y", "z"], "z"), (["x", "z"], "x")]
 GOOD_TEXT = ["x,y,z -> x", "x,y -> y", "y,z -> z", "x,z -> x"]
@@ -937,6 +956,40 @@ JSON_CASES = {
         ],
     }),
     "blank lines before the object": "\n\r\n \t\n" + json_rows(GOOD),
+    # the edges of the block walker, which reads every valid file
+    "a packable object as a label that names an alternative": object_label_rows(
+        {"menu": ["x"], "choice": "x"}
+    ),
+    "a packable object as a label that names an alternative, with q inside": object_label_rows(
+        {"menu": ["q"], "choice": "q"}
+    ),
+    "a packable object in an entry's third key": json_rows(
+        [GOOD[0], {"menu": ["x", "y"], "choice": "y", "note": {"menu": ["z"], "choice": "z"}}, *GOOD[2:]]
+    ),
+    "a refused object in an entry's third key": json_rows(
+        [GOOD[0], {"menu": ["x", "y"], "choice": "y", "note": {"menu": ["q", "q"], "choice": "q"}}, *GOOD[2:]]
+    ),
+    "an object with an empty choice in an entry's third key": json_rows(
+        [GOOD[0], {"menu": ["x", "y"], "choice": "y", "note": {"menu": ["q"], "choice": ""}}, *GOOD[2:]]
+    ),
+    "a refused object in a third key under 20 labels": json_rows(
+        [{"menu": ["a0", "a1"], "choice": "a0", "note": {"menu": ["q", "q"], "choice": "q"}}]
+        + [([f"a{i}", f"a{i + 1}"], f"a{i}") for i in range(1, 19)],
+        [f"a{i}" for i in range(20)],
+    ),
+    "every entry with a third key": every_menu_rows(["x", "y", "z", "w"], id=7),
+    "number labels over many entries": every_menu_rows([1, 2, 3, 4, 5], ["1", "2", "3", "4", "5"]),
+    "a multi-digit top-level extra number": json.dumps({
+        "alternatives": ["x", "y", "z"],
+        "extra": int("1234567890" * 10),
+        "choices": [{"menu": m, "choice": p} for m, p in GOOD],
+    }),
+    "literals and escapes in a top-level extra value": json.dumps({
+        "alternatives": ["x", "y", "z"],
+        "extra": [True, False, None, -1.5e300, float("-inf"), float("nan"), "\u00e9\U0001f600"],
+        "choices": [{"menu": m, "choice": p} for m, p in GOOD],
+    }),
+    "every label holding '}, {'": every_menu_rows(["a}, {b", "c}, {d", "e}, {f", "g}, {h"]),
 }
 
 TEXT_CASES = {
@@ -1120,6 +1173,7 @@ def check_seeded_random_faults(tmp_path):
     load_dataset and by the row loop: dropped, repeated, reordered and
     corrupted rows."""
     rng = np.random.default_rng(5)
+    gaps = np.random.default_rng(6)  # blank and comment lines between text rows
     labels = ("w", "x", "y", "z")
     for trial in range(150):
         n = int(rng.integers(2, 5))
@@ -1152,9 +1206,12 @@ def check_seeded_random_faults(tmp_path):
         assert_same_outcome(json_path)
         text_path = tmp_path / f"{trial}.txt"
         header = ", ".join(labels[:n]) if trial % 2 else None
-        text_path.write_text(
-            text_rows([f"{','.join(m)} -> {p}" for m, p in rows], header), encoding="utf-8"
-        )
+        lines = []
+        for m, p in rows:
+            if gaps.integers(4) == 0:
+                lines.append(("", "# between rows")[int(gaps.integers(2))])
+            lines.append(f"{','.join(m)} -> {p}")
+        text_path.write_text(text_rows(lines, header), encoding="utf-8")
         assert_same_outcome(text_path)
 
 
@@ -1206,9 +1263,8 @@ SEAM_CASES = {
 
 #: _TEXT_BLOCK settings that put block edges between rows: 5 characters
 #: read at a time; 0, read as one character at a time, so that each text
-#: block is one line; and 80, so that
-#: a JSON run holds one or two entries (at 5 and 0 every JSON value is longer
-#: than a block, and the whole-text reader reads the file)
+#: block is one line; and 80, so that a JSON run holds one or two entries
+#: (at 5 and 0 every JSON entry is longer than a block)
 SMALL_BLOCKS = {"few bytes": 5, "one line": 0, "a few entries": 80}
 
 
@@ -1253,12 +1309,12 @@ class TestLoaderBlocks:
         plain.write_bytes(SEAM_CASES[case].removeprefix(codecs.BOM_UTF8))
         assert_same_outcome(path, monkeypatch if stdin else None, plain)
 
-    @pytest.mark.parametrize("case", ["valid", "number labels"])
+    @pytest.mark.parametrize("case", ["valid", "number labels", "unknown menu label"])
     def test_named_pipe_is_read_whole(self, tmp_path, case):
         """A path that cannot seek, such as a shell's ``<(...)``, is read
-        whole first, so that the entry reader can read it again after the
-        streamed reader gives it up, as it does for number labels; a second
-        open of the pipe would wait for a writer that never comes."""
+        whole first, so that a faulty file, here one with an unknown menu
+        label, can be read again whole to name its fault; a second open of
+        the pipe would wait for a writer that never comes."""
         fifo, plain = tmp_path / "fifo", tmp_path / "plain.json"
         plain.write_text(JSON_CASES[case], encoding="utf-8")
         os.mkfifo(fifo)
@@ -1267,22 +1323,96 @@ class TestLoaderBlocks:
         argv = [sys.executable, "-m", "harmchoice.cli", "sp", "--format", "json"]
         got = subprocess.run([*argv, str(fifo)], env=_cli_env(), capture_output=True, timeout=60)
         want = subprocess.run([*argv, str(plain)], env=_cli_env(), capture_output=True, timeout=60)
-        assert want.returncode == 0
-        assert (got.returncode, got.stdout, got.stderr) == (0, want.stdout, want.stderr)
+        code = 1 if case == "unknown menu label" else 0
+        assert want.returncode == code
+        assert (got.returncode, got.stdout, got.stderr) == (code, want.stdout, want.stderr)
 
     def test_label_holding_a_run_cut_falls_back(self, tmp_path, monkeypatch):
         """At 80-character blocks one run of this file is cut after the
-        ``}`` in ``a}, {b``: the run fails to decode and the whole-text
-        reader reads the file. The same file with ``a}; {b`` streams."""
+        ``}`` in ``a}, {b``: the run fails to decode as a list, its rows are
+        undone and its entries fall back to being decoded one at a time.
+        The same file with ``a}; {b`` packs in whole runs. Both stream."""
         monkeypatch.setattr(cli, "_TEXT_BLOCK", 80)
-        for label, streams in (("a}, {b", False), ("a}; {b", True)):
+        undo = cli._RowPacker.undo
+        undone = []
+
+        def counted(packer, rows, labels):
+            undone.append(rows)
+            undo(packer, rows, labels)
+
+        monkeypatch.setattr(cli._RowPacker, "undo", counted)
+        for label, falls_back in (("a}, {b", True), ("a}; {b", False)):
+            undone.clear()
             text = cut_label_dataset(label)
             blocks = iter([text[i : i + 80] for i in range(0, len(text), 80)])
-            assert (cli._parse_streamed_json(blocks) is not None) == streams
+            assert cli._parse_streamed_json(blocks) is not None
+            assert bool(undone) == falls_back
             path = tmp_path / "data.json"
             path.write_text(text, encoding="utf-8")
             assert_same_outcome(path)
             assert load_dataset(str(path)).ground.labels == (label, "c", "d")
+
+    @pytest.mark.parametrize("block", ["default", *sorted(SMALL_BLOCKS)])
+    def test_walker_refuses_only_what_the_row_loop_refuses(self, tmp_path, monkeypatch, block):
+        """The block walker reads every JSON case and seam input that the
+        row loop parses, and returns None (a fault to name) for every other:
+        the row loop's ParseError or decode error. A header fault that the
+        walker raises itself counts as read."""
+        if block != "default":
+            monkeypatch.setattr(cli, "_TEXT_BLOCK", SMALL_BLOCKS[block])
+        size = max(cli._TEXT_BLOCK, 1)
+        cases = dict(JSON_CASES)
+        for case, data in SEAM_CASES.items():
+            try:
+                cases[case] = data.decode("utf-8")
+            except UnicodeDecodeError:
+                pass
+        path = tmp_path / "data.json"
+        for case, text in cases.items():
+            if not text.lstrip().startswith("{"):
+                continue
+            path.write_text(text, encoding="utf-8")
+            want = load_outcome(rowwise_load, path)
+            refused = want[0] == "error" and issubclass(want[1], (ParseError, json.JSONDecodeError))
+            blocks = iter([text[i : i + size] for i in range(0, len(text), size)])
+            try:
+                got = cli._parse_streamed_json(blocks)
+            except HarmchoiceError:
+                got = "raised"
+            assert (got is None) == refused, case
+
+    def test_early_syntax_error_stops_the_walker(self, monkeypatch):
+        """A missing colon in the first entry: the walker gives the file up
+        after a few blocks, as more text cannot mend the error, and leaves
+        the rest of the text unread."""
+        monkeypatch.setattr(cli, "_TEXT_BLOCK", 80)
+        text = json_rows(GOOD * 1000).replace('"choice":', '"choice"', 1)
+        blocks = iter([text[i : i + 80] for i in range(0, len(text), 80)])
+        assert cli._parse_streamed_json(blocks) is None
+        assert len(list(blocks)) > len(text) // 80 - 10
+
+    def test_value_cut_inside_a_token_is_read_on(self, monkeypatch):
+        """Each value with the read text cut after each of its characters:
+        the decode error that the cut gives is read past, not raised."""
+        monkeypatch.setattr(cli, "_TEXT_BLOCK", 0)
+        for value in ["-Infinity", "NaN", "true", "null", "-1.5e+300", '"\\u00e9\\ud83d\\ude00"', '[1, {"a": false}]']:
+            for cut in range(1, len(value)):
+                text = cli._JsonText(iter([value[:cut], value[cut:], " ,"]))
+                assert json.dumps(text.value(cli._json_decoder())) == json.dumps(json.loads(value)), (value, cut)
+
+    def test_long_value_is_read_in_linear_time(self, tmp_path, monkeypatch):
+        """A label of 4 Mi characters read 80 characters at a time. Joining
+        each block behind the unparsed text on its own copies that text once
+        per block, about 10**11 characters here, which took minutes; joining
+        once per doubling of the unparsed text takes well under a second."""
+        monkeypatch.setattr(cli, "_TEXT_BLOCK", 80)
+        label = "x" * (4 << 20)
+        path = tmp_path / "data.json"
+        path.write_text(json_rows([([label], label)], [label]), encoding="utf-8")
+        start = time.perf_counter()
+        ds = load_dataset(str(path))
+        assert time.perf_counter() - start < 10
+        assert ds.ground.labels == (label,)
 
     @pytest.mark.parametrize("blocks", ["default", "small"])
     def test_no_header_labels_past_ten_bits(self, tmp_path, monkeypatch, blocks):
@@ -1313,30 +1443,59 @@ class TestLoaderBlocks:
 
 @pytest.fixture(scope="module")
 def n16_files(tmp_path_factory):
-    """An n = 16 `uniform:12` dataset as text, as compact JSON and as JSON in
-    the CLI's indented layout."""
+    """An n = 16 `uniform:12` dataset on the labels a0..a15 as text, as
+    compact JSON and as JSON in the CLI's indented layout; and as compact
+    JSON with an "id" key in every entry, with the labels as the numbers
+    0..15, and with every label holding "}, {"."""
     tmp = tmp_path_factory.mktemp("n16")
     ds = LoadedDataset(
         GroundSet(tuple(f"a{i}" for i in range(16))),
         generate_harmful(LinearOrder(tuple(range(16))), UniformIndexPolicy(12), seed=7),
     )
-    paths = {"text": tmp / "n16.txt", "json": tmp / "n16.json", "indented json": tmp / "n16i.json"}
-    paths["text"].write_text("\n".join(ds.to_text()) + "\n", encoding="utf-8")
-    paths["json"].write_text(json.dumps(dataset_dict(ds), separators=(",", ":")), encoding="utf-8")
-    paths["indented json"].write_text("".join(cli._json_chunks(ds.json_fields())), encoding="utf-8")
+    fields = dataset_dict(ds)
+
+    def relabeled(new):
+        return {
+            "alternatives": list(map(new, fields["alternatives"])),
+            "choices": [{"menu": list(map(new, e["menu"])), "choice": new(e["choice"])} for e in fields["choices"]],
+        }
+
+    texts = {
+        "text": "\n".join(ds.to_text()) + "\n",
+        "json": fields,
+        "indented json": "".join(cli._json_chunks(ds.json_fields())),
+        "third-key json": {**fields, "choices": [{**e, "id": i} for i, e in enumerate(fields["choices"])]},
+        "number-label json": relabeled(lambda label: int(label[1:])),
+        "cut-label json": relabeled(lambda label: label + "}, {b"),
+    }
+    paths = {}
+    for i, (fmt, text) in enumerate(texts.items()):
+        paths[fmt] = tmp / f"n16-{i}"
+        if not isinstance(text, str):
+            text = json.dumps(text, separators=(",", ":"))
+        paths[fmt].write_text(text, encoding="utf-8")
     return {fmt: str(path) for fmt, path in paths.items()}
 
 
 class TestReaderMemory:
-    @pytest.mark.parametrize("fmt, bound_mb", [("text", 4.5), ("json", 4), ("indented json", 4)])
+    @pytest.mark.parametrize("fmt, bound_mb", [
+        ("text", 3),
+        ("json", 4),
+        ("indented json", 4),
+        ("third-key json", 4),
+        ("number-label json", 4),
+        ("cut-label json", 4),
+    ])
     def test_load_peak_is_bounded(self, n16_files, fmt, bound_mb):
         """The traced peak of one n = 16 load (65,535 rows; 2.2 MB of text,
         4.5 MB of compact and 11.4 MB of indented JSON): the readers hold
-        about one block of the file's text, the packed (mask, pick) pairs,
-        line numbers and one string per distinct label, and keep no object
-        per entry. Reading the file whole traced 5.2 MiB (text), 8.5 MiB
-        (compact JSON) and 21.7 MiB (indented JSON); reading it in blocks
-        traces about 3.2, 2.7 and 2.7 MiB."""
+        about one block of the file's text, the packed (mask, pick) pairs
+        and one string per distinct label, and keep no object per entry.
+        Reading the file whole traced 5.2 MiB (text), 8.5 MiB (compact JSON)
+        and 21.7 MiB (indented JSON); reading it in blocks traces about 2.7
+        MiB for each of the six files. A text reader that kept one line
+        number per row traced 3.2 MiB; a JSON reader that read the last
+        three files whole traced 24 to 28 MiB."""
         gc.collect()
         tracemalloc.start()
         try:
@@ -1406,20 +1565,23 @@ class TestReaderMemory:
         ("choice before menu", True),
         ("numeric alternatives, string labels", True),
         ("choice before menu, pick outside menu", True),  # validate_choice refuses it
-        ("entry with a third key", False),
+        ("entry with a third key", True),
         ("packable object as an extra field", True),
         ("unknown menu label", False),
-        ("number labels", False),
+        ("number labels", True),
     ])
     def test_packed_reader_takes_only_its_entries(self, case, packs):
+        """The streamed reader packs the entries of every file whose rows
+        all name alternatives, with or without extra keys or number labels,
+        and leaves a file with an unknown label to be read whole."""
         assert (cli._parse_streamed_json(iter([JSON_CASES[case]])) is not None) == packs
 
-    def test_json_entries_share_label_strings(self, tmp_path):
-        """A file that the packed reader leaves to the entry reader, here for
-        a third key in its entries, is decoded with one string per distinct
+    def test_json_entries_share_label_strings(self):
+        """A faulty file, here with a label outside its alternatives, is
+        decoded whole to name its fault, with one string per distinct
         label."""
         fresh = [{"menu": ["x" * 9 + "1", "y" * 9], "choice": "x" * 9 + "1", "note": i} for i in range(3)]
-        text = json.dumps({"alternatives": ["x" * 9 + "1", "y" * 9], "choices": fresh})
+        text = json.dumps({"alternatives": ["x" * 9 + "1"], "choices": fresh})
         assert cli._parse_streamed_json(iter([text])) is None
         decoded = cli._decode_json(text)
         first = decoded["choices"][0]
