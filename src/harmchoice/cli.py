@@ -22,13 +22,27 @@ entry that is an object with a nonempty "menu" list and a "choice" is
 packed as the decoder builds it, so no object per entry is kept. A run
 that does not pack whole is undone and its entries decoded again one at a
 time. Without a header to give them, label bits are given in order of
-first appearance and moved to the final label order at the end. A faulty
-JSON file is read again whole, with one interned string per distinct
-label, only to name its fault. A faulty dataset reports the error that a
-row-by-row reader would meet first, naming the row as `choices[i]` or
-`line N`. A key repeated in one JSON object, in a dataset or a ``map:``
-policy file, is an error, and so is an integer literal longer than Python
-reads.
+first appearance (JSON labels in "alternatives" read before "choices"
+first) and moved to the final label order at the end.
+
+Both readers first try one row kernel on each block of text rows (the rest
+of the first block after its header too) and on each run of JSON entries:
+it finds the separators with numpy, matches each label to one the packer
+already holds by its UTF-8 bytes and packs the whole block in bulk. It
+takes a block only if each text line is `a,b,c -> a` with ASCII labels, no
+control character, no leading `#` and no space but one on each side of
+`->`, or each JSON entry is `{"menu": [...], "choice": ...}` in that order
+with a nonempty menu, string labels without an escape or whitespace
+inside, and JSON whitespace anywhere between the tokens; each label must
+have a bit, be 1 to 8 bytes long and appear once per menu. Any other block
+or run, with a comment, a blank line, a new label or a faulty row, is read
+row by row as before, so every error and every row name are the row-by-row
+reader's. A faulty JSON file is read again whole, with one interned string
+per distinct label, only to name its fault. A faulty dataset reports the
+error that a row-by-row reader would meet first, naming the row as
+`choices[i]` or `line N`. A key repeated in one JSON object, in a dataset
+or a ``map:`` policy file, is an error, and so is an integer literal
+longer than Python reads.
 
 Files and stdin are decoded as UTF-8 without a leading byte-order mark;
 stdin, and a path that cannot seek such as a pipe, is read whole as bytes
@@ -497,6 +511,30 @@ class _RowPacker(dict):
         ``choices`` entry, an object."""
         return type(entry) is dict and "choice" in entry and self.add_row(entry.get("menu"), entry["choice"])
 
+    def words(self) -> tuple[np.uint64, np.ndarray, np.ndarray]:
+        """The labels with a bit in a hash table of their words: a label of 1
+        to 8 bytes of UTF-8 (lone surrogates passed through) without a NUL
+        byte is the little-endian ``uint64`` of its bytes, which no other
+        such label shares. Returns a multiplier, and by slot
+        ``(word * multiplier) >> 54`` the word of the label there (0 if
+        none) and its bit; a label whose slot another takes is left out."""
+        table = {}
+        for label, bit in islice(self.items(), MAX_ENUM_N):  # the labels with a bit come first
+            spelled = label.encode("utf-8", "surrogatepass")
+            if bit and 0 < len(spelled) <= 8 and b"\0" not in spelled:
+                table[int.from_bytes(spelled, "little")] = bit
+        for odd in range(1, 128, 2):  # Fibonacci hashing, then other odd multiples
+            multiplier = _PHI * odd % (1 << 64)
+            slots = {word * multiplier % (1 << 64) >> 54 for word in table}
+            if len(slots) == len(table):
+                break
+        keys, bits = np.zeros(1024, np.uint64), np.zeros(1024, np.int64)
+        for word, bit in table.items():
+            slot = word * multiplier % (1 << 64) >> 54
+            if not keys[slot]:
+                keys[slot], bits[slot] = word, bit
+        return np.uint64(multiplier), keys, bits
+
     def undo(self, rows: int, labels: int) -> None:
         """Drop the rows and the labels met since there were ``rows`` rows
         and ``labels`` labels."""
@@ -515,6 +553,9 @@ class _RowPacker(dict):
         table[:, 1] = to[np.bitwise_count(table[:, 1] - 1)]
         return table
 
+
+#: 2**64 over the golden ratio, odd: the multiplier of Fibonacci hashing.
+_PHI = 0x9E3779B97F4A7C15
 
 #: What the packing decoder returns in place of an entry that it packed.
 _PACKED = object()
@@ -697,7 +738,12 @@ def _parse_streamed_json(chunks: Iterator[str]) -> _Parsed | None:
                 return None
             if key != "choices":
                 fields[key] = text.value(plain)
-            elif text.take("[") and _pack_entries(text, plain, packer):
+            elif text.take("["):
+                if type(fields.get("alternatives")) is list:  # their labels take bits first
+                    for label in islice(fields["alternatives"], MAX_ENUM_N):
+                        packer[str(label)]
+                if not _pack_entries(text, plain, packer):
+                    return None
                 fields[key] = []  # its entries are packed
             else:
                 return None
@@ -733,6 +779,9 @@ def _pack_entries(text: _JsonText, plain: json.JSONDecoder, packer: _RowPacker) 
     while True:
         text.ahead()
         cut = text.run_end()
+        if cut and _pack_json_run(packer, text.buf[text.pos : cut]):
+            text.pos = text.buf.index(",", cut) + 1
+            continue
         if cut:
             rows, labels = len(packer.pairs) >> 1, len(packer)
             try:
@@ -811,8 +860,21 @@ def _parse_text_dataset(chunks: Iterable[str]) -> _Parsed:
     starts, firsts = array("q"), array("q")
     follows = 0  # the line that would continue the last run
     seen = 0  # lines in the blocks before this one
+
+    def packed(lineno: int, count: int) -> None:
+        """Note ``count`` rows just packed from the lines from ``lineno`` on."""
+        nonlocal follows
+        if lineno != follows:  # not the line after the last packed row
+            starts.append((len(packer.pairs) >> 1) - count)
+            firsts.append(lineno)
+        follows = lineno + count
+
     for block in _text_blocks(chunks):
-        raw = block.splitlines()
+        if packer is not None and (count := _pack_text_rows(packer, block)):
+            packed(seen + 1, count)
+            seen += count
+            continue
+        raw = block.splitlines(keepends=True)
         for lineno, line in enumerate(map(str.strip, raw), seen + 1):
             if not line or line[0] == "#":
                 continue
@@ -820,6 +882,9 @@ def _parse_text_dataset(chunks: Iterable[str]) -> _Parsed:
                 if line.lower().startswith("alternatives:"):
                     header = tuple(s.strip() for s in line.split(":", 1)[1].split(","))
                     packer = _RowPacker(header)
+                    if count := _pack_text_rows(packer, "".join(raw[lineno - seen :])):  # the lines after it
+                        packed(lineno + 1, count)
+                        break
                     continue
                 packer = _RowPacker()
             left, arrow, pick = line.partition("->")
@@ -831,15 +896,13 @@ def _parse_text_dataset(chunks: Iterable[str]) -> _Parsed:
                 labels = list(map(str.strip, labels))
             pick = pick.strip()
             if packer.add(labels, pick):
-                if lineno != follows:  # not the line after the last packed row
-                    starts.append((len(packer.pairs) >> 1) - 1)
-                    firsts.append(lineno)
-                follows = lineno + 1
+                packed(lineno, 1)
             elif not pick or "" in labels:  # the packer gives "" no bit
                 raise ParseError(f"line {lineno}: empty label")
             elif fault is None:
                 fault = (lineno, labels, pick)
         seen += len(raw)
+        del raw  # not kept alive while later blocks are packed in bulk
     if not starts and fault is None:
         raise ParseError("dataset contains no choice rows")
     try:
@@ -874,6 +937,116 @@ def _text_blocks(chunks: Iterable[str]) -> Iterator[str]:
             rest += chunk
     if rest:
         yield rest
+
+
+# ---------------------------------------------------------------------------
+# rows packed in bulk
+
+#: ``_LOW[k]`` keeps the low k bytes of a word.
+_LOW = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+
+#: The words of the gaps between the strings of packable ``choices``
+#: entries, once JSON whitespace is taken out of them, and of their keys.
+_OPEN, _MENU, _SEP, _CLOSE, _COLON, _NEXT, _END, _MENU_KEY, _CHOICE_KEY = (
+    int.from_bytes(gap, "little")
+    for gap in (b"{", b":[", b",", b"],", b":", b"},{", b"}", b"menu", b"choice")
+)
+
+
+def _words_at(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The bytes ``data[s:e]`` of each token, read as a little-endian word;
+    None if a token is empty or longer than 8 bytes. ``data`` is ``uint8``
+    and ends in 8 zero bytes that no token reaches."""
+    lens = ends - starts
+    if lens.min() < 1 or lens.max() > 8:
+        return None
+    words = np.ndarray(data.size - 7, "<u8", data, strides=(1,))[starts]  # a word at each byte
+    words &= _LOW[lens]
+    return words
+
+
+def _pack_words(packer: _RowPacker, words: np.ndarray, picks: np.ndarray) -> bool:
+    """Pack rows given as the words of their labels, each row's menu labels
+    followed by its pick, ``picks`` indexing the picks: the rows that
+    :meth:`_RowPacker.add` would pack one at a time. False, packing nothing,
+    if a word is not that of a label with a bit or a row repeats a label."""
+    multiplier, keys, bits = packer.words()
+    slots = (words * multiplier) >> np.uint64(54)
+    if not np.array_equal(np.take(keys, slots), words):
+        return False
+    firsts = np.concatenate(([0], picks[:-1] + 1))
+    # the sums of each menu's bits and of each pick's, laid out as ``pairs``
+    pairs = np.add.reduceat(np.take(bits, slots), np.column_stack((firsts, picks)).ravel())
+    if not np.array_equal(np.bitwise_count(pairs[0::2]), picks - firsts):  # a repeat carried
+        return False
+    packer.pairs.frombytes(pairs.view(np.uint8))
+    return True
+
+
+def _pack_text_rows(packer: _RowPacker, text: str) -> int:
+    """Pack every line of ``text`` in bulk, if each is a row ``a,b,c -> a``
+    of ASCII labels with a bit, without a control character, a leading
+    ``#``, another ``->`` or a space other than one on each side of its
+    ``->``: such a line reads in the row loop as it reads here. The number
+    of lines packed, or 0 if a line is not such a row or does not pack."""
+    arrows = text.count(" -> ")
+    if not text.isascii() or text.count(" ") != 2 * arrows or text.count("->") != arrows:
+        return 0
+    body = text.encode()
+    data = np.frombuffer(body + (b"" if body.endswith(b"\n") else b"\n") + bytes(8), np.uint8)
+    body = data[:-8]
+    lines = np.flatnonzero(body == 10)
+    if np.count_nonzero(body < 32) != lines.size or data[0] == 35 or (body[lines[:-1] + 1] == 35).any():
+        return 0
+    kind = (body == 44).view(np.int8)  # 1 at a ",", 2 at a " -> ", 3 at a line break
+    kind[np.flatnonzero(body == 32)[0::2]] = 2
+    kind[lines] = 3
+    cuts = np.flatnonzero(kind)
+    kind = kind[cuts]
+    arrow, line = kind == 2, kind == 3
+    if line[0] or not np.array_equal(arrow[:-1], line[1:]):  # a line is not labels, " -> ", a label
+        return 0
+    words = _words_at(data, np.concatenate(([0], cuts[:-1] + 1 + 3 * arrow[:-1])), cuts)
+    if words is None or not _pack_words(packer, words, np.flatnonzero(line)):
+        return 0
+    return lines.size
+
+
+def _pack_json_run(packer: _RowPacker, run: str) -> bool:
+    """Pack a run of ``choices`` entries in bulk, if each is an object
+    ``{"menu": [...], "choice": ...}`` with a nonempty menu, these two keys
+    in this order, string labels with a bit and no escape, and JSON
+    whitespace as the only layout: the rows that the packing decoder packs.
+    False, packing nothing, otherwise."""
+    if "\\" in run:
+        return False
+    body = run.encode("utf-8", "surrogatepass")
+    dense = body.translate(None, b" \t\n\r")  # the text without JSON whitespace
+    data = np.frombuffer(dense + bytes(8), np.uint8)
+    raw = data[:-8]
+    quotes = np.flatnonzero(raw == 34)
+    if not quotes.size or quotes.size % 2 or raw.min() < 32:  # a control character
+        return False
+    if len(dense) < len(body):  # the strings must have lost none of it
+        spaced = np.flatnonzero(np.frombuffer(body, np.uint8) == 34)
+        if spaced.size != quotes.size or not np.array_equal(np.diff(spaced)[0::2], np.diff(quotes)[0::2]):
+            return False
+    opens, closes = quotes[0::2], quotes[1::2]
+    gaps = _words_at(data, np.concatenate(([0], closes + 1)), np.append(opens, raw.size))
+    strings = _words_at(data, opens + 1, closes)
+    if gaps is None or strings is None or gaps[0] != _OPEN or gaps[-1] != _END:
+        return False
+    before, after = gaps[:-1], gaps[1:]  # the gaps around each string
+    label = (before == _MENU) | (before == _SEP)
+    pick = before == _COLON
+    fits = (
+        ((before == _OPEN) | (before == _NEXT)) & (strings == _MENU_KEY) & (after == _MENU)
+        | label & ((after == _SEP) | (after == _CLOSE))
+        | (before == _CLOSE) & (strings == _CHOICE_KEY) & (after == _COLON)
+        | pick & ((after == _NEXT) | (after == _END))
+    )
+    tokens = label | pick
+    return bool(fits.all()) and _pack_words(packer, strings[tokens], np.flatnonzero(pick[tokens]))
 
 
 def _alt(ground: GroundSet, label: object, ref: str) -> int:

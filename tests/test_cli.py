@@ -13,6 +13,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -1441,17 +1442,247 @@ class TestLoaderBlocks:
         assert move_bits(masks, to).tolist() == want
 
 
+# ---------------------------------------------------------------------------
+# the bulk row kernel: a block or run that it packs reads as the row loop
+# reads it, and any other goes to the row-by-row readers
+
+
+def seeded_dataset(n, labels=None):
+    """A seeded random dataset of every menu on ``labels`` (a0, a1, ...)."""
+    labels = labels or tuple(f"a{i}" for i in range(n))
+    return LoadedDataset(GroundSet(labels), random_choice(np.random.default_rng(100 + n), n))
+
+
+def dataset_texts(ds, ensure_ascii=True):
+    """``ds`` as text, as compact JSON and as the CLI's indented JSON."""
+    return {
+        "text": "\n".join(ds.to_text()) + "\n",
+        "compact json": json.dumps(dataset_dict(ds), separators=(",", ":"), ensure_ascii=ensure_ascii),
+        "indented json": json.dumps(dataset_dict(ds), indent=2, ensure_ascii=ensure_ascii),
+    }
+
+
+#: The row of the n = 6 file that a single-row edit changes.
+EDITED_ROW = 30
+
+
+def edit_text_row(edit):
+    """The n = 6 text file with row ``EDITED_ROW`` (a line after the header)
+    passed through ``edit``, which returns the line or lines in its place."""
+    lines = dataset_texts(seeded_dataset(6))["text"].splitlines()
+    return "\n".join(lines[:EDITED_ROW] + [edit(lines[EDITED_ROW])] + lines[EDITED_ROW + 1 :]) + "\n"
+
+
+def relabeled_texts(labels, ensure_ascii=True):
+    """The n = 6 dataset on ``labels`` in the three layouts."""
+    return dataset_texts(seeded_dataset(6, tuple(labels)), ensure_ascii)
+
+
+def edit_json_entry(edit):
+    """The n = 6 JSON dataset with entry ``EDITED_ROW`` passed through
+    ``edit``, compact and indented."""
+    fields = dataset_dict(seeded_dataset(6))
+    fields["choices"][EDITED_ROW] = edit(dict(fields["choices"][EDITED_ROW]))
+    return {
+        "compact json": json.dumps(fields, separators=(",", ":")),
+        "indented json": json.dumps(fields, indent=2),
+    }
+
+
+def edit_json_label(spelled):
+    """The n = 6 JSON dataset with the first menu label of entry
+    ``EDITED_ROW``, ``a{i}``, spelled as ``spelled`` formatted with ``i``."""
+    label = dataset_dict(seeded_dataset(6))["choices"][EDITED_ROW]["menu"][0]
+    texts = {}
+    for fmt, text in edit_json_entry(lambda e: {**e, "menu": ["@", *e["menu"][1:]]}).items():
+        assert text.count('"@"') == 1
+        texts[fmt] = text.replace('"@"', spelled.format(label[1:]))
+    return texts
+
+
+TEXT_KERNEL_CASES = {
+    "a comment line": edit_text_row(lambda line: f"# a comment\n{line}"),
+    "a blank line": edit_text_row(lambda line: f"\n{line}"),
+    "a line that starts with '#' and names a header label": (
+        edit_text_row(lambda line: line).replace("a0", "#a0")
+    ),
+    "a tab before '->'": edit_text_row(lambda line: line.replace(" -> ", "\t-> ")),
+    "a tab after '->'": edit_text_row(lambda line: line.replace(" -> ", " ->\t")),
+    "two spaces before '->'": edit_text_row(lambda line: line.replace(" -> ", "  -> ")),
+    "two spaces after '->'": edit_text_row(lambda line: line.replace(" -> ", " ->  ")),
+    "CRLF line ends": edit_text_row(lambda line: line).replace("\n", "\r\n"),
+    "a header label that holds ' -> '": edit_text_row(lambda line: line).replace("a1", "a1 -> b"),
+    "an empty label": edit_text_row(lambda line: f",{line}"),
+    "a repeated label": edit_text_row(lambda line: f"{line.split(',')[0].split(' ')[0]},{line}"),
+    "an unknown label": edit_text_row(lambda line: f"q,{line}"),
+    "an unknown pick": edit_text_row(lambda line: line.split(" -> ")[0] + " -> q"),
+    "a line without '->'": edit_text_row(lambda line: line.split(" -> ")[0]),
+    "a control character in a label": edit_text_row(lambda line: f"a9\x01,{line}"),
+    "labels x1 and x10": relabeled_texts(["x1", "x10", "x100", "x2", "x20", "x"])["text"],
+    "non-ASCII labels": relabeled_texts(["é", "éé", "日本", "a b", "b", "\U0001f600"])["text"],
+    "labels of 8 and 9 bytes": relabeled_texts(["abcdefgh", "abcdefghi", "abcdefg", "a", "ab", "hgfedcba"])["text"],
+    "labels named 'alternatives:'": relabeled_texts(["alternatives:a", "b", "c", "d", "e", "f"])["text"],
+    "no header": edit_text_row(lambda line: line).split("\n", 1)[1],
+    "no header, a label first met late": "\n".join(
+        ["a0 -> a0", "a1 -> a1", *edit_text_row(lambda line: line).splitlines()[1:], "a0,a9 -> a9"]
+    ) + "\n",
+}
+
+JSON_KERNEL_CASES = {
+    **{f"an escaped label, {fmt}": text for fmt, text in edit_json_label('"a\\u003{}"').items()},
+    **{f"an escape that names no label, {fmt}": text for fmt, text in edit_json_label('"a\\u0039"').items()},
+    **{f"a control character in a label, {fmt}": text for fmt, text in edit_json_label('"a\x01{}"').items()},
+    **{f"a tab in a label, {fmt}": text for fmt, text in edit_json_label('"a\t{}"').items()},
+    **{f"a line break in a label, {fmt}": text for fmt, text in edit_json_label('"a\n{}"').items()},
+    **{f"a space in a label, {fmt}": text for fmt, text in edit_json_label('"a {}"').items()},
+    **{f"an unknown label, {fmt}": text for fmt, text in edit_json_label('"q"').items()},
+    **{f"an empty label, {fmt}": text for fmt, text in edit_json_label('""').items()},
+    **{f"a number label, {fmt}": text for fmt, text in edit_json_label("{}").items()},
+    **{f"an extra key, {fmt}": text for fmt, text in edit_json_entry(lambda e: {**e, "note": 1}).items()},
+    **{
+        f"choice before menu, {fmt}": text
+        for fmt, text in edit_json_entry(lambda e: {"choice": e["choice"], "menu": e["menu"]}).items()
+    },
+    **{f"an empty menu, {fmt}": text for fmt, text in edit_json_entry(lambda e: {**e, "menu": []}).items()},
+    **{f"a menu key repeated, {fmt}": text for fmt, text in edit_json_label('"a{0}"],"menu":["a{0}"').items()},
+    **{
+        f"a lone-surrogate label in alternatives, {fmt}": text
+        for fmt, text in relabeled_texts(["a0", "\ud800", "a2", "a3", "a4", "a5"]).items()
+        if fmt != "text"
+    },
+    **{
+        f"non-ASCII labels written unescaped, {fmt}": text
+        for fmt, text in relabeled_texts(["é", "éé", "日本", "b", "c", "\U0001f600"], False).items()
+        if fmt != "text"
+    },
+    **{
+        f"labels of 8 and 9 bytes, {fmt}": text
+        for fmt, text in relabeled_texts(["abcdefgh", "abcdefghi", "abcdefg", "a", "ab", "hgfedcba"]).items()
+        if fmt != "text"
+    },
+    **{
+        f"labels named as the keys, {fmt}": text
+        for fmt, text in relabeled_texts(["menu", "choice", "c", "d", "e", "f"]).items()
+        if fmt != "text"
+    },
+    "choices before alternatives": json.dumps(
+        {"choices": dataset_dict(seeded_dataset(6))["choices"], "alternatives": [f"a{i}" for i in range(6)]}
+    ),
+}
+
+
+#: Every setting of ``_TEXT_BLOCK`` that the kernel tests run at.
+ALL_BLOCKS = ["default", *sorted(SMALL_BLOCKS)]
+
+
+@pytest.fixture(params=ALL_BLOCKS)
+def any_blocks(request, monkeypatch):
+    if request.param != "default":
+        monkeypatch.setattr(cli, "_TEXT_BLOCK", SMALL_BLOCKS[request.param])
+
+
+def assert_loads_as_rowwise(path, monkeypatch, stdin):
+    """:func:`assert_same_outcome`, where the row loop's JSON decode error
+    is the loader's ``invalid JSON`` ParseError."""
+    want = load_outcome(rowwise_load, path)
+    if want[0] == "error" and want[1] is json.JSONDecodeError:
+        if stdin:
+            monkeypatch.setattr(sys, "stdin", _stdin(Path(path).read_bytes()))
+        got = load_outcome(load_dataset, "-" if stdin else path)
+        assert got == ("error", ParseError, f"invalid JSON: {want[2]}")
+    else:
+        assert_same_outcome(path, monkeypatch if stdin else None)
+
+
+class TestRowKernel:
+    """Every file loads as the row loop loads it, whether the kernel packs
+    its blocks or refuses them, at every block setting, from a file and
+    from stdin."""
+
+    @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+    @pytest.mark.parametrize("fmt", ["text", "compact json", "indented json"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_seeded_files(self, tmp_path, monkeypatch, any_blocks, n, fmt, stdin):
+        path = tmp_path / "data"
+        path.write_text(dataset_texts(seeded_dataset(n))[fmt], encoding="utf-8")
+        assert_loads_as_rowwise(path, monkeypatch, stdin)
+
+    @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+    @pytest.mark.parametrize("case", sorted(TEXT_KERNEL_CASES))
+    def test_text_edits(self, tmp_path, monkeypatch, any_blocks, case, stdin):
+        path = tmp_path / "data.txt"
+        path.write_text(TEXT_KERNEL_CASES[case], encoding="utf-8", newline="")
+        assert_loads_as_rowwise(path, monkeypatch, stdin)
+
+    @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+    @pytest.mark.parametrize("case", sorted(JSON_KERNEL_CASES))
+    def test_json_edits(self, tmp_path, monkeypatch, any_blocks, case, stdin):
+        path = tmp_path / "data.json"
+        path.write_bytes(JSON_KERNEL_CASES[case].encode("utf-8", "surrogatepass"))
+        assert_loads_as_rowwise(path, monkeypatch, stdin)
+
+    def test_edits_change_one_row(self):
+        """Each single-row edit changes the file it edits: a case that left
+        it as it was would test only the plain file."""
+        plain = dataset_texts(seeded_dataset(6))
+        for case, text in TEXT_KERNEL_CASES.items():
+            assert text != plain["text"], case
+        for case, text in JSON_KERNEL_CASES.items():
+            assert text not in plain.values(), case
+
+    @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+    @pytest.mark.parametrize("fmt", [
+        "text", "json", "indented json", "headerless text", "non-ASCII text", "non-ASCII json",
+    ])
+    def test_n16_files(self, n16_files, monkeypatch, fmt, stdin):
+        """The n = 16 files at the default block, against the row loop."""
+        assert_loads_as_rowwise(n16_files[fmt], monkeypatch, stdin)
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "benchmark text", "benchmark json", "headerless text"])
+    def test_rows_take_the_kernel(self, n16_files, tmp_path, monkeypatch, fmt):
+        """Loading an n = 16 file in the CLI's layouts, or in the compact
+        layout of the benchmark's files (``alternatives: a0,a1,...``),
+        packs at most one block's worth of rows one at a time (with a
+        header, none but a JSON file's last entry; without one, the first
+        block): the rest take the kernel."""
+        if fmt.startswith("benchmark"):
+            ds = load_dataset(n16_files["text"])
+            path = tmp_path / "data"
+            if fmt == "benchmark text":
+                rows = list(islice(ds.to_text(), 1, None))
+                path.write_text("\n".join(["alternatives: " + ",".join(ds.ground.labels), *rows]) + "\n")
+            else:
+                path.write_text(json.dumps({"version": 1, **dataset_dict(ds)}, separators=(",", ":")))
+            path = str(path)
+        else:
+            path = n16_files[fmt]
+        add = cli._RowPacker.add
+        calls = []
+
+        def counted(packer, labels, pick):
+            calls.append(1)
+            return add(packer, labels, pick)
+
+        monkeypatch.setattr(cli._RowPacker, "add", counted)
+        assert len(load_dataset(path).choice.picks_array) == 1 << 16
+        first_block = Path(path).read_text(encoding="utf-8")[: cli._TEXT_BLOCK]
+        assert len(calls) <= first_block.count("\n" if "text" in fmt else '"choice"')
+        if "headerless" not in fmt:  # JSON: the last entry, which no "," follows, is read alone
+            assert len(calls) <= ("json" in fmt)
+
+
 @pytest.fixture(scope="module")
 def n16_files(tmp_path_factory):
     """An n = 16 `uniform:12` dataset on the labels a0..a15 as text, as
     compact JSON and as JSON in the CLI's indented layout; and as compact
     JSON with an "id" key in every entry, with the labels as the numbers
-    0..15, and with every label holding "}, {"."""
+    0..15, and with every label holding "}, {"; as text without its
+    header; and on the labels é0..é15 as text and as compact JSON that
+    writes them unescaped."""
     tmp = tmp_path_factory.mktemp("n16")
-    ds = LoadedDataset(
-        GroundSet(tuple(f"a{i}" for i in range(16))),
-        generate_harmful(LinearOrder(tuple(range(16))), UniformIndexPolicy(12), seed=7),
-    )
+    choice = generate_harmful(LinearOrder(tuple(range(16))), UniformIndexPolicy(12), seed=7)
+    ds = LoadedDataset(GroundSet(tuple(f"a{i}" for i in range(16))), choice)
+    accented = LoadedDataset(GroundSet(tuple(f"\u00e9{i}" for i in range(16))), choice)
     fields = dataset_dict(ds)
 
     def relabeled(new):
@@ -1467,6 +1698,9 @@ def n16_files(tmp_path_factory):
         "third-key json": {**fields, "choices": [{**e, "id": i} for i, e in enumerate(fields["choices"])]},
         "number-label json": relabeled(lambda label: int(label[1:])),
         "cut-label json": relabeled(lambda label: label + "}, {b"),
+        "headerless text": "\n".join(islice(ds.to_text(), 1, None)) + "\n",
+        "non-ASCII text": "\n".join(accented.to_text()) + "\n",
+        "non-ASCII json": json.dumps(dataset_dict(accented), separators=(",", ":"), ensure_ascii=False),
     }
     paths = {}
     for i, (fmt, text) in enumerate(texts.items()):
@@ -1485,6 +1719,9 @@ class TestReaderMemory:
         ("third-key json", 4),
         ("number-label json", 4),
         ("cut-label json", 4),
+        ("headerless text", 3),
+        ("non-ASCII text", 3),
+        ("non-ASCII json", 4),
     ])
     def test_load_peak_is_bounded(self, n16_files, fmt, bound_mb):
         """The traced peak of one n = 16 load (65,535 rows; 2.2 MB of text,
@@ -1493,9 +1730,9 @@ class TestReaderMemory:
         and one string per distinct label, and keep no object per entry.
         Reading the file whole traced 5.2 MiB (text), 8.5 MiB (compact JSON)
         and 21.7 MiB (indented JSON); reading it in blocks traces about 2.7
-        MiB for each of the six files. A text reader that kept one line
-        number per row traced 3.2 MiB; a JSON reader that read the last
-        three files whole traced 24 to 28 MiB."""
+        MiB for each of these files. A text reader that kept one line
+        number per row traced 3.2 MiB; a JSON reader that read the third-key,
+        number-label and cut-label files whole traced 24 to 28 MiB."""
         gc.collect()
         tracemalloc.start()
         try:
