@@ -139,10 +139,13 @@ def find_reversals(c: ChoiceFunction, limit: int | None = None) -> list[Reversal
     """
     if limit is not None and (limit := operator.index(limit)) < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")
+    pairs = coselected_pairs(c)
+    if not pairs:  # WARP holds: nothing to build
+        return []
     size = (1 << c.n) - 1
     at = _menus_picking(c)
     keys = [np.empty(0, dtype=np.int64)]
-    for p, q in coselected_pairs(c):
+    for p, q in pairs:
         at_p, at_q = at(p, q)[:limit], at(q, p)[:limit]
         pair_keys = np.minimum.outer(at_p, at_q) * size + np.maximum.outer(at_p, at_q)
         keys.append(np.sort(pair_keys.ravel())[:limit])

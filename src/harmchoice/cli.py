@@ -1333,7 +1333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sp", parents=[common, pool], help="degree of self-punishment")
     p.add_argument("dataset")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--brute", action="store_true", help="exhaustive route (subset DP) only")
+    group.add_argument("--brute", action="store_true", help="exhaustive route (minimum hitting sets) only")
     group.add_argument("--axiomatic", action="store_true", help="axiomatic classification only")
     p.set_defaults(func=_cmd_sp)
 

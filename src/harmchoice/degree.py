@@ -1,18 +1,22 @@
 """The self-punishment degree: how deep the distortions must reach.
 
 Two independent routes compute it from the revealed relation ``sel``. The
-exhaustive route minimises over all base orders with a subset DP (Fomin &
-Kratsch, *Exact Exponential Algorithms*, 2010): an order explains every pick
-within depth d exactly when its bottom n - d alternatives induce an acyclic
-subgraph of ``sel`` and sit in a topological order of it. The axiomatic
-route reads the reversal structure alone: the size of a minimum cover of the
-co-selected pairs. The dispatcher runs both and insists they agree.
+exhaustive route minimises over all base orders: an order explains every
+pick within depth d exactly when its bottom n - d alternatives induce an
+acyclic subgraph of ``sel`` and sit in a topological order of it. So the
+degree is the size of a minimum feedback vertex set of ``sel``, a hitting set
+of its 2-cycles and triangles (Gaspers & Mnich, "Feedback vertex sets in
+tournaments", *J. Graph Theory*, 2013). The axiomatic route reads the
+reversal structure alone: the size of a minimum cover of the co-selected
+pairs. The dispatcher runs both and insists they agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache, reduce
 from math import factorial
+from operator import or_
 
 import numpy as np
 
@@ -20,6 +24,7 @@ from . import _kernels
 from ._parallel import resolve_workers
 from .axioms import CnsWitness, check_cns, coselected_pairs, min_cover, revealed_relation
 from .core import ChoiceFunction, GroundSet, LinearOrder
+from .elicit import _ranked
 from .errors import CrossCheckMismatch
 
 #: Reports keep at most this many minimizing orders (the count stays exact).
@@ -63,85 +68,90 @@ class SpReport:
         return lines
 
 
-def _topological_counts(pred: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """``t[S]``, the number of topological orders of the set S under ``sel``
-    (0 if S holds a cycle), and the largest acyclic sets.
-
-    ``pred[v]`` masks the p with ``sel[p, v]``. ``t[S]`` sums ``t[S - v]``
-    over the v in S without a predecessor in S, one set size at a time. The
-    candidates of size k are the acyclic sets of size k - 1, each with one
-    alternative added above its members, so each set is built once.
-    ``t[S] <= 20!`` fits in int64.
-    """
-    n = len(pred)
-    t = np.zeros(1 << n, dtype=np.int64)
-    t[0] = 1
-    bits = 1 << np.arange(n)
-    layer = np.zeros(1, dtype=np.int64)
-    while True:
-        cand = (layer[:, None] | bits)[layer[:, None] < bits]  # add v above all members
-        acc = np.zeros(cand.size, dtype=np.int64)
-        for v in range(n):
-            source = (cand & (pred[v] | 1 << v)) == 1 << v
-            acc += np.where(source, t[cand ^ (1 << v)], 0)
-        keep = acc > 0
-        if not keep.any():
-            return t, layer
-        layer = cand[keep]
-        t[layer] = acc[keep]
+def _members(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
-def _first_orders(pred: list[int], largest_sets: np.ndarray, free: int) -> list[LinearOrder]:
+def _minimum_hitting_sets(sel: np.ndarray) -> list[int]:
+    """Every smallest set of alternatives, as a bitmask, that hits each
+    2-cycle of ``sel`` and each triangle of its one-way arcs (a triangle with
+    a two-way arc holds a 2-cycle).
+
+    A branching search over the cycles' bitmasks, read off per-alternative
+    successor and predecessor masks: the first cycle not yet hit is hit by
+    each of its members in turn, barring those tried before it, so each set
+    is met once. The budget starts at n - 1 (one alternative holds no cycle)
+    and shrinks to the size of each smaller set met."""
+    n = len(sel)
+    one_way = sel & ~sel.T
+    rels = (sel & sel.T, one_way, one_way.T)
+    both, succ, pred = ((rel << np.arange(n)).sum(axis=1).tolist() for rel in rels)
+    cycles = [1 << p | 1 << q for p in range(n) for q in _members(both[p] & -2 << p)]
+    for p in range(n):
+        above = -2 << p  # each triangle once, from its smallest member
+        for q in _members(succ[p] & above):
+            cycles.extend(1 << p | 1 << q | 1 << r for r in _members(succ[q] & pred[p] & above))
+    found: list[int] = []
+
+    def branch(chosen: int, barred: int, unhit: list[int]) -> None:
+        size, budget = chosen.bit_count(), found[0].bit_count() if found else n - 1
+        if not unhit:
+            if size < budget:
+                found.clear()
+            found.append(chosen)
+        elif size < budget:
+            for v in _members(unhit[0] & ~barred):
+                branch(chosen | 1 << v, barred, [h for h in unhit if not h >> v & 1])
+                barred |= 1 << v
+
+    branch(0, 0, cycles)
+    return found
+
+
+def _first_orders(c: ChoiceFunction, sets: list[int], free: int) -> list[LinearOrder]:
     """The lexicographically first :data:`MINIMIZING_ORDER_CAP` minimizing
-    orders, by a depth-first search that keeps only prefixes that complete:
-    in the ``free`` top positions, what is left must still contain a largest
-    acyclic set (``holds``, closed under supersets); below them, the next
-    alternative must have no predecessor among those left."""
-    n = len(pred)
-    holds = np.zeros(1 << n, dtype=bool)
-    holds[largest_sets] = True
-    for v in range(n):
-        view = holds.reshape(-1, 2, 1 << v)
-        view[:, 1] |= view[:, 0]
+    orders by a depth-first search: a prefix of the ``free`` top positions
+    lies inside one of the minimum hitting ``sets`` (kept as the members not
+    yet placed), and the acyclic rest has its one topological order."""
     found: list[LinearOrder] = []
     prefix: list[int] = []
+    tail = cache(lambda head: _ranked(c, sorted(head)).ranking[free:])  # one per hitting set
 
-    def walk(rest: int) -> None:
-        if not rest:
-            found.append(LinearOrder(tuple(prefix)))
-        top = len(prefix) < free
-        for v in range(n):
+    def walk(sets: list[int]) -> None:
+        if len(prefix) == free:
+            found.append(LinearOrder((*prefix, *tail(frozenset(prefix)))))
+            return
+        for v in _members(reduce(or_, sets)):
             if len(found) == MINIMIZING_ORDER_CAP:
                 return
-            if rest >> v & 1 and (holds[rest ^ 1 << v] if top else not pred[v] & rest):
-                prefix.append(v)
-                walk(rest ^ 1 << v)
-                prefix.pop()
+            prefix.append(v)
+            walk([h ^ 1 << v for h in sets if h >> v & 1])
+            prefix.pop()
 
-    walk((1 << n) - 1)
+    walk(sets)
     return found
 
 
 def sp_bruteforce(c: ChoiceFunction, workers: int | None = None) -> SpReport:
     """Minimise the worst index over all base orders without listing them:
-    sp = n - the largest acyclic set of ``sel``, reached by sp! times the
-    topological orders of those sets. The listed orders are re-scored by
+    every pair menu is observed, so a set is acyclic in ``sel`` exactly when
+    it holds no 2-cycle and no directed triangle, and then it has one
+    topological order. So sp is the size of a smallest set hitting them all,
+    reached by sp! orders per such set. The listed orders are re-scored by
     :func:`_kernels.order_scores`, and one that misses the degree raises
     :class:`CrossCheckMismatch`. ``workers`` is checked, then ignored."""
     resolve_workers(workers)
-    n = c.n
     sel = revealed_relation(c)
-    pred = (sel.astype(np.int64) << np.arange(n)[:, None]).sum(axis=0).tolist()
-    t, largest_sets = _topological_counts(pred)
-    degree = n - int(largest_sets[0]).bit_count()
-    orders = _first_orders(pred, largest_sets, degree)
+    sets = _minimum_hitting_sets(sel)
+    degree = sets[0].bit_count()
+    orders = _first_orders(c, sets, degree)
     if (_kernels.order_scores(sel, np.array([o.ranking for o in orders])) != degree).any():
         raise CrossCheckMismatch(f"a listed order does not score the degree {degree}")
     return SpReport(
         sp=degree,
         method="bruteforce",
         minimizing_orders=tuple(orders),
-        minimizing_order_count=factorial(degree) * int(t[largest_sets].sum()),
+        minimizing_order_count=factorial(degree) * len(sets),
     )
 
 

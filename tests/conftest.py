@@ -2,6 +2,7 @@
 
 import itertools
 import warnings
+from math import factorial
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from harmchoice import (
     harmful_distortion,
     validate_choice,
 )
+from harmchoice.axioms import revealed_relation
 from harmchoice.core import menu_order, move_bits
 from harmchoice.elicit import _transitive_closure
 
@@ -167,6 +169,74 @@ def scan_min_cover(pairs, n):
     size[~cover] = n + 1
     code = int(np.flatnonzero(size == size.min())[-1])
     return tuple(v for v in range(n) if code & bit[v])
+
+
+def topological_counts(pred):
+    """``t[S]``, the number of topological orders of the set S under ``sel``
+    (0 if S holds a cycle), and the largest acyclic sets.
+
+    ``pred[v]`` masks the p with ``sel[p, v]``. ``t[S]`` sums ``t[S - v]``
+    over the v in S without a predecessor in S, one set size at a time. The
+    candidates of size k are the acyclic sets of size k - 1, each with one
+    alternative added above its members, so each set is built once.
+    ``t[S] <= 20!`` fits in int64.
+    """
+    n = len(pred)
+    t = np.zeros(1 << n, dtype=np.int64)
+    t[0] = 1
+    bits = 1 << np.arange(n)
+    layer = np.zeros(1, dtype=np.int64)
+    while True:
+        cand = (layer[:, None] | bits)[layer[:, None] < bits]  # add v above all members
+        acc = np.zeros(cand.size, dtype=np.int64)
+        for v in range(n):
+            source = (cand & (pred[v] | 1 << v)) == 1 << v
+            acc += np.where(source, t[cand ^ (1 << v)], 0)
+        keep = acc > 0
+        if not keep.any():
+            return t, layer
+        layer = cand[keep]
+        t[layer] = acc[keep]
+
+
+def table_sp_bruteforce(c, cap=100):
+    """Oracle for ``sp_bruteforce``: the degree, the number of minimizing
+    orders and the first ``cap`` of them, from two 2**n tables.
+
+    sp = n - the size of a largest acyclic set of ``sel``, reached by sp!
+    times the topological orders of those sets (:func:`topological_counts`).
+    A depth-first search keeps only prefixes that complete: in the sp top
+    positions, what is left must still contain a largest acyclic set
+    (``holds``, closed under supersets); below them, the next alternative
+    must have no predecessor among those left.
+    """
+    n = c.n
+    sel = revealed_relation(c)
+    pred = (sel.astype(np.int64) << np.arange(n)[:, None]).sum(axis=0).tolist()
+    t, largest_sets = topological_counts(pred)
+    free = n - int(largest_sets[0]).bit_count()
+    holds = np.zeros(1 << n, dtype=bool)
+    holds[largest_sets] = True
+    for v in range(n):
+        view = holds.reshape(-1, 2, 1 << v)
+        view[:, 1] |= view[:, 0]
+    found = []
+    prefix = []
+
+    def walk(rest):
+        if not rest:
+            found.append(tuple(prefix))
+        top = len(prefix) < free
+        for v in range(n):
+            if len(found) == cap:
+                return
+            if rest >> v & 1 and (holds[rest ^ 1 << v] if top else not pred[v] & rest):
+                prefix.append(v)
+                walk(rest ^ 1 << v)
+                prefix.pop()
+
+    walk((1 << n) - 1)
+    return free, factorial(free) * int(t[largest_sets].sum()), found
 
 
 def fill_best(picks, ranking):

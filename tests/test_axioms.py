@@ -9,6 +9,7 @@ import pytest
 
 from harmchoice import (
     ChoiceFunction,
+    FixedIndexPolicy,
     GroundSet,
     LinearOrder,
     Menu,
@@ -153,6 +154,19 @@ class TestBoundedListing:
         keys = [(r.menu_a.sort_key, r.menu_b.sort_key) for r in revs]
         assert keys == sorted(set(keys))
         assert peak < 20 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+    def test_warp_traces_under_half_a_mb_at_n18(self):
+        """A rational choice has no co-selected pair, so no menu is sorted by
+        pick; gathering them first traced 6.51 MiB."""
+        c = generate_harmful(LinearOrder(tuple(range(18))), FixedIndexPolicy(0), seed=5)
+        c.pick_counts
+        tracemalloc.start()
+        try:
+            revs = find_reversals(c, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert revs == [] and peak < 2**19, f"{peak / 2**20:.2f} MiB"
 
 
 def test_analysis_builds_the_pick_counts_once(monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import tracemalloc
 from itertools import permutations
 from math import factorial
 
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from harmchoice import (
+    ChoiceFunction,
+    FixedIndexPolicy,
     LinearOrder,
     UniformIndexPolicy,
     construct_inconsistent,
@@ -24,7 +27,8 @@ from harmchoice import (
 from harmchoice._kernels import order_scores
 from harmchoice.axioms import coselected_pairs, revealed_relation
 from harmchoice.cli import main
-from conftest import iter_all_choices, random_choice
+from harmchoice.degree import _minimum_hitting_sets
+from conftest import iter_all_choices, random_choice, table_sp_bruteforce
 
 
 def scan(c):
@@ -63,6 +67,44 @@ def seeded_choices(seed, sizes, per_size):
                 yield generate_harmful(order, UniformIndexPolicy(1), seed=draw)
             else:
                 yield random_choice(rng, n)
+
+
+def matching_choice(n):
+    """The order 0, 1, …, n-1, except that each pair menu {2i, 2i+1} picks
+    its worse member: the co-selected pairs form a matching, with
+    2**(n//2 - 1) minimum covers at even n (n - 2 beats n - 1 only in their
+    pair menu, so that pair is not co-selected)."""
+    picks = rational_choice(LinearOrder(tuple(range(n)))).picks_array.copy()
+    for i in range(n // 2):
+        picks[3 << 2 * i] = 2 * i + 1
+    return ChoiceFunction(n, picks)
+
+
+def table_cases():
+    """The inputs on which the exhaustive route must match the table oracle."""
+    for n in (1, 2, 3):
+        yield from iter_all_choices(n)
+    yield from seeded_choices(54, range(4, 13), 6)
+    for n in (16, 20):
+        order = LinearOrder(tuple(int(e) for e in np.random.default_rng(n).permutation(n)))
+        yield generate_harmful(order, FixedIndexPolicy(0), seed=55)
+        for cap in (1, n // 2, n - 1):
+            yield generate_harmful(order, UniformIndexPolicy(cap), seed=55 + cap)
+    for k in range(2, 11):
+        yield construct_inconsistent(k)
+    for n in (12, 16, 20):
+        yield matching_choice(n)
+
+
+def semicomplete(n, arcs):
+    """``sel`` on 0..n-1 with the given arcs, and q → p for every other
+    pair p < q."""
+    sel = np.zeros((n, n), dtype=bool)
+    sel[np.tril_indices(n, -1)] = True
+    for p, q in arcs:
+        sel[p, q] = True
+        sel[q, p] = (q, p) in arcs
+    return sel
 
 
 class TestBruteforce:
@@ -130,6 +172,28 @@ class TestBruteforce:
             got = (rep.sp, rep.minimizing_order_count, [o.ranking for o in rep.minimizing_orders])
             assert got == scan(c), c.n
 
+    def test_matches_table_oracle(self):
+        """Degree, exact count and first 100 orders equal those of the 2**n
+        subset tables."""
+        for c in table_cases():
+            rep = sp_bruteforce(c)
+            got = (rep.sp, rep.minimizing_order_count, [o.ranking for o in rep.minimizing_orders])
+            assert got == table_sp_bruteforce(c), c.n
+
+    @pytest.mark.parametrize("policy, degree", [(FixedIndexPolicy(0), 0), (UniformIndexPolicy(1), 1)])
+    def test_traces_under_1mb_at_n18(self, policy, degree):
+        """A few cycle bitmasks and the listed orders; the 2**n tables
+        traced 11.05 MiB on fixed:0 and 6.55 MiB on uniform:1."""
+        c = generate_harmful(LinearOrder(tuple(range(18))), policy, seed=5)
+        c.pick_counts
+        tracemalloc.start()
+        try:
+            rep = sp_bruteforce(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.sp == degree and peak < 2**20, f"{peak / 2**20:.2f} MiB"
+
     def test_first_orders_skip_dead_prefixes(self):
         """The largest acyclic set is the 8 smallest ids, so a lexicographic
         search meets prefixes that cannot complete first. Pruned, it never
@@ -151,11 +215,26 @@ class TestBruteforce:
         assert len(rep.minimizing_orders) == 100
 
 
+class TestHittingSets:
+    """No choice function has a triangle of one-way arcs, so these hand-built
+    semicomplete relations are the only way to reach the triangle branch."""
+
+    def test_three_cycle(self):
+        sel = semicomplete(3, {(0, 1), (1, 2), (2, 0)})
+        assert sorted(_minimum_hitting_sets(sel)) == [0b001, 0b010, 0b100]
+
+    def test_three_cycle_and_disjoint_two_cycle(self):
+        sel = semicomplete(5, {(0, 1), (1, 2), (2, 0), (3, 4), (4, 3)})
+        expected = sorted(1 << p | 1 << q for p in (0, 1, 2) for q in (3, 4))
+        assert sorted(_minimum_hitting_sets(sel)) == expected
+
+
 class TestCoverLemma:
     """``sel`` is semicomplete, so a set of alternatives is acyclic exactly
     when no co-selected pair lies in it, and then it has one topological
     order. The exhaustive route must show what follows from that, though it
-    never reads the co-selected pairs."""
+    reads the 2-cycles of ``sel`` itself, hits its triangles as well, and
+    never calls the axiomatic route's cover."""
 
     @staticmethod
     def check(c):
